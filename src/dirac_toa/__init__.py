@@ -21,7 +21,6 @@ from .algebra import (
     hamiltonian_matrix,
     helicity_spinor,
     nr_limit_spinor,
-    pauli_matrices,
     u_spinor_values,
     uw_spinors,
     w_spinor_values,

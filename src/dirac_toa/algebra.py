@@ -1,7 +1,7 @@
 """Closed-form spinor and matrix constructions for a free Dirac particle in 1D.
 
 Everything here works in natural units (hbar = c = 1) and in the frame where
-the momentum is parallel to the x-axis, so the 4-momentum is (E, p, 0, 0) and
+the momentum points along the x-axis, so the 4-momentum is (E, p, 0, 0) and
 the Hamiltonian reduces to H(p) = alpha_1 p + beta m.  Helicity then means the
 eigenvalue of sigma_1, and the two-component spinors eta_s are chosen as the
 sigma_1 eigenvectors (1, +-1)/sqrt(2).
@@ -28,7 +28,6 @@ __all__ = [
     "SIGMA1",
     "DiracBasis",
     "dirac_basis",
-    "pauli_matrices",
     "helicity_spinor",
     "KinematicPoint",
     "EventPoint",
@@ -54,11 +53,6 @@ _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def pauli_matrices():
-    """Return (sigma_1, sigma_2, sigma_3)."""
-    return SIGMA1.copy(), _SIGMA2.copy(), _SIGMA3.copy()
 
 
 @dataclass(frozen=True)

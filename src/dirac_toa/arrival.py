@@ -17,6 +17,11 @@ Pi_interf.  The operator itself never singles out a measurement rule, so
 this spectral-overlap construction is a modeling choice, cross-checked
 against the probability current at the origin (``flux_at_origin``), which is
 an independent arrival-time oracle.
+
+Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
+over the spectral core of ``eigenfunctions``: one phase matrix
+P = e^{-i E t} per call, whose conjugate carries lam = -1, in one matrix
+product.  ``evolve`` needs only the core's per-node spinors and projections.
 """
 from __future__ import annotations
 
@@ -24,10 +29,15 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .algebra import energy_spinor_values, nr_limit_spinor
-from .eigenfunctions import weight_factor
+from .algebra import _BETA_DIAG, energy_spinor_values, nr_limit_spinor
+from .eigenfunctions import (
+    _CHANNELS,
+    _SQRT2PI,
+    _phase_matrix,
+    _spectral_data,
+    _time_overlaps,
+)
 from .grids import GridSpinorField, MomentumGrid
 
 __all__ = [
@@ -55,8 +65,6 @@ def peak_location(ts: np.ndarray, ys: np.ndarray) -> float:
             if abs(shift) <= 1.0:
                 return float(ts[i] + shift * (ts[i + 1] - ts[i]))
     return float(ts[i])
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -141,27 +149,12 @@ def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
     return out
 
 
-def _branch_projections(f: GridSpinorField, m: float) -> dict:
-    """{(lam, s): phi_{lam s}^dag psi at each node}."""
-    p = f.grid.nodes
-    proj = {}
-    for lam in (1, -1):
-        for s in (0.5, -0.5):
-            spin = energy_spinor_values(m, p, lam, s)
-            proj[(lam, s)] = np.einsum("jc,jc->j", np.conj(spin), f.values)
-    return proj
-
-
 def evolve(f: GridSpinorField, m: float, t: float) -> GridSpinorField:
     """Free evolution: each branch projection picks up e^{-i lam E_p t}."""
-    p = f.grid.nodes
-    E = np.hypot(p, m)
-    proj = _branch_projections(f, m)
-    vals = np.zeros_like(f.values)
-    for (lam, s), c in proj.items():
-        spin = energy_spinor_values(m, p, lam, s)
-        vals += (c * np.exp(-1j * lam * E * t))[:, None] * spin
-    return GridSpinorField(f.grid, vals)
+    E, _, phi, c = _spectral_data(f, m)
+    lam = np.array(_CHANNELS)[:, :1]
+    phase = np.exp(-1j * lam * E * t)
+    return GridSpinorField(f.grid, np.einsum("kj,kjc->jc", c * phase, phi))
 
 
 def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
@@ -173,44 +166,11 @@ def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
     return kernel @ ft.values
 
 
-def _time_phase_sums(f: GridSpinorField, m: float, ts: np.ndarray, parallel: int = 1):
-    """A_{lam s}(t) = <phi_{t lam s}|psi> for every (lam, s) channel."""
-    grid = f.grid
-    p = grid.nodes
-    E = np.hypot(p, m)
-    W = weight_factor(m, p)
-    proj = _branch_projections(f, m)
-    amps = {}
-    for (lam, s), c in proj.items():
-        b = grid.weights * W * c / _SQRT2PI
-        amps[(lam, s)] = _phase_matvec(-lam * E, ts, b, parallel)
-    return amps
-
-
-def _phase_matvec(freqs: np.ndarray, ts: np.ndarray, coeffs: np.ndarray, parallel: int = 1):
-    """sum_j coeffs_j exp(i freqs_j t) for each t, optionally chunked over t."""
-    if parallel <= 1 or len(ts) < 4 * parallel:
-        return np.exp(1j * np.outer(ts, freqs)) @ coeffs
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(ts)), parallel)
-    out = np.empty(len(ts), dtype=complex)
-
-    def work(ix):
-        return np.exp(1j * np.outer(ts[ix], freqs)) @ coeffs
-
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        for ix, res in zip(chunks, pool.map(work, chunks)):
-            out[ix] = res
-    return out
-
-
 def arrival_distribution(
     f: GridSpinorField,
     m: float,
     t_window: tuple,
     n_t: int,
-    parallel: int = 1,
 ) -> ArrivalDistribution:
     """Arrival-time distribution at the origin from time-family overlaps.
 
@@ -222,18 +182,19 @@ def arrival_distribution(
     if not t1 > t0:
         raise ValueError("empty time window")
     ts = np.linspace(t0, t1, int(n_t))
-    amps = _time_phase_sums(f, m, ts, parallel)
-    pi_pos = sum(np.abs(amps[(1, s)]) ** 2 for s in (0.5, -0.5))
-    pi_neg = sum(np.abs(amps[(-1, s)]) ** 2 for s in (0.5, -0.5))
-    pi_int = sum(
-        2.0 * np.real(np.conj(amps[(1, s)]) * amps[(-1, s)]) for s in (0.5, -0.5)
-    )
+    E, W, _, c = _spectral_data(f, m)
+    b = f.grid.weights * W * c / _SQRT2PI
+    # A_{lam s}(t), one column per spin s
+    a_pos, a_neg = _time_overlaps(_phase_matrix(E, ts), b[:2].T, b[2:].T)
+    pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
+    pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
+    pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
     pi_tot = pi_pos + pi_neg + pi_int
-    raw = float(trapezoid(pi_tot, ts))
+    raw = float(np.trapezoid(pi_tot, ts))
     if raw <= 0.0:
         raise ValueError("no arrival mass inside the window")
     # full-line integral of the raw density: <psi|(I + beta P)|psi>
-    reflected = f.values[::-1] * np.array([1.0, 1.0, -1.0, -1.0])
+    reflected = f.values[::-1] * _BETA_DIAG
     full = float(
         np.real(
             np.sum(f.grid.weights * np.sum(np.conj(f.values) * f.values, axis=1))
@@ -278,14 +239,11 @@ def arrival_distribution_nonrel(
     grid = f.grid
     p = grid.nodes
     Wn = np.sqrt(np.abs(p) / m)
-    pi_tot = np.zeros_like(ts)
-    for s in (0.5, -0.5):
-        zeta = nr_limit_spinor(1, s)
-        c = f.values @ np.conj(zeta)
-        b = grid.weights * Wn * c / _SQRT2PI
-        amp = np.exp(-1j * np.outer(ts, p * p / (2.0 * m))) @ b
-        pi_tot += np.abs(amp) ** 2
-    raw = float(trapezoid(pi_tot, ts))
+    zeta = np.stack([nr_limit_spinor(1, s) for s in (0.5, -0.5)], axis=1)
+    b = (grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
+    amp = _phase_matrix(p * p / (2.0 * m), ts) @ b
+    pi_tot = np.sum(np.abs(amp) ** 2, axis=1)
+    raw = float(np.trapezoid(pi_tot, ts))
     if raw <= 0.0:
         raise ValueError("no arrival mass inside the window")
     # full-line integral: upper components against (I + P), P the reflection
@@ -320,7 +278,6 @@ def flux_at_origin(
     m: float,
     t_window: tuple,
     n_t: int,
-    parallel: int = 1,
 ):
     """Probability current J(t) = psi^dag(t, 0) alpha_1 psi(t, 0).
 
@@ -329,16 +286,11 @@ def flux_at_origin(
     """
     t0, t1 = map(float, t_window)
     ts = np.linspace(t0, t1, int(n_t))
-    grid = f.grid
-    p = grid.nodes
-    E = np.hypot(p, m)
-    proj = _branch_projections(f, m)
-    psi0 = np.zeros((len(ts), 4), dtype=complex)
-    for (lam, s), c in proj.items():
-        spin = energy_spinor_values(m, p, lam, s)
-        coeffs = grid.weights[:, None] * spin * c[:, None] / _SQRT2PI
-        for comp in range(4):
-            psi0[:, comp] += _phase_matvec(-lam * E, ts, coeffs[:, comp], parallel)
+    E, _, phi, c = _spectral_data(f, m)
+    # w sum_s c_{lam s} phi_{lam s} / sqrt(2 pi): the lam-branch part of psi
+    b = f.grid.weights[:, None] * c[:, :, None] * phi / _SQRT2PI
+    psi_pos, psi_neg = _time_overlaps(_phase_matrix(E, ts), b[0] + b[1], b[2] + b[3])
+    psi0 = psi_pos + psi_neg
     J = 2.0 * np.real(
         np.conj(psi0[:, 0]) * psi0[:, 3] + np.conj(psi0[:, 1]) * psi0[:, 2]
     )
@@ -349,4 +301,4 @@ def l1_distance(a: ArrivalDistribution, b: ArrivalDistribution) -> float:
     """L1 distance of two normalized distributions on identical t samples."""
     if not np.array_equal(a.t, b.t):
         raise ValueError("distributions sampled on different t lattices")
-    return float(trapezoid(np.abs(a.Pi_total - b.Pi_total), a.t))
+    return float(np.trapezoid(np.abs(a.Pi_total - b.Pi_total), a.t))

@@ -1,9 +1,14 @@
 """Command-line interface: verify / arrival / eigen / limits.
 
+    dirac-toa {verify,arrival,eigen,limits} [--config FILE] [--out DIR] [--seed N]
+
 All commands read a JSON config (a built-in default is used when --config is
 omitted) and write deterministic artifacts: CSV curves with 17-significant-
 digit scientific notation and JSON sidecars with sorted keys.  Exit status:
-0 success, 1 verification failure, 2 invalid configuration.
+0 success, 1 verification failure, 2 invalid configuration.  Status 2 also
+covers configs that validate but that the library rejects: a packet that
+does not fit on the grid (reported under config.packet) and a time window
+that holds no arrival mass (config.time).
 """
 from __future__ import annotations
 
@@ -66,8 +71,8 @@ def _build_grid(cfg: RunConfig):
     )
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
-    results = run_all_checks(cfg, parallel)
+def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
+    results = run_all_checks(cfg)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -86,7 +91,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
     return 1 if n_fail else 0
 
 
-def cmd_arrival(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
+def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     grid = _build_grid(cfg)
@@ -99,10 +104,16 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
         c_minus=cfg.packet.c_minus,
         s=cfg.packet.s,
     )
-    psi = arrival.build_packet(spec, grid)
+    try:
+        psi = arrival.build_packet(spec, grid)
+    except ValueError as exc:
+        raise ConfigError(f"config.packet: {exc}") from exc
     window = (cfg.time.t_min, cfg.time.t_max)
-    dist = arrival.arrival_distribution(psi, cfg.mass, window, cfg.time.n_t, parallel)
-    ts, J = arrival.flux_at_origin(psi, cfg.mass, window, cfg.time.n_t, parallel)
+    try:
+        dist = arrival.arrival_distribution(psi, cfg.mass, window, cfg.time.n_t)
+    except ValueError as exc:
+        raise ConfigError(f"config.time: {exc}") from exc
+    ts, J = arrival.flux_at_origin(psi, cfg.mass, window, cfg.time.n_t)
     _write_csv(
         os.path.join(out_dir, "arrival.csv"),
         "t,Pi_total,Pi_pos,Pi_neg,Pi_interf",
@@ -150,7 +161,7 @@ def _check_resolvable(label: dict, grid, m: float, where: str) -> None:
             )
 
 
-def cmd_eigen(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
+def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     grid = _build_grid(cfg)
@@ -177,7 +188,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
     return 0
 
 
-def cmd_limits(cfg: RunConfig, out_dir: str | None, parallel: int) -> int:
+def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     if cfg.mass <= 0.0:
@@ -235,14 +246,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config path (built-in default if omitted)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--parallel", type=int, default=1, help="worker threads for t-sample maps")
         p.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else config_from_dict(DEFAULT_CONFIG)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        return _COMMANDS[args.command](cfg, args.out, max(1, args.parallel))
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ them precisely and exit with status 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict", "DEFAULT_CONFIG"]
@@ -92,7 +93,13 @@ def _need(d: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return x
 
 
 def _integer(value, path: str) -> int:
@@ -102,13 +109,9 @@ def _integer(value, path: str) -> int:
 
 
 def _complex_pair(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path}: expected [re, im], got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
 def _spin(value, path: str) -> float:
@@ -243,4 +246,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the int-conversion limit
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -38,10 +38,13 @@ __all__ = [
     "weight_factor_derivative_ratio",
     "overlap_matrix",
     "resynthesize_time_family",
-    "event_branch_for_node",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+
+# (lam, s) order of the channel axis of ``_spectral_data``: the first two
+# channels are the lam = +1 branch, the last two the lam = -1 branch
+_CHANNELS = ((1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5))
 
 
 def weight_factor(m: float, p) -> np.ndarray:
@@ -58,9 +61,41 @@ def weight_factor_derivative_ratio(m: float, p) -> np.ndarray:
     return m * m / (2.0 * p * E * E)
 
 
-def event_branch_for_node(x: float, p, b: int) -> np.ndarray:
-    """Energy-branch label matching the event family at a node: lam = b sign(x) sign(p)."""
-    return b * np.sign(x) * np.sign(np.asarray(p, dtype=float))
+def _spectral_data(f: GridSpinorField, m: float):
+    """Per-node spectral data of a field: (E_p, W(p), phi, c).
+
+    phi[k] holds the energy spinors phi_{lam s}(p), shape (N, 4), and c[k]
+    the branch projections phi_{lam s}^dag psi, shape (N,), for the k-th
+    (lam, s) of ``_CHANNELS``.
+    """
+    p = f.grid.nodes
+    phi = np.stack([energy_spinor_values(m, p, lam, s) for lam, s in _CHANNELS])
+    c = np.einsum("kjc,jc->kj", np.conj(phi), f.values)
+    return np.hypot(p, m), weight_factor(m, p), phi, c
+
+
+def _phase_matrix(E: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """P[i, j] = exp(-i E_j t_i), built in place as the only n_t x N array.
+
+    Both energy branches share E_p, so the lam = -1 phases e^{+i E t} are
+    conj(P) and one matrix serves both.
+    """
+    P = np.outer(ts, -1j * E)
+    np.exp(P, out=P)
+    return P
+
+
+def _time_overlaps(P: np.ndarray, plus: np.ndarray, minus: np.ndarray):
+    """(P @ plus, conj(P) @ minus): the lam = +1 and lam = -1 node sums
+    sum_j b_j e^{-i lam E_j t} for a phase matrix P from ``_phase_matrix``
+    and coefficient columns of shape (N, k) per branch.
+
+    One contraction R = P @ [plus | conj(minus)]; the lam = -1 block is
+    conj(R_-).
+    """
+    k = plus.shape[1]
+    R = P @ np.concatenate([plus, np.conj(minus)], axis=1)
+    return R[:, :k], np.conj(R[:, k:])
 
 
 @dataclass(frozen=True)
@@ -213,17 +248,14 @@ def resynthesize_time_family(
         raise ValueError("t lattice must be uniform")
     dt = float(dt[0])
     grid = f.grid
-    p = grid.nodes
-    E = np.hypot(p, m)
-    W = weight_factor(m, p)
-    rec = np.zeros_like(f.values)
-    for lam in (1, -1):
-        down = np.exp(-1j * lam * np.outer(t_values, E))  # <phi_t| phases
-        up = np.exp(1j * lam * np.outer(E, t_values))
-        for s in (0.5, -0.5):
-            spin = energy_spinor_values(m, p, lam, s)
-            proj = np.einsum("jc,jc->j", np.conj(spin), f.values)
-            amp = down @ (grid.weights * W * proj / _SQRT2PI)
-            coeff = dt * (up @ amp)
-            rec += 0.5 * (W * coeff)[:, None] * spin / _SQRT2PI
+    E, W, phi, c = _spectral_data(f, m)
+    b = grid.weights * W * c / _SQRT2PI
+    P = _phase_matrix(E, t_values)
+    amp_pos, amp_neg = _time_overlaps(P, b[:2].T, b[2:].T)  # <phi_t|psi>
+    # the resum is the adjoint, (P^H amp_pos, conj(P)^H amp_neg); the same
+    # contraction with the view P^T in place of P gives it, swapped, without
+    # a copy of P^H
+    up_neg, up_pos = _time_overlaps(P.T, amp_neg, amp_pos)
+    coeff = dt * np.concatenate([up_pos, up_neg], axis=1).T
+    rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
     return GridSpinorField(grid, rec, meta={"t_window": (float(t_values[0]), float(t_values[-1])), "dt": dt})

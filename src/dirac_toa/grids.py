@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import apply_h_values, energy_spinor_values
+from .algebra import _BETA_DIAG, apply_h_values, energy_spinor_values
 
 __all__ = [
     "MomentumGrid",
@@ -47,8 +47,6 @@ __all__ = [
     "energy_measure_identity",
     "fd_weights",
 ]
-
-_BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 
 #: boundary-condition gate |g(+-m-adjacent node)| <= BC_TOL * ||g||
 BC_TOL = 1e-6

@@ -26,6 +26,7 @@ from .algebra import (
     u_spinor_values,
     w_spinor_values,
 )
+from .eigenfunctions import _SQRT2PI
 from .grids import _gauss_legendre_panels
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "DeficiencyReport",
     "deficiency_diagnostic",
 ]
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)

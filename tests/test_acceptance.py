@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from dirac_toa import algebra, arrival, cli, grids, limits
 from dirac_toa.eigenfunctions import (

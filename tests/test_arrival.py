@@ -1,13 +1,14 @@
 """Wave-packet construction, evolution, arrival distributions, flux oracle."""
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
-from dirac_toa import arrival, grids
+from dirac_toa import algebra, arrival, eigenfunctions, grids
+from dirac_toa.eigenfunctions import _CHANNELS, _phase_matrix, _spectral_data, _time_overlaps
 
 CLASSICAL_PEAK = 10.0 * np.sqrt(5.0) / 2.0  # -x0 E0/p0 for m=1, p0=2, x0=-10
 WINDOW = (-20.0, 43.0)
 N_T = 1261
+SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,56 @@ def grid512():
 def benchmark_packet(grid512):
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
     return arrival.build_packet(spec, grid512)
+
+
+@pytest.fixture(scope="module")
+def two_branch_packet(grid512):
+    # complex c_minus so the conjugated lam = -1 block is exercised
+    c = 1.0 / np.sqrt(2.0)
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.3, c_plus=c, c_minus=1j * c)
+    return arrival.build_packet(spec, grid512)
+
+
+def _current(psi0):
+    """J = psi^dag alpha_1 psi for spinor rows psi0 (alpha_1 reverses components)."""
+    return 2.0 * np.real(
+        np.conj(psi0[..., 0]) * psi0[..., 3] + np.conj(psi0[..., 1]) * psi0[..., 2]
+    )
+
+
+def _loop_amplitudes_and_flux(f, m, ts):
+    """Reference: one exp matrix per (lam, s) channel and one matvec per column."""
+    p, w = f.grid.nodes, f.grid.weights
+    E = np.hypot(p, m)
+    W = np.sqrt(np.abs(p) / E)
+    amps, psi0 = {}, np.zeros((len(ts), 4), dtype=complex)
+    for lam in (1, -1):
+        for s in (0.5, -0.5):
+            spin = algebra.energy_spinor_values(m, p, lam, s)
+            c = np.einsum("jc,jc->j", np.conj(spin), f.values)
+            phase = np.exp(1j * np.outer(ts, -lam * E))
+            amps[(lam, s)] = phase @ (w * W * c / SQRT2PI)
+            for comp in range(4):
+                psi0[:, comp] += phase @ (w * spin[:, comp] * c / SQRT2PI)
+    return amps, _current(psi0)
+
+
+def _loop_resynthesis(f, m, ts):
+    """Reference: separate down and up exp matrices per branch."""
+    p, w = f.grid.nodes, f.grid.weights
+    E = np.hypot(p, m)
+    W = np.sqrt(np.abs(p) / E)
+    dt = ts[1] - ts[0]
+    rec = np.zeros_like(f.values)
+    for lam in (1, -1):
+        down = np.exp(-1j * lam * np.outer(ts, E))
+        up = np.exp(1j * lam * np.outer(E, ts))
+        for s in (0.5, -0.5):
+            spin = algebra.energy_spinor_values(m, p, lam, s)
+            c = np.einsum("jc,jc->j", np.conj(spin), f.values)
+            coeff = dt * (up @ (down @ (w * W * c / SQRT2PI)))
+            rec += 0.5 * (W * coeff)[:, None] * spin / SQRT2PI
+    return rec
 
 
 def test_packet_spec_validation():
@@ -85,7 +136,7 @@ def test_group_velocity(grid512):
     def centroid(time):
         prof = arrival.position_profile(f, m, time, xs)
         rho = np.sum(np.abs(prof) ** 2, axis=1)
-        return float(trapezoid(xs * rho, xs) / trapezoid(rho, xs))
+        return float(np.trapezoid(xs * rho, xs) / np.trapezoid(rho, xs))
 
     assert abs((centroid(t) - centroid(0.0)) - t * v_mean) <= 1e-2
 
@@ -98,7 +149,7 @@ def test_arrival_distribution_decomposition(grid512):
     total = dist.Pi_pos + dist.Pi_neg + dist.Pi_interf
     assert np.max(np.abs(dist.Pi_total - total)) <= 1e-12
     assert np.all(dist.Pi_pos >= 0.0) and np.all(dist.Pi_neg >= 0.0)
-    assert float(trapezoid(dist.Pi_total, dist.t)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.trapezoid(dist.Pi_total, dist.t)) == pytest.approx(1.0, abs=1e-12)
     # both branches populated: interference shows up somewhere
     assert np.max(np.abs(dist.Pi_interf)) > 1e-8
 
@@ -144,7 +195,7 @@ def test_flux_oracle_agreement(grid512, benchmark_packet):
     flux_peak = arrival.peak_location(ts, J)
     assert abs(flux_peak - CLASSICAL_PEAK) <= 0.5
     assert abs(flux_peak - dist.peak_time) <= 0.5
-    assert abs(float(trapezoid(J, ts)) - 1.0) <= 1e-2
+    assert abs(float(np.trapezoid(J, ts)) - 1.0) <= 1e-2
     # single positive hump for a forward packet
     assert J.max() > 0.0
     assert J.min() >= -1e-6 * J.max()
@@ -159,10 +210,36 @@ def test_flux_noncrossing_packet(grid512):
     assert np.max(np.abs(J)) <= 1e-6
 
 
-def test_parallel_matches_serial(grid512, benchmark_packet):
-    d1 = arrival.arrival_distribution(benchmark_packet, 1.0, (0.0, 20.0), 501, parallel=1)
-    d4 = arrival.arrival_distribution(benchmark_packet, 1.0, (0.0, 20.0), 501, parallel=4)
-    assert np.max(np.abs(d1.Pi_total - d4.Pi_total)) <= 1e-15
+def test_spectral_core_matches_per_channel_loop(two_branch_packet):
+    # one shared phase matrix and one matmul must reproduce the per-channel
+    # loops up to summation order
+    f, m = two_branch_packet, 1.0
+    ts = np.linspace(*WINDOW, N_T)
+    ref_amps, ref_J = _loop_amplitudes_and_flux(f, m, ts)
+
+    E, W, _, c = _spectral_data(f, m)
+    b = f.grid.weights * W * c / SQRT2PI
+    a_pos, a_neg = _time_overlaps(_phase_matrix(E, ts), b[:2].T, b[2:].T)
+    for k, (lam, s) in enumerate(_CHANNELS):
+        core = (a_pos if lam == 1 else a_neg)[:, k % 2]
+        ref = ref_amps[(lam, s)]
+        assert np.max(np.abs(core - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    _, J = arrival.flux_at_origin(f, m, WINDOW, N_T)
+    assert np.max(np.abs(J - ref_J)) <= 1e-12 * np.max(np.abs(ref_J))
+
+    t_lattice = np.arange(-20.0, 20.0 + 1e-9, 0.25)
+    rec = eigenfunctions.resynthesize_time_family(f, m, t_lattice).values
+    ref_rec = _loop_resynthesis(f, m, t_lattice)
+    assert np.max(np.abs(rec - ref_rec)) <= 1e-12 * np.max(np.abs(ref_rec))
+
+
+def test_flux_matches_position_profile_current(two_branch_packet):
+    # independent path: evolve + spatial synthesis at x = 0, no phase matrix in t
+    f, m = two_branch_packet, 1.0
+    ts, J = arrival.flux_at_origin(f, m, (0.0, 2.0 * CLASSICAL_PEAK), 5)
+    ref = np.array([_current(arrival.position_profile(f, m, t, [0.0])[0]) for t in ts])
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_nonrelativistic_arrival_agreement():

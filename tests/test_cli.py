@@ -35,10 +35,34 @@ def small_arrival_config(tmp_path, **extra):
     return write_config(tmp_path, **overrides)
 
 
-def test_invalid_config_exit_2(tmp_path, capsys):
-    path = write_config(tmp_path, **{"grid.p_min": 0.0})
+FINITE_FIELDS = (
+    ("mass", "config.mass"),
+    ("grid.p_max", "config.grid.p_max"),
+    ("packet.x0", "config.packet.x0"),
+    ("time.t_max", "config.time.t_max"),
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        pytest.param({"grid.p_min": 0.0}, "config.grid", id="grid.p_min-zero"),
+        pytest.param({"mass": 10**400}, "config.mass", id="mass-int-overflow"),
+    ]
+    + [
+        pytest.param({key: bad}, where, id=f"{key}-{bad}")
+        for key, where in FINITE_FIELDS
+        for bad in (float("nan"), float("inf"), float("-inf"))
+    ]
+    + [
+        pytest.param({"packet.c_plus": [1.0, bad]}, "config.packet.c_plus[1]", id=f"packet.c_plus[1]-{bad}")
+        for bad in (float("nan"), float("inf"), float("-inf"))
+    ],
+)
+def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
+    path = write_config(tmp_path, **overrides)
     assert cli.main(["verify", "--config", path]) == 2
-    assert "config.grid" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 def test_bad_json_exit_2(tmp_path, capsys):
@@ -49,6 +73,13 @@ def test_bad_json_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_oversized_integer_literal_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"mass": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert cli.main(["arrival", "--config", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path):
     assert cli.main(["arrival", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -57,10 +88,25 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
     from dirac_toa.verify import CheckResult
 
     monkeypatch.setattr(
-        cli, "run_all_checks", lambda cfg, parallel: [CheckResult("stub", 1.0, 0.5)]
+        cli, "run_all_checks", lambda cfg: [CheckResult("stub", 1.0, 0.5)]
     )
     assert cli.main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_out_round_trips_json(monkeypatch, tmp_path):
+    from dirac_toa.verify import CheckResult
+
+    # a numpy residual makes `passed` a numpy.bool_, which json cannot encode
+    monkeypatch.setattr(
+        cli, "run_all_checks", lambda cfg: [CheckResult("stub", np.float64(1e-3), 1e-2)]
+    )
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["checks"] == [
+        {"name": "stub", "max_residual": 1e-3, "tolerance": 1e-2, "pass": True}
+    ]
+    assert report["config"]["mass"] == DEFAULT_CONFIG["mass"]
 
 
 def test_arrival_outputs_and_determinism(tmp_path):
@@ -86,14 +132,21 @@ def test_arrival_outputs_and_determinism(tmp_path):
     assert sidecar["config"]["packet"]["p0"] == 2.0
 
 
-def test_arrival_parallel_flag_matches_serial(tmp_path):
-    cfg = small_arrival_config(tmp_path)
-    out_a, out_b = tmp_path / "serial", tmp_path / "par"
-    assert cli.main(["arrival", "--config", cfg, "--out", str(out_a)]) == 0
-    assert cli.main(["arrival", "--config", cfg, "--out", str(out_b), "--parallel", "4"]) == 0
-    a = np.loadtxt(out_a / "arrival.csv", delimiter=",", skiprows=1)
-    b = np.loadtxt(out_b / "arrival.csv", delimiter=",", skiprows=1)
-    assert np.max(np.abs(a - b)) <= 1e-15
+def test_arrival_packet_off_grid_exit_2(tmp_path, capsys):
+    cfg = small_arrival_config(tmp_path, **{"packet.p0": 9.9})
+    assert cli.main(["arrival", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config.packet" in err and "grid covers" in err
+
+
+def test_arrival_window_without_mass_exit_2(tmp_path, capsys):
+    # a window one subnormal wide: the trapezoid integral underflows to 0
+    cfg = small_arrival_config(
+        tmp_path, **{"time.t_min": 0.0, "time.t_max": 5e-324, "time.n_t": 2}
+    )
+    assert cli.main(["arrival", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config.time" in err and "no arrival mass" in err
 
 
 def test_eigen_outputs(tmp_path):

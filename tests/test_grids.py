@@ -1,7 +1,8 @@
 """Grid construction, finite differences, and discretized-operator tests."""
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from dirac_toa import algebra, grids
 from dirac_toa.eigenfunctions import time_eigenfunction
@@ -43,7 +44,7 @@ def test_build_grid_validation():
 
 def test_gaussian_quadrature(grid256):
     total = float(np.sum(grid256.weights * np.exp(-grid256.nodes**2)))
-    exact = float(np.sqrt(np.pi) * (erf(10.0) - erf(1e-3)))
+    exact = float(np.sqrt(np.pi) * (math.erf(10.0) - math.erf(1e-3)))
     assert abs(total - exact) <= 1e-10
 
 
@@ -249,7 +250,7 @@ def test_measure_identity_with_analytic_oracle(grid256):
     # independent closed form over the image window on both branches
     e_min, e_max = np.hypot(grid256.p_min, m), np.hypot(grid256.p_max, m)
     exact = np.sqrt(np.pi) / 2 * (
-        (erf(e_max - 2.0) - erf(e_min - 2.0)) + (erf(-e_min - 2.0) - erf(-e_max - 2.0))
+        (math.erf(e_max - 2.0) - math.erf(e_min - 2.0)) + (math.erf(-e_min - 2.0) - math.erf(-e_max - 2.0))
     )
     assert abs(right - exact) <= 1e-10
 
