@@ -9,20 +9,15 @@ and deficiency-index diagnostics.
 """
 from .algebra import (
     DiracBasis,
-    EventPoint,
-    KinematicPoint,
     clifford_max_residual,
     dirac_basis,
-    energy_spinor,
     energy_spinor_derivative,
     energy_spinor_values,
-    event_spinor,
     event_spinor_values,
     hamiltonian_matrix,
     helicity_spinor,
     nr_limit_spinor,
     u_spinor_values,
-    uw_spinors,
     w_spinor_values,
 )
 from .arrival import (

@@ -8,14 +8,15 @@ sigma_1 eigenvectors (1, +-1)/sqrt(2).
 
 Spinor families provided:
 
-* ``energy_spinor``      -- phi_{lambda s}(p), the plane-wave spinor of the
+* ``energy_spinor_values`` -- phi_{lambda s}(p), the plane-wave spinor of the
   energy branch lambda = +-1 (E = lambda * sqrt(p^2 + m^2)).
-* ``event_spinor``       -- xi_{b s}(x), the event-space analogue with the
+* ``event_spinor_values``  -- xi_{b s}(x), the event-space analogue with the
   substitution p -> x, m -> tau, lambda E_p -> b t_x, t_x = sqrt(x^2 + tau^2).
-* ``uw_spinors``         -- the conventional particle/antiparticle pair u, w.
-* ``nr_limit_spinor``    -- the nonrelativistic limits zeta_{+-s}.
+* ``u_spinor_values``, ``w_spinor_values`` -- the conventional
+  particle/antiparticle pair u, w.
+* ``nr_limit_spinor``      -- the nonrelativistic limits zeta_{+-s}.
 
-All functions are pure; the ``*_values`` variants are vectorized over the
+All functions are pure; the spinor families are vectorized over the
 momentum (or proper-time) argument and are what the grid machinery consumes.
 """
 from __future__ import annotations
@@ -29,15 +30,10 @@ __all__ = [
     "DiracBasis",
     "dirac_basis",
     "helicity_spinor",
-    "KinematicPoint",
-    "EventPoint",
-    "energy_spinor",
     "energy_spinor_values",
     "energy_spinor_derivative",
-    "event_spinor",
     "event_spinor_values",
     "event_spinor_tau_derivative",
-    "uw_spinors",
     "u_spinor_values",
     "w_spinor_values",
     "nr_limit_spinor",
@@ -113,53 +109,6 @@ def helicity_spinor(s: float) -> np.ndarray:
     return np.array([1.0, 2.0 * s], dtype=complex) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class KinematicPoint:
-    """A (mass, momentum, branch, spin) label with E = lam * sqrt(p^2 + m^2)."""
-
-    m: float
-    p: float
-    lam: int
-    s: float
-
-    def __post_init__(self):
-        if self.m < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.m}")
-        if self.p == 0.0:
-            raise ValueError("p = 0 is excluded (E^2 = m^2 is degenerate)")
-        if self.lam not in (1, -1):
-            raise ValueError(f"branch sign must be +1 or -1, got {self.lam}")
-        if self.s not in (0.5, -0.5):
-            raise ValueError(f"spin label must be +0.5 or -0.5, got {self.s}")
-
-    @property
-    def E_p(self) -> float:
-        return float(np.hypot(self.p, self.m))
-
-    @property
-    def E(self) -> float:
-        return self.lam * self.E_p
-
-
-@dataclass(frozen=True)
-class EventPoint:
-    """An event label (x, tau, b) with t_x = sqrt(x^2 + tau^2) != 0."""
-
-    x: float
-    tau: float
-    b: int
-
-    def __post_init__(self):
-        if self.b not in (1, -1):
-            raise ValueError(f"sign b must be +1 or -1, got {self.b}")
-        if self.x == 0.0 and self.tau == 0.0:
-            raise ValueError("degenerate event: x = tau = 0 gives t_x = 0")
-
-    @property
-    def t_x(self) -> float:
-        return float(np.hypot(self.x, self.tau))
-
-
 def _branch_factors(m: float, p: np.ndarray, lam: int):
     """Stable prefactors of the energy spinor.
 
@@ -221,11 +170,6 @@ def energy_spinor_derivative(m: float, p, lam: int, s: float) -> np.ndarray:
     return out
 
 
-def energy_spinor(k: KinematicPoint) -> np.ndarray:
-    """Energy spinor at a single kinematic point."""
-    return energy_spinor_values(k.m, k.p, k.lam, k.s)
-
-
 def _event_factors(x: float, tau, b: int):
     """Stable prefactors of the event spinor: t_x, Ntilde, ctilde and the
     tau-derivative ingredients.  Mirrors ``_branch_factors`` under the
@@ -277,11 +221,6 @@ def event_spinor_tau_derivative(x: float, tau, b: int, s: float) -> np.ndarray:
     return out
 
 
-def event_spinor(e: EventPoint, s: float) -> np.ndarray:
-    """Event spinor at a single event point."""
-    return event_spinor_values(e.x, e.tau, e.b, s)
-
-
 def u_spinor_values(m: float, p, s: float) -> np.ndarray:
     """u(p, s): the positive-branch energy spinor in conventional form."""
     if m <= 0.0:
@@ -309,14 +248,6 @@ def w_spinor_values(m: float, p, s: float) -> np.ndarray:
     out[..., :2] = (N * c)[..., None] * se
     out[..., 2:] = N[..., None] * e
     return out
-
-
-def uw_spinors(k: KinematicPoint):
-    """(u, w) at a single kinematic point (branch label of k is ignored)."""
-    return (
-        u_spinor_values(k.m, k.p, k.s),
-        w_spinor_values(k.m, k.p, k.s),
-    )
 
 
 def nr_limit_spinor(lam: int, s: float) -> np.ndarray:

@@ -169,6 +169,8 @@ def _time_from(d, path: str) -> TimeConfig:
     n_t = _integer(_need(d, "n_t", path), f"{path}.n_t")
     if not t_max > t_min:
         raise ConfigError(f"{path}: need t_min < t_max")
+    if not math.isfinite(t_max - t_min):
+        raise ConfigError(f"{path}: t_max - t_min overflows, got ({t_min}, {t_max})")
     if n_t < 2:
         raise ConfigError(f"{path}.n_t: must be >= 2, got {n_t}")
     return TimeConfig(t_min, t_max, n_t)

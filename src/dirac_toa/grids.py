@@ -48,7 +48,8 @@ __all__ = [
     "fd_weights",
 ]
 
-#: boundary-condition gate |g(+-m-adjacent node)| <= BC_TOL * ||g||
+#: boundary-condition gate |g(end node)| <= BC_TOL * ||g|| at the +-m-adjacent
+#: node and, for ``symmetry_defect``, at the far end of the truncated axis
 BC_TOL = 1e-6
 
 
@@ -429,16 +430,16 @@ def energy_function_on_branch(
     )
 
 
-def _check_boundary(g: EnergyGridFunction):
+def _check_boundary(g: EnergyGridFunction, index: int, condition: str):
+    """Reject g when |g| at node ``index`` exceeds BC_TOL * ||g||."""
     norm = np.sqrt(g.norm_sq())
     if norm == 0.0:
         return
-    edge = np.max(np.abs(g.values[g.gap_adjacent_index]))
+    edge = np.max(np.abs(g.values[index]))
     if edge > BC_TOL * norm:
         raise ValueError(
-            f"boundary condition g({g.branch:+d}m) = 0 violated: "
-            f"|g| = {edge:.3e} at the gap-adjacent node E = "
-            f"{g.nodes[g.gap_adjacent_index]:.6g}, allowed "
+            f"boundary condition {condition} violated: |g| = {edge:.3e} at "
+            f"E = {g.nodes[index]:.6g}, allowed "
             f"{BC_TOL:.0e} * ||g|| = {BC_TOL * norm:.3e}"
         )
 
@@ -449,7 +450,7 @@ def apply_toa_energy(g: EnergyGridFunction, order: int = 4) -> EnergyGridFunctio
     Rejects inputs that violate the symmetric-domain boundary condition
     g(+-m) = 0 (checked at the gap-adjacent node).
     """
-    _check_boundary(g)
+    _check_boundary(g, g.gap_adjacent_index, f"g({g.branch:+d}m) = 0")
     if g.deriv_values is not None:
         dg = g.deriv_values
     else:
@@ -468,7 +469,15 @@ def energy_inner_product(g1: EnergyGridFunction, g2: EnergyGridFunction) -> comp
 
 
 def symmetry_defect(g1: EnergyGridFunction, g2: EnergyGridFunction, order: int = 4) -> complex:
-    """<g1|T g2> - <T g1|g2>; vanishes when both satisfy the boundary condition."""
+    """<g1|T g2> - <T g1|g2>; vanishes when both satisfy the boundary condition.
+
+    Integrating by parts leaves -i g1* g2 at both ends of the truncated
+    axis, so each input must also vanish at the far node, under the same
+    BC_TOL gate as the gap-adjacent one.
+    """
+    for g in (g1, g2):
+        far = len(g.nodes) - 1 - g.gap_adjacent_index
+        _check_boundary(g, far, "g = 0 at the truncated end of the axis")
     t2 = apply_toa_energy(g2, order)
     t1 = apply_toa_energy(g1, order)
     return energy_inner_product(g1, t2) - energy_inner_product(t1, g2)

@@ -44,6 +44,10 @@ __all__ = [
     "deficiency_diagnostic",
 ]
 
+# deficiency classification thresholds on ln(I(4 e_max) / I(e_max))
+_LOG_STABLE = (np.log1p(-1e-2), np.log1p(1e-2))
+_LOG_BLOWUP = np.log(1e3)
+
 
 @dataclass(frozen=True)
 class LimitReport:
@@ -212,11 +216,15 @@ def duality_map_max_residual(n_samples: int = 100, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class DeficiencyReport:
-    """Normalizability of the deficiency solutions e^{-+E} per branch."""
+    """Normalizability of the deficiency solutions e^{-+E} per branch.
+
+    ``log_integrals`` holds ln of each truncated integral, so that e^{+-2E}
+    neither overflows nor underflows at large m.
+    """
 
     m: float
     e_max_values: tuple
-    integrals: dict
+    log_integrals: dict
     classifications: dict
     n_plus: int
     n_minus: int
@@ -229,7 +237,7 @@ class DeficiencyReport:
         return {
             "m": self.m,
             "e_max_values": list(self.e_max_values),
-            "integrals": {k: list(v) for k, v in self.integrals.items()},
+            "log_integrals": {k: list(v) for k, v in self.log_integrals.items()},
             "classifications": dict(self.classifications),
             "n_plus": self.n_plus,
             "n_minus": self.n_minus,
@@ -238,13 +246,16 @@ class DeficiencyReport:
         }
 
 
-def _branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n: int = 512) -> float:
-    """int |e^{sign_exp * E}|^2 dE over (m, e_max) or (-e_max, -m)."""
+def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n: int = 512) -> float:
+    """ln int |e^{sign_exp * E}|^2 dE over (m, e_max) or (-e_max, -m),
+    as a log-sum-exp shifted by the largest exponent."""
     if branch == 1:
         xs, ws = _gauss_legendre_panels(m, e_max, n, 8)
     else:
         xs, ws = _gauss_legendre_panels(-e_max, -m, n, 8)
-    return float(np.sum(ws * np.exp(2.0 * sign_exp * xs)))
+    y = 2.0 * sign_exp * xs
+    top = float(np.max(y))
+    return top + float(np.log(np.sum(ws * np.exp(y - top))))
 
 
 def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyReport:
@@ -253,9 +264,9 @@ def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyRep
     The candidate solutions are phi = e^{-+E}.  Each truncated integral is
     evaluated at e_max, 2 e_max and 4 e_max; a branch is classified
     convergent when the sequence stabilizes (total relative change < 1%)
-    and divergent when it blows up by orders of magnitude.  n_plus /
-    n_minus count the branches that carry a normalizable solution for the
-    +i / -i equation.
+    and divergent when it blows up by orders of magnitude (more than 1e3).
+    Both rules are applied to log differences.  n_plus / n_minus count the
+    branches that carry a normalizable solution for the +i / -i equation.
     """
     if m <= 0.0:
         raise ValueError("requires m > 0")
@@ -263,26 +274,28 @@ def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyRep
     if e_max <= m:
         raise ValueError("e_max must exceed m")
     e_values = (e_max, 2.0 * e_max, 4.0 * e_max)
-    integrals = {}
+    log_integrals = {}
     classifications = {}
     counts = {"+i": 0, "-i": 0}
     # T^dag phi = +i phi  ->  phi = e^{-E};  T^dag phi = -i phi  ->  phi = e^{+E}
     for label, sign_exp in (("+i", -1.0), ("-i", 1.0)):
         for branch in (1, -1):
-            seq = tuple(_branch_integral(m, e, sign_exp, branch) for e in e_values)
+            seq = tuple(_log_branch_integral(m, e, sign_exp, branch) for e in e_values)
             key = f"{label}/branch{branch:+d}"
-            integrals[key] = seq
-            if abs(seq[2] - seq[0]) < 1e-2 * seq[0]:
+            log_integrals[key] = seq
+            growth = seq[2] - seq[0]
+            # |I_2 - I_0| < 1e-2 I_0  <=>  ln(0.99) < ln(I_2 / I_0) < ln(1.01)
+            if _LOG_STABLE[0] < growth < _LOG_STABLE[1]:
                 classifications[key] = "convergent"
                 counts[label] += 1
-            elif seq[2] > seq[0] * 1e3:
+            elif growth > _LOG_BLOWUP:
                 classifications[key] = "divergent"
             else:
                 classifications[key] = "inconclusive"
     return DeficiencyReport(
         m=m,
         e_max_values=e_values,
-        integrals=integrals,
+        log_integrals=log_integrals,
         classifications=classifications,
         n_plus=counts["+i"],
         n_minus=counts["-i"],

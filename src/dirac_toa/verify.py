@@ -3,6 +3,13 @@
 Each check computes one scalar residual and compares it against a fixed
 tolerance.  Convergence-order checks report |fitted slope - nominal order|
 against a 0.5 band; boolean gates report 0.0 / 1.0 against a 0.0 tolerance.
+
+``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
+``run_all_checks`` and the acceptance tests read it.  Each residual takes
+the per-run ``_Run``: the config, its mass, grid and packet spec, one rng
+that the random-lattice checks draw from in registry order, and the shared
+scenario: the m = 1 benchmark packet on the run grid, with its arrival
+distribution and flux, computed once for the three checks that read them.
 """
 from __future__ import annotations
 
@@ -15,7 +22,11 @@ import numpy as np
 from . import algebra, arrival, eigenfunctions, grids, limits
 from .config import RunConfig
 
-__all__ = ["CheckResult", "run_all_checks"]
+__all__ = ["CheckResult", "CHECKS", "check_names", "run_all_checks"]
+
+# the benchmark scenario: classically the packet arrives at t = 10 sqrt(5)/2
+_BENCH_SPEC = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
+_BENCH_WINDOW, _BENCH_NT = (-20.0, 43.0), 1261
 
 
 @dataclass(frozen=True)
@@ -194,11 +205,15 @@ def check_branch_isolation(grid, m, packet_spec) -> float:
 
 
 def check_symmetry_defect(m=1.0) -> float:
-    # fine inner resolution so the gap-adjacent node sits close enough to m
-    # for (E - m) e^{-(E - m)} to clear the boundary gate
-    grid = grids.build_grid(1e-4 * m, 16.0 * m, 1024, 4)
-    fn = lambda E: (E - m) * np.exp(-(E - m))
-    dfn = lambda E: np.exp(-(E - m)) - (E - m) * np.exp(-(E - m))
+    """|<g|Tg> - <Tg|g>| for g = u e^{-u}, u = (E - m)/m.
+
+    g vanishes at the gap and decays on the scale m, so on an axis out to
+    E ~ 32 m it clears both gates of ``grids.symmetry_defect`` for every m;
+    the fine inner resolution puts the gap-adjacent node close to m.
+    """
+    grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
+    fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
+    dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m
     g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
     return abs(grids.symmetry_defect(g, g))
 
@@ -336,17 +351,20 @@ def check_overlap_orthogonality() -> float:
 
 
 def check_delta_concentration() -> float:
-    """|width ratio - 2| for the position-family overlap under p_max doubling."""
+    """|width ratio - 2| for the position-family overlap under p_max doubling.
+
+    The spinor part of phi_x does not depend on x, so the overlap with the
+    shifted label is <phi_{x+dx}|phi_x> = sum_j w_j |phi_x(p_j)|^2 e^{i p_j dx},
+    one matvec for the whole dx scan.
+    """
     m, x = 1.0, 0.0
+    dxs = np.linspace(-2.0, 2.0, 801)
     widths = []
     for p_max in (10.0, 20.0):
         grid = grids.build_grid(1e-3, p_max, 512, 4)
         ref = eigenfunctions.position_eigenfunction(x, 1, 0.5, m).on_grid(grid)
-        dxs = np.linspace(-2.0, 2.0, 801)
-        overlap = np.empty_like(dxs)
-        for i, dx in enumerate(dxs):
-            probe = eigenfunctions.position_eigenfunction(x + dx, 1, 0.5, m).on_grid(grid)
-            overlap[i] = abs(grids.inner_product(probe, ref))
+        dens = grid.weights * np.sum(np.abs(ref.values) ** 2, axis=1)
+        overlap = np.abs(np.exp(1j * np.outer(dxs, grid.nodes)) @ dens)
         if dxs[np.argmax(overlap)] != 0.0:
             return float("inf")
         half = overlap.max() / 2.0
@@ -382,44 +400,31 @@ def check_norm_drift(grid, m, packet_spec) -> float:
 def check_interference_zero(grid, m) -> float:
     spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1)
     f = arrival.build_packet(spec, grid)
-    dist = arrival.arrival_distribution(f, m, (-20.0, 43.0), 1261)
+    dist = arrival.arrival_distribution(f, m, _BENCH_WINDOW, _BENCH_NT)
     return float(np.max(np.abs(dist.Pi_interf)))
 
 
-def check_arrival_benchmark(grid):
-    """(peak offsets vs classical and flux oracle, distribution, flux data)."""
-    m = 1.0
-    spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1)
-    f = arrival.build_packet(spec, grid)
-    window, n_t = (-20.0, 43.0), 1261
-    dist = arrival.arrival_distribution(f, m, window, n_t)
-    ts, J = arrival.flux_at_origin(f, m, window, n_t)
+def check_arrival_benchmark(dist, ts, J) -> float:
+    """Largest offset among the distribution peak, the flux peak and the
+    classical arrival time of the benchmark packet."""
     classical = 10.0 * np.sqrt(5.0) / 2.0
     flux_peak = float(ts[np.argmax(J)])
-    resid = max(
+    return float(max(
         abs(dist.peak_time - classical),
         abs(flux_peak - classical),
         abs(dist.peak_time - flux_peak),
-    )
-    return resid, dist, (ts, J)
+    ))
 
 
-def check_flux_unit_crossing(grid) -> float:
-    m = 1.0
-    spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1)
-    f = arrival.build_packet(spec, grid)
-    ts, J = arrival.flux_at_origin(f, m, (-20.0, 43.0), 1261)
+def check_flux_unit_crossing(ts, J) -> float:
     return abs(float(np.trapezoid(J, ts)) - 1.0)
 
 
-def check_mirror_symmetry(grid) -> float:
-    m = 1.0
-    window, n_t = (-20.0, 43.0), 1261
-    a = arrival.build_packet(arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1), grid)
-    b = arrival.build_packet(arrival.PacketSpec(m=m, x0=10.0, p0=-2.0, sigma_p=0.1), grid)
-    da = arrival.arrival_distribution(a, m, window, n_t)
-    db = arrival.arrival_distribution(b, m, window, n_t)
-    return float(np.max(np.abs(da.Pi_total - db.Pi_total)))
+def check_mirror_symmetry(grid, dist) -> float:
+    """Pi_total of the benchmark packet against its mirror image x -> -x."""
+    b = arrival.build_packet(arrival.PacketSpec(m=1.0, x0=10.0, p0=-2.0, sigma_p=0.1), grid)
+    db = arrival.arrival_distribution(b, 1.0, _BENCH_WINDOW, _BENCH_NT)
+    return float(np.max(np.abs(dist.Pi_total - db.Pi_total)))
 
 
 def check_group_velocity(grid) -> float:
@@ -522,68 +527,96 @@ def check_deficiency(m=1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# driver
+# registry and driver
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Run:
+    """Per-run inputs of the checks; see the module docstring."""
+
+    cfg: RunConfig
+    m: float
+    rng: np.random.Generator
+    grid: grids.MomentumGrid
+    spec: arrival.PacketSpec
+    dist: arrival.ArrivalDistribution
+    ts: np.ndarray
+    J: np.ndarray
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "_Run":
+        g, pk = cfg.grid, cfg.packet
+        grid = grids.build_grid(g.p_min, g.p_max, g.n_points, g.deriv_order)
+        spec = arrival.PacketSpec(
+            m=cfg.mass, x0=pk.x0, p0=pk.p0, sigma_p=pk.sigma_p,
+            c_plus=pk.c_plus, c_minus=pk.c_minus, s=pk.s,
+        )
+        bench = arrival.build_packet(_BENCH_SPEC, grid)
+        dist = arrival.arrival_distribution(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
+        ts, J = arrival.flux_at_origin(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
+        rng = np.random.default_rng(cfg.seed)
+        return cls(cfg, cfg.mass, rng, grid, spec, dist, ts, J)
+
+
+# (name, residual of a _Run, tolerance), in report order.  The lambdas look
+# the check functions up at call time, so rebinding a module attribute
+# (as a tracer does) reaches every run.
+CHECKS = (
+    ("clifford_algebra", lambda r: check_clifford(), 1e-15),
+    ("alpha_beta_hermitian", lambda r: check_hermiticity(), 1e-15),
+    ("helicity_orthonormality", lambda r: check_helicity(), 1e-15),
+    ("spinor_unit_norm", lambda r: check_spinor_norms(r.rng), 1e-13),
+    ("hamiltonian_eigen", lambda r: check_hamiltonian_eigen(r.rng), 1e-12),
+    ("spinor_orthonormality_completeness", lambda r: check_orthonormality_completeness(r.rng), 1e-13),
+    ("w_relation", lambda r: check_w_relation(r.rng), 1e-14),
+    ("duality_bijection", lambda r: check_duality_bijection(r.cfg.seed), 1e-12),
+    ("grid_weight_sum", lambda r: check_grid_weight_sum(r.grid), 1e-12),
+    ("grid_gaussian_quadrature", lambda r: check_grid_gaussian(r.grid), 1e-10),
+    ("grid_odd_integrand", lambda r: check_grid_odd(r.grid), 1e-12),
+    ("commutator_analytic", lambda r: check_commutator_analytic(max(r.m, 0.5)), 1e-9),
+    ("commutator_order_{deriv_order}", lambda r: check_commutator_order(r.cfg.grid.deriv_order)[0], 0.5),
+    ("measure_identity", lambda r: check_measure_identity(r.grid, max(r.m, 0.5)), 1e-8),
+    # the energy map needs m > 0; massless runs pass these two vacuously
+    ("energy_parseval", lambda r: check_parseval(r.grid, r.m, r.spec) if r.m > 0 else 0.0, 1e-8),
+    ("branch_isolation", lambda r: check_branch_isolation(r.grid, r.m, r.spec) if r.m > 0 else 0.0, 1e-12),
+    ("symmetry_defect", lambda r: check_symmetry_defect(max(r.m, 0.5)), 1e-8),
+    ("boundary_rejection", lambda r: check_boundary_rejection(max(r.m, 0.5)), 0.0),
+    ("massless_reduction", lambda r: check_massless_reduction(), 1e-14),
+    ("time_family_eigen_residual", lambda r: check_time_family_residual(), 1e-9),
+    ("position_family_pointwise", lambda r: check_position_family_pointwise(), 1e-9),
+    ("event_family_pointwise", lambda r: check_event_family_pointwise(), 1e-9),
+    ("family_label_consistency", lambda r: check_family_consistency(), 1e-12),
+    ("rational_eigenvalue_crosscheck", lambda r: check_rational_crosscheck(), 0.0),
+    ("overlap_orthogonality", lambda r: check_overlap_orthogonality(), 1e-10),
+    ("delta_concentration_width", lambda r: check_delta_concentration(), 0.4),
+    ("time_family_resynthesis", lambda r: check_resynthesis(), 1e-6),
+    ("evolution_norm_drift", lambda r: check_norm_drift(r.grid, r.m, r.spec), 1e-12),
+    ("interference_single_branch", lambda r: check_interference_zero(r.grid, max(r.m, 0.5)), 1e-12),
+    ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist, r.ts, r.J), 0.5),
+    ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.ts, r.J), 1e-2),
+    ("mirror_symmetry", lambda r: check_mirror_symmetry(r.grid, r.dist), 1e-12),
+    ("group_velocity", lambda r: check_group_velocity(r.grid), 1e-2),
+    ("antiparticle_reversed_peak", lambda r: check_antiparticle_peak(r.grid), 0.5),
+    ("nonrel_arrival_l1", lambda r: check_nonrel_arrival_l1(), 0.05),
+    ("nr_spinor_slope", lambda r: check_nr_spinor_slope(r.cfg.limits.ratios), 0.05),
+    ("nr_spinor_leading_term", lambda r: check_nr_spinor_leading(), 0.2),
+    ("nr_eigenvalue_gap", lambda r: check_nr_eigenvalue_gap(), 1e-12),
+    ("nr_eigenfunction_ratio", lambda r: check_nr_eigenfunction_ratio(), 0.0),
+    ("nr_eigenfunction_order", lambda r: check_nr_eigenfunction_order(), 0.0),
+    ("dual_residual", lambda r: check_dual_residual(), 1e-13),
+    ("deficiency_indices", lambda r: check_deficiency(max(r.m, 0.5)), 0.0),
+)
+
+
+def check_names(deriv_order: int) -> list:
+    """Registry names as a run with this finite-difference order prints them."""
+    return [name.format(deriv_order=deriv_order) for name, _, _ in CHECKS]
+
+
 def run_all_checks(cfg: RunConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    m = cfg.mass
-    grid = grids.build_grid(
-        cfg.grid.p_min, cfg.grid.p_max, cfg.grid.n_points, cfg.grid.deriv_order
-    )
-    packet_spec = arrival.PacketSpec(
-        m=m,
-        x0=cfg.packet.x0,
-        p0=cfg.packet.p0,
-        sigma_p=cfg.packet.sigma_p,
-        c_plus=cfg.packet.c_plus,
-        c_minus=cfg.packet.c_minus,
-        s=cfg.packet.s,
-    )
-    order_resid, _ = check_commutator_order(cfg.grid.deriv_order)
-    bench_resid, _, _ = check_arrival_benchmark(grid)
-    results = [
-        CheckResult("clifford_algebra", check_clifford(), 1e-15),
-        CheckResult("alpha_beta_hermitian", check_hermiticity(), 1e-15),
-        CheckResult("helicity_orthonormality", check_helicity(), 1e-15),
-        CheckResult("spinor_unit_norm", check_spinor_norms(rng), 1e-13),
-        CheckResult("hamiltonian_eigen", check_hamiltonian_eigen(rng), 1e-12),
-        CheckResult("spinor_orthonormality_completeness", check_orthonormality_completeness(rng), 1e-13),
-        CheckResult("w_relation", check_w_relation(rng), 1e-14),
-        CheckResult("duality_bijection", check_duality_bijection(cfg.seed), 1e-12),
-        CheckResult("grid_weight_sum", check_grid_weight_sum(grid), 1e-12),
-        CheckResult("grid_gaussian_quadrature", check_grid_gaussian(grid), 1e-10),
-        CheckResult("grid_odd_integrand", check_grid_odd(grid), 1e-12),
-        CheckResult("commutator_analytic", check_commutator_analytic(max(m, 0.5)), 1e-9),
-        CheckResult(f"commutator_order_{cfg.grid.deriv_order}", order_resid, 0.5),
-        CheckResult("measure_identity", check_measure_identity(grid, max(m, 0.5)), 1e-8),
-        CheckResult("energy_parseval", check_parseval(grid, m, packet_spec) if m > 0 else 0.0, 1e-8),
-        CheckResult("branch_isolation", check_branch_isolation(grid, m, packet_spec) if m > 0 else 0.0, 1e-12),
-        CheckResult("symmetry_defect", check_symmetry_defect(max(m, 0.5)), 1e-8),
-        CheckResult("boundary_rejection", check_boundary_rejection(max(m, 0.5)), 0.0),
-        CheckResult("massless_reduction", check_massless_reduction(), 1e-14),
-        CheckResult("time_family_eigen_residual", check_time_family_residual(), 1e-9),
-        CheckResult("position_family_pointwise", check_position_family_pointwise(), 1e-9),
-        CheckResult("event_family_pointwise", check_event_family_pointwise(), 1e-9),
-        CheckResult("family_label_consistency", check_family_consistency(), 1e-12),
-        CheckResult("rational_eigenvalue_crosscheck", check_rational_crosscheck(), 0.0),
-        CheckResult("overlap_orthogonality", check_overlap_orthogonality(), 1e-10),
-        CheckResult("delta_concentration_width", check_delta_concentration(), 0.4),
-        CheckResult("time_family_resynthesis", check_resynthesis(), 1e-6),
-        CheckResult("evolution_norm_drift", check_norm_drift(grid, m, packet_spec), 1e-12),
-        CheckResult("interference_single_branch", check_interference_zero(grid, max(m, 0.5)), 1e-12),
-        CheckResult("arrival_peak_benchmark", bench_resid, 0.5),
-        CheckResult("flux_unit_crossing", check_flux_unit_crossing(grid), 1e-2),
-        CheckResult("mirror_symmetry", check_mirror_symmetry(grid), 1e-12),
-        CheckResult("group_velocity", check_group_velocity(grid), 1e-2),
-        CheckResult("antiparticle_reversed_peak", check_antiparticle_peak(grid), 0.5),
-        CheckResult("nonrel_arrival_l1", check_nonrel_arrival_l1(), 0.05),
-        CheckResult("nr_spinor_slope", check_nr_spinor_slope(cfg.limits.ratios), 0.05),
-        CheckResult("nr_spinor_leading_term", check_nr_spinor_leading(), 0.2),
-        CheckResult("nr_eigenvalue_gap", check_nr_eigenvalue_gap(), 1e-12),
-        CheckResult("nr_eigenfunction_ratio", check_nr_eigenfunction_ratio(), 0.0),
-        CheckResult("nr_eigenfunction_order", check_nr_eigenfunction_order(), 0.0),
-        CheckResult("dual_residual", check_dual_residual(), 1e-13),
-        CheckResult("deficiency_indices", check_deficiency(max(m, 0.5)), 0.0),
+    run = _Run.from_config(cfg)
+    names = check_names(cfg.grid.deriv_order)
+    return [
+        CheckResult(name, residual(run), tol)
+        for name, (_, residual, tol) in zip(names, CHECKS)
     ]
-    return results

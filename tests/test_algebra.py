@@ -55,22 +55,6 @@ def test_energy_spinor_validation():
         algebra.energy_spinor_values(1.0, np.array([0.0]), 1, 0.5)
     with pytest.raises(ValueError):
         algebra.energy_spinor_values(-1.0, np.array([1.0]), 1, 0.5)
-    with pytest.raises(ValueError):
-        algebra.KinematicPoint(m=1.0, p=0.0, lam=1, s=0.5)
-    with pytest.raises(ValueError):
-        algebra.KinematicPoint(m=1.0, p=1.0, lam=2, s=0.5)
-
-
-def test_kinematic_point_dispersion():
-    k = algebra.KinematicPoint(m=3.0, p=4.0, lam=-1, s=0.5)
-    assert k.E_p == 5.0
-    assert k.E == -5.0
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = rng.uniform(0.0, 5.0)
-        p = rng.uniform(0.1, 9.0)
-        E = np.hypot(p, m)
-        assert abs(E * E - p * p - m * m) <= 1e-14 * E * E
 
 
 def test_energy_spinor_norm_and_eigen_lattice():
@@ -121,9 +105,6 @@ def test_event_spinor_values():
     xi = algebra.event_spinor_values(3.0, np.array([2.25]), 1, 0.5)[0]
     assert np.allclose(xi, [SQ04, SQ04, SQ01, SQ01], atol=1e-15)
     assert abs(np.linalg.norm(xi) - 1.0) <= 1e-14
-    e = algebra.EventPoint(x=3.0, tau=2.25, b=1)
-    assert e.t_x == 3.75
-    assert np.allclose(algebra.event_spinor(e, 0.5), xi)
 
 
 def test_event_spinor_massless_dual():
@@ -136,8 +117,6 @@ def test_event_spinor_massless_dual():
 
 
 def test_event_spinor_degenerate():
-    with pytest.raises(ValueError):
-        algebra.EventPoint(x=0.0, tau=0.0, b=1)
     with pytest.raises(ValueError):
         algebra.event_spinor_values(0.0, np.array([0.0]), 1, 0.5)
 
@@ -166,8 +145,7 @@ def test_event_spinor_tau_derivative_vs_finite_difference():
 def test_w_spinor_345_value():
     w = algebra.w_spinor_values(3.0, np.array([4.0]), 0.5)[0]
     assert np.allclose(w, [SQ01, SQ01, SQ04, SQ04], atol=1e-15)
-    u, w2 = algebra.uw_spinors(algebra.KinematicPoint(m=3.0, p=4.0, lam=1, s=0.5))
-    assert np.allclose(w2, w)
+    u = algebra.u_spinor_values(3.0, np.array([4.0]), 0.5)[0]
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
 

@@ -48,6 +48,9 @@ FINITE_FIELDS = (
     [
         pytest.param({"grid.p_min": 0.0}, "config.grid", id="grid.p_min-zero"),
         pytest.param({"mass": 10**400}, "config.mass", id="mass-int-overflow"),
+        pytest.param(
+            {"time.t_min": -1e308, "time.t_max": 1e308}, "config.time", id="time-span-overflow"
+        ),
     ]
     + [
         pytest.param({key: bad}, where, id=f"{key}-{bad}")
@@ -126,6 +129,8 @@ def test_arrival_outputs_and_determinism(tmp_path):
         assert SCI17.match(cell), cell
 
     sidecar = json.loads((out_a / "arrival.json").read_text())
+    keys = {"peak_time", "flux_peak_time", "captured_mass", "normalization", "warnings", "config"}
+    assert keys <= set(sidecar)
     assert abs(sidecar["peak_time"] - 10.0 * np.sqrt(5.0) / 2.0) <= 0.5
     assert abs(sidecar["flux_peak_time"] - sidecar["peak_time"]) <= 0.5
     assert sidecar["captured_mass"] >= 0.99

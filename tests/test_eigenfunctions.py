@@ -43,7 +43,7 @@ def test_time_family_eigen_residual_lattice():
     worst = 0.0
     for m in (0.0, 0.5, 1.0, 3.0):
         grid = grids.build_grid(1e-3 * m if m > 0 else 1e-3, 10.0, 256, 4)
-        for t in (-5.0, -2.0, 0.0, 1.0, 3.0, 5.0):
+        for t in (-5.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0):
             for lam in (1, -1):
                 for s in (0.5, -0.5):
                     f = time_eigenfunction(t, lam, s, m).on_grid(grid)

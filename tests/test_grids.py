@@ -256,12 +256,25 @@ def test_measure_identity_with_analytic_oracle(grid256):
 
 
 def test_symmetry_defect_boundary_respecting():
-    m = 1.0
-    grid = grids.build_grid(1e-4, 16.0, 1024, 4)
+    # g = u e^{-u}, u = (E - m)/m, vanishes at the gap and at the far end for every m
+    for m in (0.5, 1.0, 20.0, 100.0, 1e3, 1e5):
+        grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
+        fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
+        dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m
+        g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
+        assert abs(grids.symmetry_defect(g, g)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0])
+def test_symmetry_defect_rejects_far_end(m):
+    # (E - m) e^{-(E - m)} clears the gap gate but not the far end of a 16 m axis
+    grid = grids.build_grid(1e-4 * m, 16.0 * m, 1024, 4)
     fn = lambda E: (E - m) * np.exp(-(E - m))
     dfn = lambda E: np.exp(-(E - m)) - (E - m) * np.exp(-(E - m))
     g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
-    assert abs(grids.symmetry_defect(g, g)) <= 1e-8
+    grids.apply_toa_energy(g)
+    with pytest.raises(ValueError, match="truncated end"):
+        grids.symmetry_defect(g, g)
 
 
 def test_boundary_condition_gate():

@@ -62,7 +62,7 @@ def test_nr_eigenfunction_limit_t_zero_nonzero():
 
 
 def test_dual_solution_residual_and_labels():
-    for x in (3.0, -1.2):
+    for x in (3.0, -1.2, 0.7):
         for tau in (0.0, 2.25, -1.0):
             for b in (1, -1):
                 ds = limits.dual_solution(x, b, 0.5, tau)
@@ -93,23 +93,25 @@ def test_duality_map_bijection():
 def test_deficiency_integral_value():
     # int_1^E e^{-2E'} dE' = (e^{-2} - e^{-2E})/2 -> e^{-2}/2 ~ 0.0676676
     rep = limits.deficiency_diagnostic(1.0, 10.0)
-    val = rep.integrals["+i/branch+1"][0]
+    val = np.exp(rep.log_integrals["+i/branch+1"][0])
     assert abs(val - (np.exp(-2.0) - np.exp(-20.0)) / 2.0) <= 1e-12
     assert abs(val - 0.0676676) <= 5e-8
 
 
 def test_deficiency_divergent_growth():
     rep = limits.deficiency_diagnostic(1.0, 10.0)
-    seq = rep.integrals["-i/branch+1"]
+    seq = np.exp(rep.log_integrals["-i/branch+1"])
     # doubling the truncation grows the integral ~ e^{2 dE}
     assert seq[1] / seq[0] > 1e6
     assert rep.classifications["-i/branch+1"] == "divergent"
 
 
 def test_deficiency_indices_equal_and_stable():
-    for m in (0.5, 1.0, 3.0):
+    # m = 50 and 100 overflow e^{2E} unless the integrals are kept in log space
+    for m in (0.5, 1.0, 3.0, 50.0, 100.0):
         rep = limits.deficiency_diagnostic(m, 10.0 * m)
         assert rep.n_plus == 1 and rep.n_minus == 1 and rep.equal
+        assert np.all(np.isfinite(list(rep.log_integrals.values())))
         d = rep.to_dict()
         assert d["n_plus"] == 1 and d["n_minus"] == 1 and d["equal"] is True
         assert d["has_self_adjoint_extension"] is True
