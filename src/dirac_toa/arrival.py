@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import _BETA_DIAG, energy_spinor_values, nr_limit_spinor
+from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
 from .eigenfunctions import (
     _CHANNELS,
     _SQRT2PI,
@@ -88,8 +88,7 @@ class PacketSpec:
         total = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"|c+|^2 + |c-|^2 must be 1, got {total}")
-        if self.s not in (0.5, -0.5):
-            raise ValueError("spin label must be +0.5 or -0.5")
+        helicity_spinor(self.s)
         if abs(self.p0) <= 3.0 * self.sigma_p:
             warnings.warn(
                 "|p0| <= 3 sigma_p: the excluded neighborhood of p = 0 may "
@@ -123,9 +122,9 @@ class ArrivalDistribution:
 
 
 def _gaussian_amplitude(p, p0: float, sigma_p: float) -> np.ndarray:
-    return (2.0 * np.pi * sigma_p**2) ** -0.25 * np.exp(
-        -((p - p0) ** 2) / (4.0 * sigma_p**2)
-    )
+    """(2 pi sigma_p^2)^{-1/4} e^{-z^2}, z = (p - p0)/(2 sigma_p), with no sigma_p^2 to over/underflow."""
+    z = (p - p0) / (2.0 * sigma_p)
+    return np.exp(-z * z) / np.sqrt(np.sqrt(2.0 * np.pi) * sigma_p)
 
 
 def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
@@ -144,6 +143,8 @@ def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
             vals += c * g[:, None] * energy_spinor_values(spec.m, p, lam, spec.s)
     f = GridSpinorField(grid, vals)
     raw = f.norm()
+    if raw == 0.0:
+        raise ValueError("the packet has no weight on the grid nodes")
     out = f.normalized()
     out.meta["raw_norm"] = raw
     return out
@@ -164,6 +165,21 @@ def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
     p = f.grid.nodes
     kernel = np.exp(1j * np.outer(xs, p)) * f.grid.weights / _SQRT2PI
     return kernel @ ft.values
+
+
+def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistribution:
+    """(Pi_total, Pi_pos, Pi_neg, Pi_interf) divided by the window integral of
+    Pi_total; below 99% of its full-line value ``full`` a warning is noted."""
+    raw = float(np.trapezoid(curves[0], ts))
+    if raw <= 0.0:
+        raise ValueError("no arrival mass inside the window")
+    captured = raw / full if full > 0.0 else 0.0
+    notes = []
+    if captured < 0.99:
+        notes.append(f"time window captures only {captured:.4f} of the arrival mass")
+    return ArrivalDistribution(
+        ts, *(c / raw for c in curves), normalization=raw, captured_mass=captured, warnings=notes
+    )
 
 
 def arrival_distribution(
@@ -189,10 +205,6 @@ def arrival_distribution(
     pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
     pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
     pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
-    pi_tot = pi_pos + pi_neg + pi_int
-    raw = float(np.trapezoid(pi_tot, ts))
-    if raw <= 0.0:
-        raise ValueError("no arrival mass inside the window")
     # full-line integral of the raw density: <psi|(I + beta P)|psi>
     reflected = f.values[::-1] * _BETA_DIAG
     full = float(
@@ -201,22 +213,7 @@ def arrival_distribution(
             + np.sum(f.grid.weights * np.sum(np.conj(f.values) * reflected, axis=1))
         )
     )
-    captured = raw / full if full > 0.0 else 0.0
-    notes = []
-    if captured < 0.99:
-        notes.append(
-            f"time window captures only {captured:.4f} of the arrival mass"
-        )
-    return ArrivalDistribution(
-        t=ts,
-        Pi_total=pi_tot / raw,
-        Pi_pos=pi_pos / raw,
-        Pi_neg=pi_neg / raw,
-        Pi_interf=pi_int / raw,
-        normalization=raw,
-        captured_mass=captured,
-        warnings=notes,
-    )
+    return _normalized(ts, (pi_pos + pi_neg + pi_int, pi_pos, pi_neg, pi_int), full)
 
 
 def arrival_distribution_nonrel(
@@ -243,9 +240,6 @@ def arrival_distribution_nonrel(
     b = (grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     amp = _phase_matrix(p * p / (2.0 * m), ts) @ b
     pi_tot = np.sum(np.abs(amp) ** 2, axis=1)
-    raw = float(np.trapezoid(pi_tot, ts))
-    if raw <= 0.0:
-        raise ValueError("no arrival mass inside the window")
     # full-line integral: upper components against (I + P), P the reflection
     up = f.values[:, :2]
     full = float(
@@ -254,23 +248,8 @@ def arrival_distribution_nonrel(
             + np.sum(grid.weights * np.sum(np.conj(up) * up[::-1], axis=1))
         )
     )
-    captured = raw / full if full > 0.0 else 0.0
-    notes = []
-    if captured < 0.99:
-        notes.append(
-            f"time window captures only {captured:.4f} of the arrival mass"
-        )
     zero = np.zeros_like(ts)
-    return ArrivalDistribution(
-        t=ts,
-        Pi_total=pi_tot / raw,
-        Pi_pos=pi_tot / raw,
-        Pi_neg=zero,
-        Pi_interf=zero.copy(),
-        normalization=raw,
-        captured_mass=captured,
-        warnings=notes,
-    )
+    return _normalized(ts, (pi_tot, pi_tot, zero, zero), full)
 
 
 def flux_at_origin(

@@ -4,11 +4,20 @@
 
 All commands read a JSON config (a built-in default is used when --config is
 omitted) and write deterministic artifacts: CSV curves with 17-significant-
-digit scientific notation and JSON sidecars with sorted keys.  Exit status:
-0 success, 1 verification failure, 2 invalid configuration.  Status 2 also
-covers configs that validate but that the library rejects: a packet that
-does not fit on the grid (reported under config.packet) and a time window
-that holds no arrival mass (config.time).
+digit scientific notation and JSON sidecars with sorted keys, whose
+``config`` is ``config_to_dict`` of the run's config.
+
+Exit status: 0 success, 1 a ``verify`` check failed, 2 invalid input,
+reported on stderr as ``config error: WHERE: WHY``; never a traceback.
+Status 2 covers a config that ``config_from_dict`` rejects (bad JSON, shape
+or type, a non-finite number, an unknown key, a library domain rule); a
+config that loads but that the library rejects for the command, with WHERE
+the config section or field (a packet off the grid or without weight on its
+nodes, a window without arrival mass, an eigen label past the grid
+resolution, ratios that admit no order fit, an overflowing deficiency axis,
+and for ``verify`` a grid that cannot hold its fixed packets or whose
+energies collapse onto m); and a non-finite result, which the writers refuse
+before they open the file, with WHERE the file.
 """
 from __future__ import annotations
 
@@ -16,59 +25,35 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import arrival, eigenfunctions, grids, limits
-from .config import DEFAULT_CONFIG, ConfigError, RunConfig, config_from_dict, load_config
+from . import arrival, grids, limits
+from .config import (
+    DEFAULT_CONFIG, ConfigError, RunConfig, at_path, config_from_dict, config_to_dict, load_config,
+)
 from .verify import run_all_checks
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _write_csv(path: str, header: str, columns) -> None:
-    rows = [",".join(_fmt(c[i]) for c in columns) for i in range(len(columns[0]))]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    if not all(np.all(np.isfinite(c)) for c in columns):
+        raise ConfigError(f"{path}: non-finite values, not written")
+    rows = [",".join(f"{c[i]:.16e}" for c in columns) for i in range(len(columns[0]))]
+    _write(path, "\n".join([header, *rows]))
 
 
 def _write_json(path: str, obj) -> None:
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: non-finite values, not written") from exc
+    _write(path, text)
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "mass": cfg.mass,
-        "grid": {
-            "p_min": cfg.grid.p_min,
-            "p_max": cfg.grid.p_max,
-            "n_points": cfg.grid.n_points,
-            "deriv_order": cfg.grid.deriv_order,
-        },
-        "packet": {
-            "x0": cfg.packet.x0,
-            "p0": cfg.packet.p0,
-            "sigma_p": cfg.packet.sigma_p,
-            "c_plus": [cfg.packet.c_plus.real, cfg.packet.c_plus.imag],
-            "c_minus": [cfg.packet.c_minus.real, cfg.packet.c_minus.imag],
-            "s": cfg.packet.s,
-        },
-        "time": {"t_min": cfg.time.t_min, "t_max": cfg.time.t_max, "n_t": cfg.time.n_t},
-        "seed": cfg.seed,
-    }
-
-
-def _build_grid(cfg: RunConfig):
-    return grids.build_grid(
-        cfg.grid.p_min, cfg.grid.p_max, cfg.grid.n_points, cfg.grid.deriv_order
-    )
+        fh.write(text + "\n")
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
@@ -86,7 +71,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(
             os.path.join(out_dir, "verify.json"),
-            {"checks": [r.to_dict() for r in results], "config": _config_echo(cfg)},
+            {"checks": [r.to_dict() for r in results], "config": config_to_dict(cfg)},
         )
     return 1 if n_fail else 0
 
@@ -94,25 +79,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
 def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    grid = _build_grid(cfg)
-    spec = arrival.PacketSpec(
-        m=cfg.mass,
-        x0=cfg.packet.x0,
-        p0=cfg.packet.p0,
-        sigma_p=cfg.packet.sigma_p,
-        c_plus=cfg.packet.c_plus,
-        c_minus=cfg.packet.c_minus,
-        s=cfg.packet.s,
-    )
-    try:
-        psi = arrival.build_packet(spec, grid)
-    except ValueError as exc:
-        raise ConfigError(f"config.packet: {exc}") from exc
+    grid = grids.build_grid(**asdict(cfg.grid))
+    with at_path("config.packet"):
+        psi = arrival.build_packet(cfg.packet, grid)
     window = (cfg.time.t_min, cfg.time.t_max)
-    try:
+    with at_path("config.time"):
         dist = arrival.arrival_distribution(psi, cfg.mass, window, cfg.time.n_t)
-    except ValueError as exc:
-        raise ConfigError(f"config.time: {exc}") from exc
     ts, J = arrival.flux_at_origin(psi, cfg.mass, window, cfg.time.n_t)
     _write_csv(
         os.path.join(out_dir, "arrival.csv"),
@@ -125,50 +97,36 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
         "captured_mass": dist.captured_mass,
         "normalization": dist.normalization,
         "warnings": list(dist.warnings),
-        "config": _config_echo(cfg),
+        "config": config_to_dict(cfg),
     }
     _write_json(os.path.join(out_dir, "arrival.json"), sidecar)
     return 0
 
 
-def _eigen_builder(label: dict, m: float):
-    if label["family"] == "time":
-        return eigenfunctions.time_eigenfunction(label["t"], label["lam"], label["s"], m)
-    if label["family"] == "position":
-        return eigenfunctions.position_eigenfunction(label["x"], label["lam"], label["s"], m)
-    return eigenfunctions.event_eigenfunction(label["x"], label["b"], label["s"], m)
-
-
-def _check_resolvable(label: dict, grid, m: float, where: str) -> None:
+def _check_resolvable(func, grid, where: str) -> None:
     """Phase advance per node gap must stay below pi/2 on each half-line."""
     ppos = grid.nodes[grid.positive]
-    dp_max = float(np.max(np.diff(ppos)))
-    if label["family"] in ("position", "event"):
-        limit = np.pi / (2.0 * dp_max)
-        if abs(label["x"]) > limit:
-            raise ConfigError(
-                f"{where}: |x| = {abs(label['x']):.6g} exceeds the grid "
-                f"resolution limit {limit:.6g}"
-            )
+    if func.family in ("position", "event"):
+        name, label, step = "x", func.labels["x"], np.diff(ppos)
     else:
-        E = np.hypot(ppos, m)
-        de_max = float(np.max(np.diff(E)))
-        limit = np.pi / (2.0 * de_max)
-        if abs(label["t"]) > limit:
-            raise ConfigError(
-                f"{where}: |t| = {abs(label['t']):.6g} exceeds the grid "
-                f"resolution limit {limit:.6g}"
-            )
+        name, label, step = "t", func.labels["t"], np.diff(np.hypot(ppos, func.m))
+    step_max = float(np.max(step))
+    # at a mass so large that E_p is flat on the grid every t is resolved
+    limit = np.pi / (2.0 * step_max) if step_max > 0.0 else np.inf
+    if abs(label) > limit:
+        raise ConfigError(
+            f"{where}: |{name}| = {abs(label):.6g} exceeds the grid "
+            f"resolution limit {limit:.6g}"
+        )
 
 
 def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    grid = _build_grid(cfg)
+    grid = grids.build_grid(**asdict(cfg.grid))
     index = []
-    for i, label in enumerate(cfg.eigen):
-        _check_resolvable(label, grid, cfg.mass, f"config.eigen[{i}]")
-        func = _eigen_builder(label, cfg.mass)
+    for i, func in enumerate(cfg.eigen):
+        _check_resolvable(func, grid, f"config.eigen[{i}]")
         vals = func.value(grid.nodes)
         name = f"eigen_{i:02d}.csv"
         cols = [grid.nodes]
@@ -180,10 +138,10 @@ def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
             "p,re_c1,im_c1,re_c2,im_c2,re_c3,im_c3,re_c4,im_c4",
             cols,
         )
-        index.append({"file": name, **label})
+        index.append({"file": name, "family": func.family, **func.labels})
     _write_json(
         os.path.join(out_dir, "eigen.json"),
-        {"eigenfunctions": index, "config": _config_echo(cfg)},
+        {"eigenfunctions": index, "config": config_to_dict(cfg)},
     )
     return 0
 
@@ -194,22 +152,24 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     if cfg.mass <= 0.0:
         raise ConfigError("config.mass: the limits command requires mass > 0")
     ratios = np.asarray(cfg.limits.ratios, dtype=float)
-    rep_u, rep_w = limits.nr_spinor_limit_scan(ratios)
+    eig_ratios = np.asarray([r for r in ratios if r >= 1e-3], dtype=float)
+    if len(eig_ratios) < 2:
+        eig_ratios = np.asarray([1e-1, 1e-2, 1e-3])
+    with at_path("config.limits.ratios"):
+        rep_u, rep_w = limits.nr_spinor_limit_scan(ratios)
+        rep_eig = limits.nr_eigenfunction_limit_scan(1.0, cfg.packet.s, cfg.mass, eig_ratios)
     _write_csv(
         os.path.join(out_dir, "limits_spinor.csv"),
         "ratio,u_error,w_error",
         (ratios, rep_u.errors, rep_w.errors),
     )
-    eig_ratios = np.asarray([r for r in ratios if r >= 1e-3], dtype=float)
-    if len(eig_ratios) < 2:
-        eig_ratios = np.asarray([1e-1, 1e-2, 1e-3])
-    rep_eig = limits.nr_eigenfunction_limit_scan(1.0, cfg.packet.s, cfg.mass, eig_ratios)
     _write_csv(
         os.path.join(out_dir, "limits_eigfun.csv"),
         "ratio,eigfun_distance",
         (eig_ratios, rep_eig.errors),
     )
-    report = limits.deficiency_diagnostic(cfg.mass, cfg.limits.e_max_factor * cfg.mass)
+    with at_path("config.limits.e_max_factor"):
+        report = limits.deficiency_diagnostic(cfg.mass, cfg.limits.e_max_factor * cfg.mass)
     _write_json(os.path.join(out_dir, "deficiency.json"), report.to_dict())
     _write_json(
         os.path.join(out_dir, "limits.json"),
@@ -217,7 +177,7 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
             "u_slope": rep_u.fitted_order,
             "w_slope": rep_w.fitted_order,
             "eigfun_order": rep_eig.fitted_order,
-            "config": _config_echo(cfg),
+            "config": config_to_dict(cfg),
         },
     )
     return 0

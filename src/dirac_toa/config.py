@@ -1,20 +1,46 @@
-"""Run configuration: JSON ingestion with field validation.
+"""Run configuration: JSON in, the library's own objects out.
 
-Complex amplitudes are encoded as two-element [re, im] arrays.  Validation
-errors carry the JSON path of the offending field so the CLI can report
-them precisely and exit with status 2.
+``config_from_dict`` is the one place where outside input becomes library
+objects.  This module parses JSON shapes and types (objects, required
+fields, finite numbers, integers, [re, im] pairs), rejects unknown keys and
+checks the fields that no library object owns (mass sign, grid, time
+window, limit scan).  The library states the domain rules: ``PacketSpec``
+(sigma_p > 0, |c_plus|^2 + |c_minus|^2 = 1, spin) and the eigenfunction
+constructors (branch sign, event x != 0).  ``at_path`` re-raises their
+``ValueError`` as a ``ConfigError`` that starts with the JSON path; the CLI
+reports it with exit status 2.  ``config_to_dict`` is the inverse of
+``config_from_dict`` and the config echo of every sidecar.  Loading does no
+numerical work, but ``PacketSpec`` raises its |p0| <= 3 sigma_p warning here.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict", "DEFAULT_CONFIG"]
+from .arrival import PacketSpec
+from .eigenfunctions import event_eigenfunction, position_eigenfunction, time_eigenfunction
+
+__all__ = [
+    "ConfigError", "RunConfig", "at_path", "load_config", "config_from_dict",
+    "config_to_dict", "DEFAULT_CONFIG",
+]
 
 
 class ConfigError(ValueError):
-    """Invalid configuration (bad JSON or a field constraint violation)."""
+    """Invalid configuration: bad JSON, a bad field, or a config the library rejects."""
+
+
+@contextmanager
+def at_path(where: str):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` at JSON path ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 DEFAULT_CONFIG = {
@@ -41,6 +67,13 @@ DEFAULT_CONFIG = {
     },
 }
 
+# eigen family -> (constructor, name of the t or x label, name of the sign label)
+_FAMILIES = {
+    "time": (time_eigenfunction, "t", "lam"),
+    "position": (position_eigenfunction, "x", "lam"),
+    "event": (event_eigenfunction, "x", "b"),
+}
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -48,16 +81,6 @@ class GridConfig:
     p_max: float
     n_points: int
     deriv_order: int
-
-
-@dataclass(frozen=True)
-class PacketConfig:
-    x0: float
-    p0: float
-    sigma_p: float
-    c_plus: complex
-    c_minus: complex
-    s: float
 
 
 @dataclass(frozen=True)
@@ -77,17 +100,23 @@ class LimitsConfig:
 class RunConfig:
     mass: float
     grid: GridConfig
-    packet: PacketConfig
+    packet: PacketSpec
     time: TimeConfig
     seed: int
-    eigen: tuple = field(default_factory=tuple)
-    limits: LimitsConfig = LimitsConfig(tuple(DEFAULT_CONFIG["limits"]["ratios"]), 10.0)
+    eigen: tuple  # of ToaEigenfunction
+    limits: LimitsConfig
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return d[key]
+def _object(d, path: str, required, optional=()) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in d:
+        if key not in required + optional:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}: missing required field")
+    return d
 
 
 def _number(value, path: str) -> float:
@@ -114,27 +143,12 @@ def _complex_pair(value, path: str) -> complex:
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _spin(value, path: str) -> float:
-    s = _number(value, path)
-    if s not in (0.5, -0.5):
-        raise ConfigError(f"{path}: spin label must be 0.5 or -0.5, got {value!r}")
-    return s
-
-
-def _sign(value, path: str) -> int:
-    v = _integer(value, path)
-    if v not in (1, -1):
-        raise ConfigError(f"{path}: expected +1 or -1, got {value!r}")
-    return v
-
-
 def _grid_from(d, path: str) -> GridConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    p_min = _number(_need(d, "p_min", path), f"{path}.p_min")
-    p_max = _number(_need(d, "p_max", path), f"{path}.p_max")
-    n_points = _integer(_need(d, "n_points", path), f"{path}.n_points")
-    order = _integer(_need(d, "deriv_order", path), f"{path}.deriv_order")
+    d = _object(d, path, ("p_min", "p_max", "n_points", "deriv_order"))
+    p_min = _number(d["p_min"], f"{path}.p_min")
+    p_max = _number(d["p_max"], f"{path}.p_max")
+    n_points = _integer(d["n_points"], f"{path}.n_points")
+    order = _integer(d["deriv_order"], f"{path}.deriv_order")
     if not 0.0 < p_min < p_max:
         raise ConfigError(f"{path}: need 0 < p_min < p_max, got ({p_min}, {p_max})")
     if n_points < 8:
@@ -144,29 +158,23 @@ def _grid_from(d, path: str) -> GridConfig:
     return GridConfig(p_min, p_max, n_points, order)
 
 
-def _packet_from(d, path: str) -> PacketConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    x0 = _number(_need(d, "x0", path), f"{path}.x0")
-    p0 = _number(_need(d, "p0", path), f"{path}.p0")
-    sigma_p = _number(_need(d, "sigma_p", path), f"{path}.sigma_p")
+def _packet_from(d, path: str, mass: float) -> PacketSpec:
+    d = _object(d, path, ("x0", "p0", "sigma_p"), ("c_plus", "c_minus", "s"))
+    x0 = _number(d["x0"], f"{path}.x0")
+    p0 = _number(d["p0"], f"{path}.p0")
+    sigma_p = _number(d["sigma_p"], f"{path}.sigma_p")
     c_plus = _complex_pair(d.get("c_plus", [1.0, 0.0]), f"{path}.c_plus")
     c_minus = _complex_pair(d.get("c_minus", [0.0, 0.0]), f"{path}.c_minus")
-    s = _spin(d.get("s", 0.5), f"{path}.s")
-    if sigma_p <= 0.0:
-        raise ConfigError(f"{path}.sigma_p: must be > 0, got {sigma_p}")
-    total = abs(c_plus) ** 2 + abs(c_minus) ** 2
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"{path}: |c_plus|^2 + |c_minus|^2 must be 1, got {total}")
-    return PacketConfig(x0, p0, sigma_p, c_plus, c_minus, s)
+    s = _number(d.get("s", 0.5), f"{path}.s")
+    with at_path(path):
+        return PacketSpec(mass, x0, p0, sigma_p, c_plus, c_minus, s)
 
 
 def _time_from(d, path: str) -> TimeConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    t_min = _number(_need(d, "t_min", path), f"{path}.t_min")
-    t_max = _number(_need(d, "t_max", path), f"{path}.t_max")
-    n_t = _integer(_need(d, "n_t", path), f"{path}.n_t")
+    d = _object(d, path, ("t_min", "t_max", "n_t"))
+    t_min = _number(d["t_min"], f"{path}.t_min")
+    t_max = _number(d["t_max"], f"{path}.t_max")
+    n_t = _integer(d["n_t"], f"{path}.n_t")
     if not t_max > t_min:
         raise ConfigError(f"{path}: need t_min < t_max")
     if not math.isfinite(t_max - t_min):
@@ -176,7 +184,7 @@ def _time_from(d, path: str) -> TimeConfig:
     return TimeConfig(t_min, t_max, n_t)
 
 
-def _eigen_from(items, path: str) -> tuple:
+def _eigen_from(items, path: str, mass: float) -> tuple:
     if not isinstance(items, list):
         raise ConfigError(f"{path}: expected a list of label objects")
     out = []
@@ -185,29 +193,22 @@ def _eigen_from(items, path: str) -> tuple:
         if not isinstance(d, dict):
             raise ConfigError(f"{here}: expected an object")
         family = d.get("family")
-        if family not in ("time", "position", "event"):
+        if family not in _FAMILIES:
             raise ConfigError(
                 f"{here}.family: must be 'time', 'position' or 'event', got {family!r}"
             )
-        label = {"family": family, "s": _spin(d.get("s", 0.5), f"{here}.s")}
-        if family == "time":
-            label["t"] = _number(_need(d, "t", here), f"{here}.t")
-            label["lam"] = _sign(d.get("lam", 1), f"{here}.lam")
-        elif family == "position":
-            label["x"] = _number(_need(d, "x", here), f"{here}.x")
-            label["lam"] = _sign(d.get("lam", 1), f"{here}.lam")
-        else:
-            label["x"] = _number(_need(d, "x", here), f"{here}.x")
-            label["b"] = _sign(d.get("b", 1), f"{here}.b")
-            if label["x"] == 0.0:
-                raise ConfigError(f"{here}.x: must be nonzero for the event family")
-        out.append(label)
+        build, key, sign = _FAMILIES[family]
+        _object(d, here, ("family", key), (sign, "s"))
+        label = _number(d[key], f"{here}.{key}")
+        sign_value = _integer(d.get(sign, 1), f"{here}.{sign}")
+        s = _number(d.get("s", 0.5), f"{here}.s")
+        with at_path(here):
+            out.append(build(label, sign_value, s, mass))
     return tuple(out)
 
 
 def _limits_from(d, path: str) -> LimitsConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
+    d = _object(d, path, (), ("ratios", "e_max_factor"))
     ratios = d.get("ratios", DEFAULT_CONFIG["limits"]["ratios"])
     if not isinstance(ratios, list) or len(ratios) < 2:
         raise ConfigError(f"{path}.ratios: expected a list of at least two ratios")
@@ -221,21 +222,37 @@ def _limits_from(d, path: str) -> LimitsConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be an object")
-    mass = _number(_need(data, "mass", "config"), "config.mass")
+    """Parse a JSON-shaped dict; raises ``ConfigError`` with the field's path."""
+    data = _object(data, "config", ("mass", "grid", "packet", "time"), ("seed", "eigen", "limits"))
+    mass = _number(data["mass"], "config.mass")
     if mass < 0.0:
         raise ConfigError(f"config.mass: must be >= 0, got {mass}")
-    grid = _grid_from(_need(data, "grid", "config"), "config.grid")
-    packet = _packet_from(_need(data, "packet", "config"), "config.packet")
-    time = _time_from(_need(data, "time", "config"), "config.time")
+    grid = _grid_from(data["grid"], "config.grid")
+    packet = _packet_from(data["packet"], "config.packet", mass)
+    time = _time_from(data["time"], "config.time")
     seed = _integer(data.get("seed", DEFAULT_CONFIG["seed"]), "config.seed")
-    eigen = _eigen_from(data.get("eigen", DEFAULT_CONFIG["eigen"]), "config.eigen")
+    eigen = _eigen_from(data.get("eigen", DEFAULT_CONFIG["eigen"]), "config.eigen", mass)
     limits = _limits_from(data.get("limits", DEFAULT_CONFIG["limits"]), "config.limits")
     return RunConfig(
         mass=mass, grid=grid, packet=packet, time=time,
         seed=seed, eigen=eigen, limits=limits,
     )
+
+
+def config_to_dict(cfg: RunConfig) -> dict:
+    """The JSON form of ``cfg``: ``config_from_dict(config_to_dict(cfg)) == cfg``."""
+    packet = {k: v for k, v in asdict(cfg.packet).items() if k != "m"}
+    for key in ("c_plus", "c_minus"):
+        packet[key] = [packet[key].real, packet[key].imag]
+    return {
+        "mass": cfg.mass,
+        "grid": asdict(cfg.grid),
+        "packet": packet,
+        "time": asdict(cfg.time),
+        "seed": cfg.seed,
+        "eigen": [{"family": f.family, **f.labels} for f in cfg.eigen],
+        "limits": {"ratios": list(cfg.limits.ratios), "e_max_factor": cfg.limits.e_max_factor},
+    }
 
 
 def load_config(path: str) -> RunConfig:

@@ -179,24 +179,25 @@ class ToaEigenfunction:
         )
 
 
-def time_eigenfunction(t: float, lam: int, s: float, m: float) -> ToaEigenfunction:
-    """Time-labeled eigenfunction; T phi = t phi for any real t."""
+def _member(family: str, m: float, label: tuple, sign: tuple, s: float) -> ToaEigenfunction:
+    """A family member with labels (t or x, lam or b, s), after the checks
+    shared by the three families: m >= 0, the spin label, the sign +-1."""
     if m < 0.0:
         raise ValueError("mass must be >= 0")
     helicity_spinor(s)
-    if lam not in (1, -1):
-        raise ValueError("branch sign must be +1 or -1")
-    return ToaEigenfunction("time", m, {"t": float(t), "lam": lam, "s": s})
+    if sign[1] not in (1, -1):
+        raise ValueError(f"sign {sign[0]} must be +1 or -1, got {sign[1]!r}")
+    return ToaEigenfunction(family, m, {label[0]: float(label[1]), sign[0]: sign[1], "s": s})
+
+
+def time_eigenfunction(t: float, lam: int, s: float, m: float) -> ToaEigenfunction:
+    """Time-labeled eigenfunction; T phi = t phi for any real t."""
+    return _member("time", m, ("t", t), ("lam", lam), s)
 
 
 def position_eigenfunction(x: float, lam: int, s: float, m: float) -> ToaEigenfunction:
     """Position-labeled family; node-local factor -x lam E_p / p."""
-    if m < 0.0:
-        raise ValueError("mass must be >= 0")
-    helicity_spinor(s)
-    if lam not in (1, -1):
-        raise ValueError("branch sign must be +1 or -1")
-    return ToaEigenfunction("position", m, {"x": float(x), "lam": lam, "s": s})
+    return _member("position", m, ("x", x), ("lam", lam), s)
 
 
 def event_eigenfunction(x: float, b: int, s: float, m: float) -> ToaEigenfunction:
@@ -204,14 +205,9 @@ def event_eigenfunction(x: float, b: int, s: float, m: float) -> ToaEigenfunctio
 
     x = 0 is rejected: the event weight and t_x degenerate there.
     """
-    if m < 0.0:
-        raise ValueError("mass must be >= 0")
     if x == 0.0:
         raise ValueError("x = 0 degenerates the event family")
-    helicity_spinor(s)
-    if b not in (1, -1):
-        raise ValueError("sign b must be +1 or -1")
-    return ToaEigenfunction("event", m, {"x": float(x), "b": b, "s": s})
+    return _member("event", m, ("x", x), ("b", b), s)
 
 
 def overlap_matrix(funcs, grid: MomentumGrid) -> np.ndarray:

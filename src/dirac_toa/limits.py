@@ -15,6 +15,7 @@ undetermined.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,15 @@ class LimitReport:
 
 
 def _fit_order(ratios, errors) -> float:
-    return float(np.polyfit(np.log(ratios), np.log(errors), 1)[0])
+    """Slope of ln(error) against ln(ratio); NaN unless all errors are > 0 and finite."""
+    x = np.log(ratios)
+    if np.ptp(x) == 0.0:
+        raise ValueError("the order fit needs at least two distinct ratios")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(errors)
+    if not np.all(np.isfinite(y)):
+        return math.nan
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def nr_spinor_errors(r: float, m: float = 1.0):
@@ -246,16 +255,25 @@ class DeficiencyReport:
         }
 
 
-def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n: int = 512) -> float:
-    """ln int |e^{sign_exp * E}|^2 dE over (m, e_max) or (-e_max, -m),
-    as a log-sum-exp shifted by the largest exponent."""
-    if branch == 1:
-        xs, ws = _gauss_legendre_panels(m, e_max, n, 8)
-    else:
-        xs, ws = _gauss_legendre_panels(-e_max, -m, n, 8)
-    y = 2.0 * sign_exp * xs
+def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n_panel: int = 64) -> float:
+    """ln int |e^{sign_exp * E}|^2 dE over (m, e_max) or (-e_max, -m).
+
+    With u = |E| - m the integrand is e^{2 k m} e^{2 k u}, k = sign_exp *
+    branch.  Gauss-Legendre panels of n_panel nodes are graded from the gap,
+    with edges at u = 0, 1, 2, 4, ..., so the decay length 1/2 is resolved
+    at every m; the sum is a log-sum-exp shifted by the largest exponent.
+    """
+    span = e_max - m
+    inner = [2.0**k for k in range(int(math.log2(span)) + 1) if 2.0**k < span]
+    edges = np.array([0.0, *inner, span])
+    x0, w0 = np.polynomial.legendre.leggauss(n_panel)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (half * x0 + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    w = (half * w0).ravel()
+    k = sign_exp * branch
+    y = 2.0 * k * u
     top = float(np.max(y))
-    return top + float(np.log(np.sum(ws * np.exp(y - top))))
+    return 2.0 * k * m + top + float(np.log(np.sum(w * np.exp(y - top))))
 
 
 def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyReport:
@@ -273,6 +291,8 @@ def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyRep
     e_max = 10.0 * m if e_max is None else float(e_max)
     if e_max <= m:
         raise ValueError("e_max must exceed m")
+    if not math.isfinite(4.0 * e_max):
+        raise ValueError(f"4 e_max overflows, got e_max = {e_max}")
     e_values = (e_max, 2.0 * e_max, 4.0 * e_max)
     log_integrals = {}
     classifications = {}

@@ -6,27 +6,31 @@ against a 0.5 band; boolean gates report 0.0 / 1.0 against a 0.0 tolerance.
 
 ``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
 ``run_all_checks`` and the acceptance tests read it.  Each residual takes
-the per-run ``_Run``: the config, its mass, grid and packet spec, one rng
+the per-run ``_Run``: the config, its mass and grid, one rng
 that the random-lattice checks draw from in registry order, and the shared
 scenario: the m = 1 benchmark packet on the run grid, with its arrival
 distribution and flux, computed once for the three checks that read them.
+``_Run.from_config`` first tries what the checks put on the run grid, so a
+config they cannot evaluate is a ``ConfigError`` at its JSON path.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import algebra, arrival, eigenfunctions, grids, limits
-from .config import RunConfig
+from .config import RunConfig, at_path
 
 __all__ = ["CheckResult", "CHECKS", "check_names", "run_all_checks"]
 
 # the benchmark scenario: classically the packet arrives at t = 10 sqrt(5)/2
 _BENCH_SPEC = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
 _BENCH_WINDOW, _BENCH_NT = (-20.0, 43.0), 1261
+# the group-velocity packet, the widest that a check builds on the run grid
+_GROUP_SPEC = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.5)
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,8 @@ def check_grid_odd(grid) -> float:
 
 
 def check_commutator_analytic(m=1.0) -> float:
-    grid = grids.build_grid(1e-3 * max(m, 1e-3), 10.0, 256, 4)
+    # the axis scales with m past m = 1, so p_min < p_max at every mass
+    grid = grids.build_grid(1e-3 * max(m, 1e-3), 10.0 * max(m, 1.0), 256, 4)
     f = eigenfunctions.time_eigenfunction(2.0, 1, 0.5, m).on_grid(grid)
     return grids.commutator_residual(f, m)
 
@@ -219,7 +224,8 @@ def check_symmetry_defect(m=1.0) -> float:
 
 
 def check_boundary_rejection(m=1.0) -> float:
-    grid = grids.build_grid(1e-3, 16.0, 256, 4)
+    # the axis scales with m past m = 1, so that E_p > m at every node
+    grid = grids.build_grid(1e-3 * max(m, 1.0), 16.0 * max(m, 1.0), 256, 4)
     g = grids.energy_function_on_branch(grid, m, 1, lambda E: np.exp(-(E - m)))
     try:
         grids.apply_toa_energy(g)
@@ -428,9 +434,8 @@ def check_mirror_symmetry(grid, dist) -> float:
 
 
 def check_group_velocity(grid) -> float:
-    m, t = 1.0, 2.0
-    spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.5)
-    f = arrival.build_packet(spec, grid)
+    m, t = _GROUP_SPEC.m, 2.0
+    f = arrival.build_packet(_GROUP_SPEC, grid)
     p = grid.nodes
     E = np.hypot(p, m)
     dens = np.sum(np.abs(f.values) ** 2, axis=1)
@@ -538,24 +543,29 @@ class _Run:
     m: float
     rng: np.random.Generator
     grid: grids.MomentumGrid
-    spec: arrival.PacketSpec
     dist: arrival.ArrivalDistribution
     ts: np.ndarray
     J: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "_Run":
-        g, pk = cfg.grid, cfg.packet
-        grid = grids.build_grid(g.p_min, g.p_max, g.n_points, g.deriv_order)
-        spec = arrival.PacketSpec(
-            m=cfg.mass, x0=pk.x0, p0=pk.p0, sigma_p=pk.sigma_p,
-            c_plus=pk.c_plus, c_minus=pk.c_minus, s=pk.s,
-        )
+        grid = grids.build_grid(**asdict(cfg.grid))
+        with at_path("config.grid"):
+            # _GROUP_SPEC reaches furthest of the fixed packets put on this grid
+            arrival.build_packet(_GROUP_SPEC, grid)
+        with at_path("config.packet"):
+            psi = arrival.build_packet(cfg.packet, grid)
+        with at_path("config.limits.ratios"):
+            limits.nr_spinor_limit_scan(cfg.limits.ratios)  # nr_spinor_slope fits over these
+        if cfg.mass > 0.0:
+            # energy_parseval and branch_isolation map the run grid to energies
+            with at_path("config.grid.p_min"):
+                grids.to_energy_rep(psi, cfg.mass)
         bench = arrival.build_packet(_BENCH_SPEC, grid)
         dist = arrival.arrival_distribution(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
         ts, J = arrival.flux_at_origin(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
         rng = np.random.default_rng(cfg.seed)
-        return cls(cfg, cfg.mass, rng, grid, spec, dist, ts, J)
+        return cls(cfg, cfg.mass, rng, grid, dist, ts, J)
 
 
 # (name, residual of a _Run, tolerance), in report order.  The lambdas look
@@ -577,8 +587,8 @@ CHECKS = (
     ("commutator_order_{deriv_order}", lambda r: check_commutator_order(r.cfg.grid.deriv_order)[0], 0.5),
     ("measure_identity", lambda r: check_measure_identity(r.grid, max(r.m, 0.5)), 1e-8),
     # the energy map needs m > 0; massless runs pass these two vacuously
-    ("energy_parseval", lambda r: check_parseval(r.grid, r.m, r.spec) if r.m > 0 else 0.0, 1e-8),
-    ("branch_isolation", lambda r: check_branch_isolation(r.grid, r.m, r.spec) if r.m > 0 else 0.0, 1e-12),
+    ("energy_parseval", lambda r: check_parseval(r.grid, r.m, r.cfg.packet) if r.m > 0 else 0.0, 1e-8),
+    ("branch_isolation", lambda r: check_branch_isolation(r.grid, r.m, r.cfg.packet) if r.m > 0 else 0.0, 1e-12),
     ("symmetry_defect", lambda r: check_symmetry_defect(max(r.m, 0.5)), 1e-8),
     ("boundary_rejection", lambda r: check_boundary_rejection(max(r.m, 0.5)), 0.0),
     ("massless_reduction", lambda r: check_massless_reduction(), 1e-14),
@@ -590,7 +600,7 @@ CHECKS = (
     ("overlap_orthogonality", lambda r: check_overlap_orthogonality(), 1e-10),
     ("delta_concentration_width", lambda r: check_delta_concentration(), 0.4),
     ("time_family_resynthesis", lambda r: check_resynthesis(), 1e-6),
-    ("evolution_norm_drift", lambda r: check_norm_drift(r.grid, r.m, r.spec), 1e-12),
+    ("evolution_norm_drift", lambda r: check_norm_drift(r.grid, r.m, r.cfg.packet), 1e-12),
     ("interference_single_branch", lambda r: check_interference_zero(r.grid, max(r.m, 0.5)), 1e-12),
     ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist, r.ts, r.J), 0.5),
     ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.ts, r.J), 1e-2),

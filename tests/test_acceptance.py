@@ -115,7 +115,7 @@ def test_09_duality(results):
     check_group(results, "09_duality")
 
 
-@pytest.mark.parametrize("mass", [0.25, 100.0])
+@pytest.mark.parametrize("mass", [0.25, 100.0, 1e3, 1e5])
 def test_every_check_passes_across_masses(mass):
     cfg = config_from_dict({**DEFAULT_CONFIG, "mass": mass})
     for r in verify.run_all_checks(cfg):

@@ -88,6 +88,37 @@ def test_build_packet_norm_and_coverage(grid512, benchmark_packet):
         arrival.build_packet(spec, grid512)
 
 
+def _squared_form_amplitude(p, p0, sigma_p):
+    # the earlier formula: sigma_p**2 underflows (1e-300) or overflows (1e197)
+    return (2.0 * np.pi * sigma_p**2) ** -0.25 * np.exp(-((p - p0) ** 2) / (4.0 * sigma_p**2))
+
+
+@pytest.mark.parametrize("sigma_p", [0.1, 0.3])
+def test_scaled_gaussian_amplitude_bound(monkeypatch, grid512, sigma_p):
+    # stated bound of the scaled form: max |delta| <= 1e-14 max |.| for the
+    # packet and for Pi_total (measured: 6e-16 relative on arrival.csv)
+    c = 1.0 / np.sqrt(2.0)
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=sigma_p, c_plus=c, c_minus=1j * c)
+
+    def run():
+        f = arrival.build_packet(spec, grid512)
+        return f.values, arrival.arrival_distribution(f, 1.0, WINDOW, N_T).Pi_total
+
+    vals, pi = run()
+    monkeypatch.setattr(arrival, "_gaussian_amplitude", _squared_form_amplitude)
+    ref_vals, ref_pi = run()
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * np.max(np.abs(ref_vals))
+    assert np.max(np.abs(pi - ref_pi)) <= 1e-14 * np.max(ref_pi)
+
+
+@pytest.mark.parametrize("sigma_p, p0", [(1e-300, 0.5), (1e197, 1e199)])
+def test_gaussian_amplitude_finite_at_extreme_widths(sigma_p, p0):
+    p = p0 * np.linspace(0.5, 1.5, 5)
+    with np.errstate(over="ignore"):
+        g = arrival._gaussian_amplitude(p, p0, sigma_p)
+    assert np.all(np.isfinite(g)) and g[2] > 0.0
+
+
 def test_packet_energy_expectation(grid512):
     # quadrature oracle: <H> must reproduce the Gaussian-weighted branch energy
     m, p0, sigma = 1.0, 2.0, 0.1

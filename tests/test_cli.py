@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dirac_toa import cli
-from dirac_toa.config import DEFAULT_CONFIG
+from dirac_toa.config import DEFAULT_CONFIG, ConfigError, config_to_dict, load_config
 
 SCI17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -66,6 +66,61 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
     path = write_config(tmp_path, **overrides)
     assert cli.main(["verify", "--config", path]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, where",
+    [
+        # group_velocity's packet needs the grid to cover [-1, 5]
+        ("verify", {"grid.p_max": 2.0}, "config.grid: grid covers [-2.0, 2.0]"),
+        ("verify", {"grid.p_min": 50.0, "grid.p_max": 60.0}, "config.grid: the packet has no weight"),
+        ("verify", {"packet.p0": 9.9}, "config.packet"),
+        # E_p = m in double precision at p_min = 1e-3: no energy map
+        ("verify", {"mass": 1e6, "grid.n_points": 256}, "config.grid.p_min"),
+        ("verify", {"limits.ratios": [0.1, 0.1]}, "config.limits.ratios"),
+        ("arrival", {"packet.sigma_p": 1e-300}, "config.packet: the packet has no weight"),
+        (
+            "arrival",
+            {"packet.sigma_p": 1e197, "packet.p0": 1e199, "grid.p_max": 1e200},
+            "arrival.csv",
+        ),
+        ("eigen", {"mass": 1e308}, "eigen_00.csv"),
+        ("limits", {"limits.ratios": [1.0, 1.0]}, "config.limits.ratios"),
+        ("limits", {"mass": 1e10, "limits.e_max_factor": 1e300}, "config.limits.e_max_factor"),
+    ],
+)
+def test_validated_config_that_the_library_rejects_exit_2(
+    tmp_path, capsys, assert_finite_outputs, command, overrides, where
+):
+    cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert_finite_outputs(out)
+
+
+@pytest.mark.parametrize(
+    "command, first", [("arrival", "arrival.csv"), ("limits", "limits_eigfun.csv")]
+)
+def test_non_finite_output_is_not_written(tmp_path, capsys, assert_finite_outputs, command, first):
+    # at m = 1e308, m + E_p overflows: the spinors and every curve are NaN
+    cfg = write_config(tmp_path, mass=1e308, **{"grid.n_points": 64})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{out / first}: non-finite values, not written" in capsys.readouterr().err
+    assert not (out / first).exists()
+    assert_finite_outputs(out)
+
+
+def test_writers_refuse_non_finite_values(tmp_path):
+    for write, args in (
+        (cli._write_csv, ("x", [np.array([1.0, np.inf])])),
+        (cli._write_json, ({"x": float("nan")},)),
+    ):
+        path = tmp_path / "f"
+        with pytest.raises(ConfigError, match="non-finite values, not written"):
+            write(str(path), *args)
+        assert not path.exists()
 
 
 def test_bad_json_exit_2(tmp_path, capsys):
@@ -229,3 +284,25 @@ def test_seed_flag_overrides(tmp_path, capsys):
     assert cli.main(["arrival", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     sidecar = json.loads((out / "arrival.json").read_text())
     assert sidecar["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "command, sidecar",
+    [
+        ("verify", "verify.json"),
+        ("arrival", "arrival.json"),
+        ("eigen", "eigen.json"),
+        ("limits", "limits.json"),
+    ],
+)
+def test_every_sidecar_echoes_config_to_dict(monkeypatch, tmp_path, command, sidecar):
+    from dirac_toa.verify import CheckResult
+
+    monkeypatch.setattr(cli, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
+    cfg = small_arrival_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    echo = json.loads((out / sidecar).read_text())["config"]
+    assert echo == config_to_dict(load_config(cfg))
+    assert echo["eigen"] == DEFAULT_CONFIG["eigen"]
+    assert echo["limits"] == DEFAULT_CONFIG["limits"]

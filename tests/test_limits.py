@@ -123,6 +123,18 @@ def test_deficiency_indices_equal_and_stable():
         assert (rep.n_plus, rep.n_minus) == (base.n_plus, base.n_minus)
 
 
+@pytest.mark.parametrize("m", [0.5, 370.0, 1e3, 1e5])
+def test_deficiency_convergent_branches_match_closed_form(m):
+    # int_m^e e^{-2E} dE = e^{-2m} (1 - e^{-2(e - m)}) / 2; 8 equal panels
+    # missed the decay length 1/2 here (ln I(4 e_max) - ln I(e_max) = -1.22 at m = 1e3)
+    rep = limits.deficiency_diagnostic(m, 10.0 * m)
+    exact = [-2.0 * m + np.log(-np.expm1(-2.0 * (e - m)) / 2.0) for e in rep.e_max_values]
+    for key in ("+i/branch+1", "-i/branch-1"):
+        assert np.allclose(rep.log_integrals[key], exact, rtol=1e-14, atol=1e-12)
+        assert rep.classifications[key] == "convergent"
+    assert rep.n_plus == rep.n_minus == 1
+
+
 def test_deficiency_validation():
     with pytest.raises(ValueError):
         limits.deficiency_diagnostic(0.0)
