@@ -19,9 +19,12 @@ against the probability current at the origin (``flux_at_origin``), which is
 an independent arrival-time oracle.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
-over the spectral core of ``eigenfunctions``: one phase matrix
-P = e^{-i E t} per call, whose conjugate carries lam = -1, in one matrix
-product.  ``evolve`` needs only the core's per-node spinors and projections.
+over the spectral core of ``eigenfunctions``.  The samples t form the
+uniform lattice np.linspace(t0, t1, n_t), so the phases factor into two
+sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r; one
+matrix product per call contracts them with every channel, and the
+conjugate tables carry lam = -1.  No n_t x N array is formed.  ``evolve``
+needs only the core's per-node spinors and projections.
 """
 from __future__ import annotations
 
@@ -31,13 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import (
-    _CHANNELS,
-    _SQRT2PI,
-    _phase_matrix,
-    _spectral_data,
-    _time_overlaps,
-)
+from .eigenfunctions import _CHANNELS, _SQRT2PI, _lattice_overlaps, _spectral_data
 from .grids import GridSpinorField, MomentumGrid
 
 __all__ = [
@@ -167,6 +164,13 @@ def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
     return kernel @ ft.values
 
 
+def _time_lattice(t_window: tuple, n_t: int):
+    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t)."""
+    t0, t1 = map(float, t_window)
+    n_t = int(n_t)
+    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / max(n_t - 1, 1), n_t)
+
+
 def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistribution:
     """(Pi_total, Pi_pos, Pi_neg, Pi_interf) divided by the window integral of
     Pi_total; below 99% of its full-line value ``full`` a warning is noted."""
@@ -197,11 +201,11 @@ def arrival_distribution(
     t0, t1 = map(float, t_window)
     if not t1 > t0:
         raise ValueError("empty time window")
-    ts = np.linspace(t0, t1, int(n_t))
+    ts, lattice = _time_lattice(t_window, n_t)
     E, W, _, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / _SQRT2PI
     # A_{lam s}(t), one column per spin s
-    a_pos, a_neg = _time_overlaps(_phase_matrix(E, ts), b[:2].T, b[2:].T)
+    a_pos, a_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)
     pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
     pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
     pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
@@ -231,14 +235,13 @@ def arrival_distribution_nonrel(
     """
     if m <= 0.0:
         raise ValueError("nonrelativistic comparison requires m > 0")
-    t0, t1 = map(float, t_window)
-    ts = np.linspace(t0, t1, int(n_t))
+    ts, lattice = _time_lattice(t_window, n_t)
     grid = f.grid
     p = grid.nodes
     Wn = np.sqrt(np.abs(p) / m)
     zeta = np.stack([nr_limit_spinor(1, s) for s in (0.5, -0.5)], axis=1)
     b = (grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
-    amp = _phase_matrix(p * p / (2.0 * m), ts) @ b
+    amp, _ = _lattice_overlaps(p * p / (2.0 * m), *lattice, b, b[:, :0])
     pi_tot = np.sum(np.abs(amp) ** 2, axis=1)
     # full-line integral: upper components against (I + P), P the reflection
     up = f.values[:, :2]
@@ -263,12 +266,11 @@ def flux_at_origin(
     Returns (t samples, J samples).  For a packet that fully crosses the
     origin once, J integrates to +-1 (sign = direction of crossing).
     """
-    t0, t1 = map(float, t_window)
-    ts = np.linspace(t0, t1, int(n_t))
+    ts, lattice = _time_lattice(t_window, n_t)
     E, _, phi, c = _spectral_data(f, m)
     # w sum_s c_{lam s} phi_{lam s} / sqrt(2 pi): the lam-branch part of psi
     b = f.grid.weights[:, None] * c[:, :, None] * phi / _SQRT2PI
-    psi_pos, psi_neg = _time_overlaps(_phase_matrix(E, ts), b[0] + b[1], b[2] + b[3])
+    psi_pos, psi_neg = _lattice_overlaps(E, *lattice, b[0] + b[1], b[2] + b[3])
     psi0 = psi_pos + psi_neg
     J = 2.0 * np.real(
         np.conj(psi0[:, 0]) * psi0[:, 3] + np.conj(psi0[:, 1]) * psi0[:, 2]

@@ -17,7 +17,8 @@ nodes, a window without arrival mass, an eigen label past the grid
 resolution, ratios that admit no order fit, an overflowing deficiency axis,
 and for ``verify`` a grid that cannot hold its fixed packets or whose
 energies collapse onto m); and a non-finite result, which the writers refuse
-before they open the file, with WHERE the file.
+with WHERE the file.  Every artifact of a command is rendered and checked
+before the first is written, so a run that exits 2 writes no file.
 """
 from __future__ import annotations
 
@@ -36,24 +37,29 @@ from .config import (
 from .verify import run_all_checks
 
 
-def _write_csv(path: str, header: str, columns) -> None:
+def _csv(path: str, header: str, columns) -> tuple:
+    """(path, text) of a CSV with one %.16e cell per value; refuses non-finite values."""
     if not all(np.all(np.isfinite(c)) for c in columns):
         raise ConfigError(f"{path}: non-finite values, not written")
-    rows = [",".join(f"{c[i]:.16e}" for c in columns) for i in range(len(columns[0]))]
-    _write(path, "\n".join([header, *rows]))
+    row = ",".join(["%.16e"] * len(columns))
+    return path, "\n".join([header, *(row % tuple(r) for r in np.column_stack(columns).tolist())])
 
 
-def _write_json(path: str, obj) -> None:
+def _json(path: str, obj) -> tuple:
+    """(path, text) of a JSON document with sorted keys; refuses non-finite values."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"{path}: non-finite values, not written") from exc
-    _write(path, text)
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+def _write_all(out_dir: str, files) -> None:
+    """Write the rendered (path, text) pairs.  Commands call it once every
+    artifact has rendered, so a run that exits 2 leaves no file behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    for path, text in files:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + "\n")
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
@@ -68,17 +74,15 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(
+        _write_all(out_dir, [_json(
             os.path.join(out_dir, "verify.json"),
             {"checks": [r.to_dict() for r in results], "config": config_to_dict(cfg)},
-        )
+        )])
     return 1 if n_fail else 0
 
 
 def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     grid = grids.build_grid(**asdict(cfg.grid))
     with at_path("config.packet"):
         psi = arrival.build_packet(cfg.packet, grid)
@@ -86,7 +90,7 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     with at_path("config.time"):
         dist = arrival.arrival_distribution(psi, cfg.mass, window, cfg.time.n_t)
     ts, J = arrival.flux_at_origin(psi, cfg.mass, window, cfg.time.n_t)
-    _write_csv(
+    table = _csv(
         os.path.join(out_dir, "arrival.csv"),
         "t,Pi_total,Pi_pos,Pi_neg,Pi_interf",
         (dist.t, dist.Pi_total, dist.Pi_pos, dist.Pi_neg, dist.Pi_interf),
@@ -99,7 +103,7 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
         "warnings": list(dist.warnings),
         "config": config_to_dict(cfg),
     }
-    _write_json(os.path.join(out_dir, "arrival.json"), sidecar)
+    _write_all(out_dir, [table, _json(os.path.join(out_dir, "arrival.json"), sidecar)])
     return 0
 
 
@@ -122,9 +126,8 @@ def _check_resolvable(func, grid, where: str) -> None:
 
 def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     grid = grids.build_grid(**asdict(cfg.grid))
-    index = []
+    files, index = [], []
     for i, func in enumerate(cfg.eigen):
         _check_resolvable(func, grid, f"config.eigen[{i}]")
         vals = func.value(grid.nodes)
@@ -133,22 +136,22 @@ def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
         for c in range(4):
             cols.append(vals[:, c].real)
             cols.append(vals[:, c].imag)
-        _write_csv(
+        files.append(_csv(
             os.path.join(out_dir, name),
             "p,re_c1,im_c1,re_c2,im_c2,re_c3,im_c3,re_c4,im_c4",
             cols,
-        )
+        ))
         index.append({"file": name, "family": func.family, **func.labels})
-    _write_json(
+    files.append(_json(
         os.path.join(out_dir, "eigen.json"),
         {"eigenfunctions": index, "config": config_to_dict(cfg)},
-    )
+    ))
+    _write_all(out_dir, files)
     return 0
 
 
 def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     if cfg.mass <= 0.0:
         raise ConfigError("config.mass: the limits command requires mass > 0")
     ratios = np.asarray(cfg.limits.ratios, dtype=float)
@@ -158,20 +161,22 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     with at_path("config.limits.ratios"):
         rep_u, rep_w = limits.nr_spinor_limit_scan(ratios)
         rep_eig = limits.nr_eigenfunction_limit_scan(1.0, cfg.packet.s, cfg.mass, eig_ratios)
-    _write_csv(
-        os.path.join(out_dir, "limits_spinor.csv"),
-        "ratio,u_error,w_error",
-        (ratios, rep_u.errors, rep_w.errors),
-    )
-    _write_csv(
-        os.path.join(out_dir, "limits_eigfun.csv"),
-        "ratio,eigfun_distance",
-        (eig_ratios, rep_eig.errors),
-    )
+    files = [
+        _csv(
+            os.path.join(out_dir, "limits_spinor.csv"),
+            "ratio,u_error,w_error",
+            (ratios, rep_u.errors, rep_w.errors),
+        ),
+        _csv(
+            os.path.join(out_dir, "limits_eigfun.csv"),
+            "ratio,eigfun_distance",
+            (eig_ratios, rep_eig.errors),
+        ),
+    ]
     with at_path("config.limits.e_max_factor"):
         report = limits.deficiency_diagnostic(cfg.mass, cfg.limits.e_max_factor * cfg.mass)
-    _write_json(os.path.join(out_dir, "deficiency.json"), report.to_dict())
-    _write_json(
+    files.append(_json(os.path.join(out_dir, "deficiency.json"), report.to_dict()))
+    files.append(_json(
         os.path.join(out_dir, "limits.json"),
         {
             "u_slope": rep_u.fitted_order,
@@ -179,7 +184,8 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
             "eigfun_order": rep_eig.fitted_order,
             "config": config_to_dict(cfg),
         },
-    )
+    ))
+    _write_all(out_dir, files)
     return 0
 
 

@@ -16,6 +16,7 @@ Three closed-form families, each with an analytic d/dp evaluator:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,28 +75,63 @@ def _spectral_data(f: GridSpinorField, m: float):
     return np.hypot(p, m), weight_factor(m, p), phi, c
 
 
-def _phase_matrix(E: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """P[i, j] = exp(-i E_j t_i), built in place as the only n_t x N array.
+def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
+    """The two exp tables of the uniform lattice t_i = t0 + (k K + r) dt.
 
-    Both energy branches share E_p, so the lam = -1 phases e^{+i E t} are
-    conj(P) and one matrix serves both.
+    With K = ceil(sqrt(n_t)), e^{-i E_j t_i} = Q[r, j] S[j, k] for
+    Q = e^{-i E (t0 + r dt)} (K x N) and S = e^{-i E k K dt}
+    (N x ceil(n_t / K)): about 2 sqrt(n_t) N exps in place of n_t N.  Both
+    energy branches share E_p, so the lam = -1 phases e^{+i E t} are the
+    conjugates and the same tables serve both.  The factorization is exact
+    up to the rounding of E t: each sum over L terms of coefficients b
+    differs from the direct sum by at most 16 eps (max|t| max|E| + L) sum|b|
+    (``tests/test_eigenfunctions.py`` checks it against long double).
     """
-    P = np.outer(ts, -1j * E)
-    np.exp(P, out=P)
-    return P
+    K = math.isqrt(max(n_t - 1, 0)) + 1
+    Q = np.exp(np.outer(t0 + dt * np.arange(K), -1j * E))
+    S = np.exp(np.outer(-1j * E, dt * K * np.arange(-(-n_t // K))))
+    return Q, S
 
 
-def _time_overlaps(P: np.ndarray, plus: np.ndarray, minus: np.ndarray):
-    """(P @ plus, conj(P) @ minus): the lam = +1 and lam = -1 node sums
-    sum_j b_j e^{-i lam E_j t} for a phase matrix P from ``_phase_matrix``
-    and coefficient columns of shape (N, k) per branch.
+def _lattice_overlaps(
+    E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
+):
+    """The lam = +1 and lam = -1 node sums sum_j b_j e^{-i lam E_j t_i} on
+    t_i = t0 + i dt, i < n_t, for coefficient columns of shape (N, c) per
+    branch; returns two (n_t, c) arrays.
 
-    One contraction R = P @ [plus | conj(minus)]; the lam = -1 block is
-    conj(R_-).
+    Y = S[:, k] [plus | conj(minus)] for every block k, then one product Q @ Y
+    of K x N by N x (blocks * columns) gives block k's K rows; the lam = -1
+    block is the conjugate.  No n_t x N array is formed.
     """
-    k = plus.shape[1]
-    R = P @ np.concatenate([plus, np.conj(minus)], axis=1)
-    return R[:, :k], np.conj(R[:, k:])
+    Q, S = _lattice_phases(E, t0, dt, n_t)
+    B = np.concatenate([plus, np.conj(minus)], axis=1)
+    n_b, cols = S.shape[1], B.shape[1]
+    Y = (S[:, :, None] * B[:, None, :]).reshape(len(E), n_b * cols)
+    R = (Q @ Y).reshape(len(Q), n_b, cols).transpose(1, 0, 2).reshape(-1, cols)[:n_t]
+    c = plus.shape[1]
+    return R[:, :c], np.conj(R[:, c:])
+
+
+def _lattice_adjoint(
+    E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
+):
+    """The adjoint of ``_lattice_overlaps``: (sum_i e^{+i E_j t_i} plus_i,
+    sum_i e^{-i E_j t_i} minus_i) for lattice columns of shape (n_t, c) per
+    branch; returns two (N, c) arrays.
+
+    sum_k S[:, k] (Q^T @ X_k) over the K-row blocks X_k of [conj(plus) | minus],
+    with the blocks side by side in one product; the lam = +1 block is the
+    conjugate.
+    """
+    Q, S = _lattice_phases(E, t0, dt, n_t)
+    X = np.concatenate([np.conj(plus), minus], axis=1)
+    K, n_b, cols = len(Q), S.shape[1], X.shape[1]
+    X = np.concatenate([X, np.zeros((n_b * K - n_t, cols), dtype=X.dtype)])
+    Z = Q.T @ X.reshape(n_b, K, cols).transpose(1, 0, 2).reshape(K, n_b * cols)
+    R = np.einsum("jkc,jk->jc", Z.reshape(len(E), n_b, cols), S)
+    c = plus.shape[1]
+    return np.conj(R[:, :c]), R[:, c:]
 
 
 @dataclass(frozen=True)
@@ -237,21 +273,19 @@ def resynthesize_time_family(
     its own half-line plus a half-amplitude beta-reflected mirror).
     """
     t_values = np.asarray(t_values, dtype=float)
-    if len(t_values) < 2:
+    n_t = len(t_values)
+    if n_t < 2:
         raise ValueError("need at least two t samples")
-    dt = np.diff(t_values)
-    if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0):
+    dt = float(t_values[-1] - t_values[0]) / (n_t - 1)
+    if not np.allclose(np.diff(t_values), dt, rtol=1e-12, atol=0.0):
         raise ValueError("t lattice must be uniform")
-    dt = float(dt[0])
+    lattice = (float(t_values[0]), dt, n_t)
     grid = f.grid
     E, W, phi, c = _spectral_data(f, m)
     b = grid.weights * W * c / _SQRT2PI
-    P = _phase_matrix(E, t_values)
-    amp_pos, amp_neg = _time_overlaps(P, b[:2].T, b[2:].T)  # <phi_t|psi>
-    # the resum is the adjoint, (P^H amp_pos, conj(P)^H amp_neg); the same
-    # contraction with the view P^T in place of P gives it, swapped, without
-    # a copy of P^H
-    up_neg, up_pos = _time_overlaps(P.T, amp_neg, amp_pos)
+    amp_pos, amp_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)  # <phi_t|psi>
+    # the resum is the adjoint contraction on the same lattice
+    up_pos, up_neg = _lattice_adjoint(E, *lattice, amp_pos, amp_neg)
     coeff = dt * np.concatenate([up_pos, up_neg], axis=1).T
     rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
     return GridSpinorField(grid, rec, meta={"t_window": (float(t_values[0]), float(t_values[-1])), "dt": dt})

@@ -23,6 +23,7 @@ Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,7 +135,6 @@ class MomentumGrid:
     panels: int
     nodes: np.ndarray
     weights: np.ndarray
-    _stencils: tuple | None
 
     @property
     def n_nodes(self) -> int:
@@ -150,13 +150,22 @@ class MomentumGrid:
 
     @property
     def one_sided_nodes(self) -> int:
-        if self._stencils is None:
+        if self.deriv_order == "analytic":
             return 0
         return 4 * (int(self.deriv_order) // 2)
 
+    @cached_property
+    def _stencils(self) -> tuple:
+        """(idx, weights) of the negative and positive half-lines, built on
+        the first derivative: commands that never differentiate skip them."""
+        return (
+            *_stencil_table(self.nodes[self.negative], self.deriv_order),
+            *_stencil_table(self.nodes[self.positive], self.deriv_order),
+        )
+
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """Finite-difference d/dp per half-line; values shape (n_nodes, ...)."""
-        if self._stencils is None:
+        if self.deriv_order == "analytic":
             raise ValueError(
                 "grid was built with deriv_order='analytic'; supply a field "
                 "with deriv_values instead"
@@ -196,11 +205,6 @@ def build_grid(
     pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, panels)
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
-    stencils = None
-    if deriv_order != "analytic":
-        idx_p, w_p = _stencil_table(pos, deriv_order)
-        idx_n, w_n = _stencil_table(-pos[::-1], deriv_order)
-        stencils = (idx_n, w_n, idx_p, w_p)
     return MomentumGrid(
         p_min=p_min,
         p_max=p_max,
@@ -209,7 +213,6 @@ def build_grid(
         panels=panels,
         nodes=nodes,
         weights=weights,
-        _stencils=stencils,
     )
 
 

@@ -1,9 +1,11 @@
 """Wave-packet construction, evolution, arrival distributions, flux oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dirac_toa import algebra, arrival, eigenfunctions, grids
-from dirac_toa.eigenfunctions import _CHANNELS, _phase_matrix, _spectral_data, _time_overlaps
+from dirac_toa.eigenfunctions import _CHANNELS, _lattice_overlaps, _spectral_data
 
 CLASSICAL_PEAK = 10.0 * np.sqrt(5.0) / 2.0  # -x0 E0/p0 for m=1, p0=2, x0=-10
 WINDOW = (-20.0, 43.0)
@@ -242,15 +244,16 @@ def test_flux_noncrossing_packet(grid512):
 
 
 def test_spectral_core_matches_per_channel_loop(two_branch_packet):
-    # one shared phase matrix and one matmul must reproduce the per-channel
-    # loops up to summation order
+    # the factored lattice phases and one matmul must reproduce the
+    # per-channel loops up to rounding of E t and summation order
     f, m = two_branch_packet, 1.0
     ts = np.linspace(*WINDOW, N_T)
     ref_amps, ref_J = _loop_amplitudes_and_flux(f, m, ts)
 
     E, W, _, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / SQRT2PI
-    a_pos, a_neg = _time_overlaps(_phase_matrix(E, ts), b[:2].T, b[2:].T)
+    dt = (WINDOW[1] - WINDOW[0]) / (N_T - 1)
+    a_pos, a_neg = _lattice_overlaps(E, WINDOW[0], dt, N_T, b[:2].T, b[2:].T)
     for k, (lam, s) in enumerate(_CHANNELS):
         core = (a_pos if lam == 1 else a_neg)[:, k % 2]
         ref = ref_amps[(lam, s)]
@@ -263,6 +266,23 @@ def test_spectral_core_matches_per_channel_loop(two_branch_packet):
     rec = eigenfunctions.resynthesize_time_family(f, m, t_lattice).values
     ref_rec = _loop_resynthesis(f, m, t_lattice)
     assert np.max(np.abs(rec - ref_rec)) <= 1e-12 * np.max(np.abs(ref_rec))
+
+
+def test_time_kernels_hold_no_n_t_by_n_array():
+    # the arrival_dense benchmark size, n_t = 12001 on N = 512 nodes: the
+    # phases are two sqrt(n_t) x N tables, and a single n_t x N complex array
+    # would be 4 times the limit
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
+    f, n_t = arrival.build_packet(spec, grids.build_grid(1e-3, 10.0, 256, 4)), 12001
+    limit = n_t * f.grid.n_nodes * 16 / 4
+    for kernel in (arrival.arrival_distribution, arrival.flux_at_origin):
+        tracemalloc.start()
+        try:
+            kernel(f, 1.0, WINDOW, n_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (kernel.__name__, peak, limit)
 
 
 def test_flux_matches_position_profile_current(two_branch_packet):

@@ -113,14 +113,66 @@ def test_non_finite_output_is_not_written(tmp_path, capsys, assert_finite_output
 
 
 def test_writers_refuse_non_finite_values(tmp_path):
-    for write, args in (
-        (cli._write_csv, ("x", [np.array([1.0, np.inf])])),
-        (cli._write_json, ({"x": float("nan")},)),
+    for render, args in (
+        (cli._csv, ("x", [np.array([1.0, np.inf])])),
+        (cli._json, ({"x": float("nan")},)),
     ):
         path = tmp_path / "f"
         with pytest.raises(ConfigError, match="non-finite values, not written"):
-            write(str(path), *args)
+            render(str(path), *args)
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, error",
+    [
+        # limits_spinor.csv renders, limits_eigfun.csv is non-finite
+        ("limits", {"mass": 1e308}, "limits_eigfun.csv: non-finite"),
+        # eigen_00.csv renders, eigen[1] is past the grid resolution
+        (
+            "eigen",
+            {"eigen": [{"family": "time", "t": 2.0, "lam": 1, "s": 0.5},
+                       {"family": "position", "x": 1e6, "lam": 1, "s": 0.5}]},
+            "config.eigen[1]",
+        ),
+    ],
+    ids=["limits", "eigen"],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, command, overrides, error):
+    cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_arrival_sidecar_writes_no_csv(monkeypatch, tmp_path, capsys):
+    # arrival.csv renders; a non-finite peak time then fails the sidecar
+    monkeypatch.setattr(cli.arrival, "peak_location", lambda ts, ys: float("nan"))
+    out = tmp_path / "out"
+    assert cli.main(["arrival", "--config", small_arrival_config(tmp_path), "--out", str(out)]) == 2
+    assert f"{out / 'arrival.json'}: non-finite values, not written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _per_cell_csv(header, columns):
+    """The per-cell formatter the CSV writer replaced, kept as the reference."""
+    rows = [",".join(f"{c[i]:.16e}" for c in columns) for i in range(len(columns[0]))]
+    return "\n".join([header, *rows])
+
+
+def test_csv_text_matches_per_cell_formatter():
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                        1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.5])
+    columns = [
+        np.concatenate([special, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
+        for _ in range(5)
+    ]
+    columns[1] = columns[1][::-1]
+    columns[4] = np.arange(len(columns[0]))  # an integer column
+    _, text = cli._csv("x.csv", "a,b,c,d,e", columns)
+    assert text == _per_cell_csv("a,b,c,d,e", columns)
 
 
 def test_bad_json_exit_2(tmp_path, capsys):

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dirac_toa import algebra, grids
 from dirac_toa.eigenfunctions import (
+    _lattice_adjoint,
+    _lattice_overlaps,
     event_eigenfunction,
     overlap_matrix,
     position_eigenfunction,
@@ -239,3 +243,57 @@ def test_resynthesis_requires_uniform_lattice(grid256):
     f = _packet(grid256, 1.0, 2.0, 0.25)
     with pytest.raises(ValueError):
         resynthesize_time_family(f, 1.0, np.array([0.0, 0.1, 0.3]))
+
+
+# n_t = 2, primes, perfect squares K^2 and K^2 +- 1 around the block size
+LATTICE_SIZES = [2, 3, 5, 7, 97, 101, 4, 9, 16, 100, 121, 8, 10, 15, 17, 99, 120, 122, 143, 145]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(
+    n_t=st.one_of(st.sampled_from(LATTICE_SIZES), st.integers(2, 400)),
+    n_nodes=st.integers(1, 40),
+    e_exp=st.floats(-3.0, 2.0),
+    t0=st.floats(-1e3, 1e3),
+    t1=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_sums_match_extended_precision(n_t, n_nodes, e_exp, t0, t1, seed):
+    """The factored lattice sums against the direct sums in long double.
+
+    Bound, per output column: |delta| <= C eps (max|t| max|E| + L) sum|b| with
+    C = 16, where L is the number of summed terms (N for the overlaps, n_t
+    for the adjoint).  The first term is the rounding of E t in the two exp
+    tables and of dt; the second bounds the rounding of the products and sums.
+    """
+    assume(t0 != t1)
+    rng = np.random.default_rng(seed)
+    E = 10.0**e_exp * rng.uniform(0.0, 1.0, n_nodes)
+    dt = (t1 - t0) / (n_t - 1)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    plus, minus = cplx(n_nodes, 2), cplx(n_nodes, 3)
+    x_plus, x_minus = cplx(n_t, 2), cplx(n_t, 3)
+
+    ld = np.longdouble
+    t = ld(t0) + np.arange(n_t).astype(ld) * ((ld(t1) - ld(t0)) / ld(n_t - 1))
+    P = np.exp(np.outer(t, E.astype(ld)) * np.clongdouble(-1j))
+    exact = {
+        "overlap+": P @ plus.astype(np.clongdouble),
+        "overlap-": np.conj(P) @ minus.astype(np.clongdouble),
+        "adjoint+": np.conj(P).T @ x_plus.astype(np.clongdouble),
+        "adjoint-": P.T @ x_minus.astype(np.clongdouble),
+    }
+    got = dict(zip(("overlap+", "overlap-"), _lattice_overlaps(E, t0, dt, n_t, plus, minus)))
+    got.update(zip(("adjoint+", "adjoint-"), _lattice_adjoint(E, t0, dt, n_t, x_plus, x_minus)))
+    eps, scale = np.finfo(float).eps, max(abs(t0), abs(t1)) * np.max(E)
+    for key, coeff, terms in (
+        ("overlap+", plus, n_nodes), ("overlap-", minus, n_nodes),
+        ("adjoint+", x_plus, n_t), ("adjoint-", x_minus, n_t),
+    ):
+        assert got[key].shape == exact[key].shape, key
+        err = np.max(np.abs(got[key] - exact[key]), axis=0).astype(float)
+        bound = 16.0 * eps * (scale + terms) * np.sum(np.abs(coeff), axis=0)
+        assert np.all(err <= bound), (key, err / bound)
