@@ -14,11 +14,10 @@ from .algebra import (
     energy_spinor_derivative,
     energy_spinor_values,
     event_spinor_values,
-    hamiltonian_matrix,
     helicity_spinor,
     nr_limit_spinor,
-    u_spinor_values,
     w_spinor_values,
+    weight_factor,
 )
 from .arrival import (
     ArrivalDistribution,
@@ -40,7 +39,6 @@ from .eigenfunctions import (
     position_eigenfunction,
     resynthesize_time_family,
     time_eigenfunction,
-    weight_factor,
 )
 from .grids import (
     EnergyGridFunction,
@@ -49,14 +47,11 @@ from .grids import (
     apply_hamiltonian,
     apply_toa,
     apply_toa_energy,
-    apply_toa_nonrel,
     build_grid,
     commutator_residual,
     energy_function_on_branch,
     energy_inner_product,
     energy_measure_identity,
-    field_from_callable,
-    inner_product,
     symmetry_defect,
     to_energy_rep,
 )

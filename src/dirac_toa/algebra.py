@@ -9,15 +9,18 @@ sigma_1 eigenvectors (1, +-1)/sqrt(2).
 Spinor families provided:
 
 * ``energy_spinor_values`` -- phi_{lambda s}(p), the plane-wave spinor of the
-  energy branch lambda = +-1 (E = lambda * sqrt(p^2 + m^2)).
+  energy branch lambda = +-1 (E = lambda * sqrt(p^2 + m^2)); lambda = +1 is
+  the conventional particle spinor u(p, s).
 * ``event_spinor_values``  -- xi_{b s}(x), the event-space analogue with the
   substitution p -> x, m -> tau, lambda E_p -> b t_x, t_x = sqrt(x^2 + tau^2).
-* ``u_spinor_values``, ``w_spinor_values`` -- the conventional
-  particle/antiparticle pair u, w.
+* ``w_spinor_values``      -- the conventional antiparticle spinor w.
 * ``nr_limit_spinor``      -- the nonrelativistic limits zeta_{+-s}.
 
-All functions are pure; the spinor families are vectorized over the
-momentum (or proper-time) argument and are what the grid machinery consumes.
+The energy and event spinors share one layout, N (eta_s ; c sigma_1 eta_s),
+and differ only in N and c.  ``weight_factor`` is the eigenfunction weight
+W(p) = [p^2/(p^2 + m^2)]^{1/4}.  All functions are pure and broadcast over
+every argument (mass or x, momentum or proper time, sign, spin), so one
+call evaluates a whole lattice of labels.
 """
 from __future__ import annotations
 
@@ -34,10 +37,10 @@ __all__ = [
     "energy_spinor_derivative",
     "event_spinor_values",
     "event_spinor_tau_derivative",
-    "u_spinor_values",
     "w_spinor_values",
     "nr_limit_spinor",
-    "hamiltonian_matrix",
+    "weight_factor",
+    "weight_factor_derivative_ratio",
     "apply_h_values",
     "clifford_max_residual",
 ]
@@ -62,7 +65,6 @@ class DiracBasis:
     gamma: tuple
     alpha: tuple
     beta: np.ndarray
-    sigma1: np.ndarray
     Sigma1: np.ndarray
 
 
@@ -80,7 +82,6 @@ def dirac_basis() -> DiracBasis:
         gamma=tuple(gammas),
         alpha=alphas,
         beta=beta,
-        sigma1=SIGMA1.copy(),
         Sigma1=Sigma1,
     )
 
@@ -98,75 +99,69 @@ def clifford_max_residual(basis: DiracBasis | None = None) -> float:
     return float(worst)
 
 
-def helicity_spinor(s: float) -> np.ndarray:
+def helicity_spinor(s) -> np.ndarray:
     """Two-component helicity spinor eta_s with sigma_1 eta_s = 2s eta_s.
 
-    s must be +1/2 or -1/2.  The sigma_1 eigenvectors (1, +-1)/sqrt(2) make
-    the plane-wave states genuine helicity eigenstates for momentum along x.
+    s must be +1/2 or -1/2; broadcasts over s and returns s.shape + (2,).
+    The sigma_1 eigenvectors (1, +-1)/sqrt(2) make the plane-wave states
+    genuine helicity eigenstates for momentum along x.
     """
-    if s not in (0.5, -0.5):
+    spin = np.asarray(s, dtype=float)
+    if not np.all((spin == 0.5) | (spin == -0.5)):
         raise ValueError(f"spin label must be +0.5 or -0.5, got {s!r}")
-    return np.array([1.0, 2.0 * s], dtype=complex) / np.sqrt(2.0)
+    return np.stack([np.ones_like(spin), 2.0 * spin], axis=-1).astype(complex) / np.sqrt(2.0)
 
 
-def _branch_factors(m: float, p: np.ndarray, lam: int):
-    """Stable prefactors of the energy spinor.
+def _spinor_layout(N, c, s) -> np.ndarray:
+    """(N eta_s ; N c sigma_1 eta_s), broadcast over N, c and s; shape (..., 4).
 
-    Returns (E, N, c) with N = sqrt((m + lam E)/(2 lam E)) and
-    c = p/(m + lam E).  On the lam = -1 branch m - E is evaluated as
-    -p^2/(E + m) to avoid cancellation for |p| << m.
+    The one layout of the energy and event spinors, which differ only in N, c.
     """
-    E = np.hypot(p, m)
-    if m == 0.0:
-        N = np.full_like(E, 1.0 / np.sqrt(2.0))
-        c = lam * np.sign(p)
-        return E, N, c
-    if lam == 1:
-        D = m + E
-    else:
-        D = -(p * p) / (E + m)
-    N = np.sqrt(D / (2.0 * lam * E))
-    c = p / D
-    return E, N, c
+    e = helicity_spinor(s)
+    # sigma_1 swaps the two components of eta_s
+    return np.concatenate([N[..., None] * e, (N * c)[..., None] * e[..., ::-1]], axis=-1)
 
 
-def energy_spinor_values(m: float, p, lam: int, s: float) -> np.ndarray:
-    """phi_{lam s}(p) = sqrt((m + lam E_p)/(2 lam E_p)) (eta_s ; sigma_1 p/(m + lam E_p) eta_s).
+def _branch_factors(m, p, lam):
+    """Stable prefactors of the energy spinor, broadcast over m, p and lam.
 
-    Vectorized over ``p``; returns shape p.shape + (4,).  Unit norm and
-    H(p) phi = lam E_p phi hold identically.
+    Returns (E, D, N, c) with D = m + lam E, N = sqrt(D/(2 lam E)) and
+    c = p/D.  On the lam = -1 branch D is evaluated as -p^2/(E + m) to avoid
+    cancellation for |p| << m.  At m = 0, N = 1/sqrt(2) and c = lam sign(p)
+    exactly.  p = 0 and m < 0 are rejected.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p == 0.0):
         raise ValueError("p = 0 is excluded")
-    if m < 0.0:
+    if np.any(np.asarray(m) < 0.0):
         raise ValueError("mass must be >= 0")
-    _, N, c = _branch_factors(m, p, lam)
-    e = helicity_spinor(s)
-    se = SIGMA1 @ e
-    out = np.empty(p.shape + (4,), dtype=complex)
-    out[..., :2] = N[..., None] * e
-    out[..., 2:] = (N * c)[..., None] * se
-    return out
+    E = np.hypot(p, m)
+    with np.errstate(over="ignore"):  # np.where evaluates both forms, used or not
+        D = np.where(lam == 1, m + E, -(p * p) / (E + m))
+    massless = np.asarray(m) == 0.0
+    N = np.where(massless, 1.0 / np.sqrt(2.0), np.sqrt(D / (2.0 * lam * E)))
+    c = np.where(massless, lam * np.sign(p), p / D)
+    return E, D, N, c
 
 
-def energy_spinor_derivative(m: float, p, lam: int, s: float) -> np.ndarray:
+def energy_spinor_values(m, p, lam, s) -> np.ndarray:
+    """phi_{lam s}(p) = sqrt((m + lam E_p)/(2 lam E_p)) (eta_s ; sigma_1 p/(m + lam E_p) eta_s).
+
+    Broadcasts over m, p, lam and s; returns their broadcast shape + (4,).
+    Unit norm and H(p) phi = lam E_p phi hold identically.
+    """
+    _, _, N, c = _branch_factors(m, p, lam)
+    return _spinor_layout(N, c, s)
+
+
+def energy_spinor_derivative(m, p, lam, s) -> np.ndarray:
     """Analytic d/dp of the energy spinor (zero for m = 0 on each half-line)."""
     p = np.asarray(p, dtype=float)
-    S = energy_spinor_values(m, p, lam, s)
-    if m == 0.0:
-        return np.zeros_like(S)
-    E = np.hypot(p, m)
-    if lam == 1:
-        D = m + E
-    else:
-        D = -(p * p) / (E + m)
+    E, D, N, c = _branch_factors(m, p, lam)
     dlnN = -m * p / (2.0 * E * E * D)
     dc = lam * m / (E * D)
-    _, N, _ = _branch_factors(m, p, lam)
-    se = SIGMA1 @ helicity_spinor(s)
-    out = dlnN[..., None] * S
-    out[..., 2:] += (N * dc)[..., None] * se
+    out = dlnN[..., None] * _spinor_layout(N, c, s)
+    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
     return out
 
 
@@ -174,6 +169,8 @@ def _event_factors(x: float, tau, b: int):
     """Stable prefactors of the event spinor: t_x, Ntilde, ctilde and the
     tau-derivative ingredients.  Mirrors ``_branch_factors`` under the
     substitution p -> x, m -> tau, lam E_p -> b t_x."""
+    if not np.all(np.abs(b) == 1):
+        raise ValueError(f"sign b must be +1 or -1, got {b}")
     tau = np.asarray(tau, dtype=float)
     t_x = np.hypot(x, tau)
     if np.any(t_x == 0.0):
@@ -190,64 +187,38 @@ def _event_factors(x: float, tau, b: int):
 def event_spinor_values(x: float, tau, b: int, s: float) -> np.ndarray:
     """xi_{b s}(x) = sqrt((tau + b t_x)/(2 b t_x)) (eta_s ; sigma_1 x/(tau + b t_x) eta_s).
 
-    Vectorized over ``tau`` (the proper-time label may vary node to node).
+    Broadcasts over x, tau, b and s (the proper-time label may vary node to
+    node).
     """
-    if b not in (1, -1):
-        raise ValueError(f"sign b must be +1 or -1, got {b}")
-    tau = np.asarray(tau, dtype=float)
     _, _, N, c = _event_factors(x, tau, b)
-    e = helicity_spinor(s)
-    se = SIGMA1 @ e
-    out = np.empty(tau.shape + (4,), dtype=complex)
-    out[..., :2] = N[..., None] * e
-    out[..., 2:] = (N * c)[..., None] * se
-    return out
+    return _spinor_layout(N, c, s)
 
 
 def event_spinor_tau_derivative(x: float, tau, b: int, s: float) -> np.ndarray:
     """Analytic d/dtau of the event spinor at fixed x."""
     tau = np.asarray(tau, dtype=float)
-    t_x, D, N, _ = _event_factors(x, tau, b)
+    t_x, D, N, c = _event_factors(x, tau, b)
     # b t_x - tau, cancellation-free when b and tau share a sign
     direct = b * t_x - tau
     stable = b * (x * x) / (t_x + np.abs(tau))
     bt_minus_tau = np.where(b * tau <= 0.0, direct, stable)
     dlnN = bt_minus_tau / (2.0 * t_x * t_x)
     dc = -x * b / (t_x * D)
-    S = event_spinor_values(x, tau, b, s)
-    se = SIGMA1 @ helicity_spinor(s)
-    out = dlnN[..., None] * S
-    out[..., 2:] += (N * dc)[..., None] * se
+    out = dlnN[..., None] * _spinor_layout(N, c, s)
+    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
     return out
 
 
-def u_spinor_values(m: float, p, s: float) -> np.ndarray:
-    """u(p, s): the positive-branch energy spinor in conventional form."""
-    if m <= 0.0:
-        raise ValueError("u/w spinors require m > 0")
-    return energy_spinor_values(m, p, 1, s)
-
-
-def w_spinor_values(m: float, p, s: float) -> np.ndarray:
+def w_spinor_values(m, p, s) -> np.ndarray:
     """w(p, s) = sqrt((m + E_p)/(2 E_p)) (sigma_1 p/(m + E_p) eta_s ; eta_s).
 
-    Satisfies w(p, s) = Sigma_1 (p/|p|) phi_{-1, s}(-p) with
+    The lam = +1 energy spinor with its two blocks swapped; broadcasts like
+    it.  Satisfies w(p, s) = Sigma_1 (p/|p|) phi_{-1, s}(-p) with
     Sigma_1 = diag(sigma_1, sigma_1).
     """
-    if m <= 0.0:
+    if np.any(np.asarray(m) <= 0.0):
         raise ValueError("u/w spinors require m > 0")
-    p = np.asarray(p, dtype=float)
-    if np.any(p == 0.0):
-        raise ValueError("p = 0 is excluded")
-    E = np.hypot(p, m)
-    N = np.sqrt((m + E) / (2.0 * E))
-    c = p / (m + E)
-    e = helicity_spinor(s)
-    se = SIGMA1 @ e
-    out = np.empty(p.shape + (4,), dtype=complex)
-    out[..., :2] = (N * c)[..., None] * se
-    out[..., 2:] = N[..., None] * e
-    return out
+    return energy_spinor_values(m, p, 1, s)[..., [2, 3, 0, 1]]
 
 
 def nr_limit_spinor(lam: int, s: float) -> np.ndarray:
@@ -255,26 +226,32 @@ def nr_limit_spinor(lam: int, s: float) -> np.ndarray:
     if lam not in (1, -1):
         raise ValueError(f"branch sign must be +1 or -1, got {lam}")
     e = helicity_spinor(s)
-    out = np.zeros(4, dtype=complex)
-    if lam == 1:
-        out[:2] = e
-    else:
-        out[2:] = e
-    return out
+    z = np.zeros_like(e)
+    return np.concatenate([e, z] if lam == 1 else [z, e])
 
 
-def hamiltonian_matrix(m: float, p: float) -> np.ndarray:
-    """H(p) = alpha_1 p + beta m as an explicit 4x4 matrix."""
-    b = dirac_basis()
-    return b.alpha[0] * p + b.beta * m
+def weight_factor(m, p) -> np.ndarray:
+    """W(p) = [p^2 / (p^2 + m^2)]^{1/4}."""
+    p = np.asarray(p, dtype=float)
+    E = np.hypot(p, m)
+    return np.sqrt(np.abs(p) / E)
 
 
-def apply_h_values(m: float, p, values) -> np.ndarray:
-    """(alpha_1 p + beta m) values, node-wise; values shape (..., 4).
+def weight_factor_derivative_ratio(m, p) -> np.ndarray:
+    """W'(p) / W(p) = m^2 / (2 p E_p^2)."""
+    p = np.asarray(p, dtype=float)
+    E = np.hypot(p, m)
+    return m * m / (2.0 * p * E * E)
+
+
+def apply_h_values(m, p, values) -> np.ndarray:
+    """(alpha_1 p + beta m) values, node-wise; values shape (..., 4), with
+    m and p broadcasting against its leading axes.
 
     alpha_1 reverses the component order for this representation
     (alpha_1 psi)_i = psi_{3-i}, and beta multiplies by diag(1, 1, -1, -1).
     """
     p = np.asarray(p, dtype=float)
     values = np.asarray(values)
-    return p[..., None] * values[..., ::-1] + m * values * _BETA_DIAG
+    m = np.asarray(m, dtype=float)
+    return p[..., None] * values[..., ::-1] + m[..., None] * values * _BETA_DIAG

@@ -19,7 +19,7 @@ against the probability current at the origin (``flux_at_origin``), which is
 an independent arrival-time oracle.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
-over the spectral core of ``eigenfunctions``.  The samples t form the
+over the spectral core of ``grids``.  The samples t form the
 uniform lattice np.linspace(t0, t1, n_t), so the phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r; one
 matrix product per call contracts them with every channel, and the
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import _CHANNELS, _SQRT2PI, _lattice_overlaps, _spectral_data
-from .grids import GridSpinorField, MomentumGrid
+from .eigenfunctions import _SQRT2PI, _lattice_overlaps
+from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
     "PacketSpec",
@@ -165,15 +165,24 @@ def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
 
 
 def _time_lattice(t_window: tuple, n_t: int):
-    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t)."""
+    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t).
+
+    The one window rule of the time kernels: t1 > t0 and n_t >= 2.
+    """
     t0, t1 = map(float, t_window)
     n_t = int(n_t)
-    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / max(n_t - 1, 1), n_t)
+    if not t1 > t0:
+        raise ValueError(f"empty time window: need t_min < t_max, got ({t0}, {t1})")
+    if n_t < 2:
+        raise ValueError(f"need n_t >= 2 time samples, got {n_t}")
+    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / (n_t - 1), n_t)
 
 
 def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistribution:
     """(Pi_total, Pi_pos, Pi_neg, Pi_interf) divided by the window integral of
-    Pi_total; below 99% of its full-line value ``full`` a warning is noted."""
+    Pi_total, with a warning when it is off its full-line value ``full`` by
+    over 1%.  Above 1 the node sums, almost periodic in t, repeat the arrival
+    inside a window that the momentum grid does not resolve."""
     raw = float(np.trapezoid(curves[0], ts))
     if raw <= 0.0:
         raise ValueError("no arrival mass inside the window")
@@ -181,6 +190,11 @@ def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistributi
     notes = []
     if captured < 0.99:
         notes.append(f"time window captures only {captured:.4f} of the arrival mass")
+    elif captured > 1.01:
+        notes.append(
+            f"time window holds {captured:.4f} of the full-line arrival mass: "
+            "the momentum grid does not resolve the window"
+        )
     return ArrivalDistribution(
         ts, *(c / raw for c in curves), normalization=raw, captured_mass=captured, warnings=notes
     )
@@ -196,11 +210,8 @@ def arrival_distribution(
 
     The window integral of the raw density is compared against the full-line
     value <psi|(I + beta P)|psi> (P the momentum reflection); a warning is
-    recorded when the window captures less than 99% of it.
+    recorded when the window captures less than 99% or more than 101% of it.
     """
-    t0, t1 = map(float, t_window)
-    if not t1 > t0:
-        raise ValueError("empty time window")
     ts, lattice = _time_lattice(t_window, n_t)
     E, W, _, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / _SQRT2PI

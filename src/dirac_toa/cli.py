@@ -14,11 +14,13 @@ or type, a non-finite number, an unknown key, a library domain rule); a
 config that loads but that the library rejects for the command, with WHERE
 the config section or field (a packet off the grid or without weight on its
 nodes, a window without arrival mass, an eigen label past the grid
-resolution, ratios that admit no order fit, an overflowing deficiency axis,
-and for ``verify`` a grid that cannot hold its fixed packets or whose
-energies collapse onto m); and a non-finite result, which the writers refuse
-with WHERE the file.  Every artifact of a command is rendered and checked
-before the first is written, so a run that exits 2 writes no file.
+resolution by ``ToaEigenfunction.check_resolved``, ratios that admit no
+order fit, an overflowing deficiency axis, and for ``verify`` a grid that
+cannot hold its fixed packets or whose energies collapse onto m); and a
+non-finite result, which the writers refuse with WHERE the file.  The
+domain rules live in the library; a command only names the config path.
+Every artifact of a command is rendered and checked before the first is
+written, so a run that exits 2 writes no file.
 """
 from __future__ import annotations
 
@@ -107,35 +109,16 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
-def _check_resolvable(func, grid, where: str) -> None:
-    """Phase advance per node gap must stay below pi/2 on each half-line."""
-    ppos = grid.nodes[grid.positive]
-    if func.family in ("position", "event"):
-        name, label, step = "x", func.labels["x"], np.diff(ppos)
-    else:
-        name, label, step = "t", func.labels["t"], np.diff(np.hypot(ppos, func.m))
-    step_max = float(np.max(step))
-    # at a mass so large that E_p is flat on the grid every t is resolved
-    limit = np.pi / (2.0 * step_max) if step_max > 0.0 else np.inf
-    if abs(label) > limit:
-        raise ConfigError(
-            f"{where}: |{name}| = {abs(label):.6g} exceeds the grid "
-            f"resolution limit {limit:.6g}"
-        )
-
-
 def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
     grid = grids.build_grid(**asdict(cfg.grid))
     files, index = [], []
     for i, func in enumerate(cfg.eigen):
-        _check_resolvable(func, grid, f"config.eigen[{i}]")
+        with at_path(f"config.eigen[{i}]"):
+            func.check_resolved(grid)
         vals = func.value(grid.nodes)
         name = f"eigen_{i:02d}.csv"
-        cols = [grid.nodes]
-        for c in range(4):
-            cols.append(vals[:, c].real)
-            cols.append(vals[:, c].imag)
+        cols = [grid.nodes, *np.stack([vals.real, vals.imag], axis=-1).reshape(-1, 8).T]
         files.append(_csv(
             os.path.join(out_dir, name),
             "p,re_c1,im_c1,re_c2,im_c2,re_c3,im_c3,re_c4,im_c4",
@@ -155,12 +138,9 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     if cfg.mass <= 0.0:
         raise ConfigError("config.mass: the limits command requires mass > 0")
     ratios = np.asarray(cfg.limits.ratios, dtype=float)
-    eig_ratios = np.asarray([r for r in ratios if r >= 1e-3], dtype=float)
-    if len(eig_ratios) < 2:
-        eig_ratios = np.asarray([1e-1, 1e-2, 1e-3])
     with at_path("config.limits.ratios"):
         rep_u, rep_w = limits.nr_spinor_limit_scan(ratios)
-        rep_eig = limits.nr_eigenfunction_limit_scan(1.0, cfg.packet.s, cfg.mass, eig_ratios)
+        rep_eig = limits.nr_eigenfunction_limit_scan(1.0, cfg.packet.s, cfg.mass, ratios)
     files = [
         _csv(
             os.path.join(out_dir, "limits_spinor.csv"),
@@ -170,7 +150,7 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
         _csv(
             os.path.join(out_dir, "limits_eigfun.csv"),
             "ratio,eigfun_distance",
-            (eig_ratios, rep_eig.errors),
+            (rep_eig.ratios, rep_eig.errors),
         ),
     ]
     with at_path("config.limits.e_max_factor"):

@@ -13,6 +13,9 @@ Three closed-form families, each with an analytic d/dp evaluator:
   with the proper-time label evaluated per node, tau(p) = x m / p.  At each
   node it coincides with the position-labeled family under the relabeling
   lam = b * sign(x) * sign(p), and the local factor is -b t_x(p).
+
+Each member is amplitude x spinor x phase: one table per family, (amplitude,
+d ln amplitude, spinor, d spinor, phase, d ln phase), gives value and d/dp.
 """
 from __future__ import annotations
 
@@ -27,52 +30,21 @@ from .algebra import (
     event_spinor_tau_derivative,
     event_spinor_values,
     helicity_spinor,
+    weight_factor,
+    weight_factor_derivative_ratio,
 )
-from .grids import GridSpinorField, MomentumGrid
+from .grids import GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
     "ToaEigenfunction",
     "time_eigenfunction",
     "position_eigenfunction",
     "event_eigenfunction",
-    "weight_factor",
-    "weight_factor_derivative_ratio",
     "overlap_matrix",
     "resynthesize_time_family",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-
-# (lam, s) order of the channel axis of ``_spectral_data``: the first two
-# channels are the lam = +1 branch, the last two the lam = -1 branch
-_CHANNELS = ((1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5))
-
-
-def weight_factor(m: float, p) -> np.ndarray:
-    """W(p) = [p^2 / (p^2 + m^2)]^{1/4}."""
-    p = np.asarray(p, dtype=float)
-    E = np.hypot(p, m)
-    return np.sqrt(np.abs(p) / E)
-
-
-def weight_factor_derivative_ratio(m: float, p) -> np.ndarray:
-    """W'(p) / W(p) = m^2 / (2 p E_p^2)."""
-    p = np.asarray(p, dtype=float)
-    E = np.hypot(p, m)
-    return m * m / (2.0 * p * E * E)
-
-
-def _spectral_data(f: GridSpinorField, m: float):
-    """Per-node spectral data of a field: (E_p, W(p), phi, c).
-
-    phi[k] holds the energy spinors phi_{lam s}(p), shape (N, 4), and c[k]
-    the branch projections phi_{lam s}^dag psi, shape (N,), for the k-th
-    (lam, s) of ``_CHANNELS``.
-    """
-    p = f.grid.nodes
-    phi = np.stack([energy_spinor_values(m, p, lam, s) for lam, s in _CHANNELS])
-    c = np.einsum("kjc,jc->kj", np.conj(phi), f.values)
-    return np.hypot(p, m), weight_factor(m, p), phi, c
 
 
 def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
@@ -140,62 +112,55 @@ class ToaEigenfunction:
 
     ``value`` and ``derivative`` are vectorized closed forms; ``eigenvalue``
     returns the (possibly p-dependent) local factor the operator multiplies
-    by, and ``on_grid`` samples value and analytic derivative onto a grid.
+    by, ``check_resolved`` states whether a grid resolves the label, and
+    ``on_grid`` samples value and analytic derivative onto a grid.
     """
 
     family: str  # "time" | "position" | "event"
     m: float
     labels: dict
 
-    def value(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        L = self.labels
+    def _table(self, p: np.ndarray) -> tuple:
+        """(amplitude, d ln amplitude, spinor, d spinor, phase, d ln phase) at p.
+
+        d/dp is taken along p; for the event family the spinor's proper time
+        tau(p) = x m / p carries the chain factor dtau/dp.
+        """
+        m, L = self.m, self.labels
         if self.family == "time":
-            E = np.hypot(p, self.m)
+            E = np.hypot(p, m)
             phase = np.exp(1j * L["lam"] * E * L["t"]) / _SQRT2PI
-            spin = energy_spinor_values(self.m, p, L["lam"], L["s"])
-            return weight_factor(self.m, p)[..., None] * spin * phase[..., None]
-        if self.family == "position":
-            phase = np.exp(-1j * p * L["x"]) / _SQRT2PI
-            spin = energy_spinor_values(self.m, p, L["lam"], L["s"])
-            return weight_factor(self.m, p)[..., None] * spin * phase[..., None]
+            dln_phase = 1j * L["lam"] * L["t"] * p / E
+        else:
+            phase, dln_phase = np.exp(-1j * p * L["x"]) / _SQRT2PI, -1j * L["x"]
+        if self.family != "event":
+            args = (m, p, L["lam"], L["s"])
+            return (
+                weight_factor(m, p), weight_factor_derivative_ratio(m, p),
+                energy_spinor_values(*args), energy_spinor_derivative(*args), phase, dln_phase,
+            )
         x, b, s = L["x"], L["b"], L["s"]
-        tau = x * self.m / p
+        tau = x * m / p
+        dtau = -x * m / (p * p)
         t_x = np.hypot(x, tau)
-        wx = np.sqrt(np.abs(x) / t_x)
-        phase = np.exp(-1j * p * x) / _SQRT2PI
-        spin = event_spinor_values(x, tau, b, s)
-        return wx[..., None] * spin * phase[..., None]
+        return (
+            np.sqrt(np.abs(x) / t_x), -tau / (2.0 * t_x * t_x) * dtau,
+            event_spinor_values(x, tau, b, s),
+            dtau[..., None] * event_spinor_tau_derivative(x, tau, b, s), phase, dln_phase,
+        )
+
+    def _closed_form(self, p) -> tuple:
+        """(value, d/dp) at p: amplitude x spinor x phase and its product rule."""
+        amp, dln_amp, spin, dspin, phase, dln_phase = self._table(np.asarray(p, dtype=float))
+        value = amp[..., None] * spin * phase[..., None]
+        deriv = (dln_amp + dln_phase)[..., None] * value + amp[..., None] * dspin * phase[..., None]
+        return value, deriv
+
+    def value(self, p) -> np.ndarray:
+        return self._closed_form(p)[0]
 
     def derivative(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        L = self.labels
-        vals = self.value(p)
-        if self.family in ("time", "position"):
-            lam, s = L["lam"], L["s"]
-            E = np.hypot(p, self.m)
-            dln_w = weight_factor_derivative_ratio(self.m, p)
-            if self.family == "time":
-                dln_phase = 1j * lam * L["t"] * p / E
-                phase = np.exp(1j * lam * E * L["t"]) / _SQRT2PI
-            else:
-                dln_phase = np.broadcast_to(-1j * L["x"], p.shape)
-                phase = np.exp(-1j * p * L["x"]) / _SQRT2PI
-            dspin = energy_spinor_derivative(self.m, p, lam, s)
-            out = (dln_w + dln_phase)[..., None] * vals
-            out += weight_factor(self.m, p)[..., None] * dspin * phase[..., None]
-            return out
-        x, b, s = L["x"], L["b"], L["s"]
-        tau = x * self.m / p
-        dtau = -x * self.m / (p * p)
-        t_x = np.hypot(x, tau)
-        wx = np.sqrt(np.abs(x) / t_x)
-        dln_wx_dtau = -tau / (2.0 * t_x * t_x)
-        phase = np.exp(-1j * p * x) / _SQRT2PI
-        dspin_dtau = event_spinor_tau_derivative(x, tau, b, s)
-        out = (dln_wx_dtau * dtau - 1j * x)[..., None] * vals
-        out += (wx * dtau)[..., None] * dspin_dtau * phase[..., None]
-        return out
+        return self._closed_form(p)[1]
 
     def eigenvalue(self, p):
         """Local arrival-time factor at momentum p (constant for the time family)."""
@@ -209,10 +174,24 @@ class ToaEigenfunction:
         t_x = np.abs(L["x"]) * E / np.abs(p)
         return -L["b"] * t_x
 
+    def check_resolved(self, grid: MomentumGrid) -> None:
+        """Raise ``ValueError`` unless ``grid`` resolves the label: the phase
+        advance per node gap must stay below pi/2 on each half-line."""
+        ppos = grid.nodes[grid.positive]
+        if self.family == "time":
+            name, label, step = "t", self.labels["t"], np.diff(np.hypot(ppos, self.m))
+        else:
+            name, label, step = "x", self.labels["x"], np.diff(ppos)
+        step_max = float(np.max(step))
+        # at a mass so large that E_p is flat on the grid every t is resolved
+        limit = np.pi / (2.0 * step_max) if step_max > 0.0 else np.inf
+        if abs(label) > limit:
+            raise ValueError(
+                f"|{name}| = {abs(label):.6g} exceeds the grid resolution limit {limit:.6g}"
+            )
+
     def on_grid(self, grid: MomentumGrid) -> GridSpinorField:
-        return GridSpinorField(
-            grid, self.value(grid.nodes), self.derivative(grid.nodes)
-        )
+        return GridSpinorField(grid, *self._closed_form(grid.nodes))
 
 
 def _member(family: str, m: float, label: tuple, sign: tuple, s: float) -> ToaEigenfunction:
@@ -248,15 +227,8 @@ def event_eigenfunction(x: float, b: int, s: float, m: float) -> ToaEigenfunctio
 
 def overlap_matrix(funcs, grid: MomentumGrid) -> np.ndarray:
     """Gram matrix of eigenfunctions under the grid quadrature."""
-    samples = [f.on_grid(grid).values for f in funcs]
-    n = len(samples)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = np.sum(
-                grid.weights * np.sum(np.conj(samples[i]) * samples[j], axis=1)
-            )
-    return gram
+    samples = np.stack([f.value(grid.nodes) for f in funcs])
+    return np.einsum("j,ajc,bjc->ab", grid.weights, np.conj(samples), samples)
 
 
 def resynthesize_time_family(

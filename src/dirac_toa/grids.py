@@ -13,12 +13,16 @@ Operators:
 * ``apply_hamiltonian``  -- node-wise H(p) = alpha_1 p + beta m.
 * ``apply_toa``          -- T = (1/p) H(p) (-i d/dp) + i beta m / (2 p^2),
   the quantized time-of-arrival of the free Dirac particle.
-* ``apply_toa_nonrel``   -- T_non = -m (p^-1 x + x p^-1)/2 in the momentum
-  representation (x acts as +i d/dp), componentwise on the spinor.
+* ``commutator_residual`` -- the canonical relation [T, H] = i on a field.
 * ``to_energy_rep``      -- isometry onto functions of E on the two spectral
   branches (-inf, -m) u (m, +inf), with the exact Jacobian |dE/dp| = |p|/E_p.
 * ``apply_toa_energy``   -- -i d/dE per branch, gated on the boundary
   condition g(+-m) = 0 that makes the operator symmetric.
+* ``symmetry_defect``    -- <g1|T g2> - <T g1|g2> on one branch.
+
+The spectral core ``_spectral_data`` lives here: one broadcast spinor call
+projects a field onto all four (lam, s) channels.  ``to_energy_rep`` and the
+time-lattice kernels of ``eigenfunctions`` and ``arrival`` are built on it.
 """
 from __future__ import annotations
 
@@ -27,19 +31,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _BETA_DIAG, apply_h_values, energy_spinor_values
+from .algebra import _BETA_DIAG, apply_h_values, energy_spinor_values, weight_factor
 
 __all__ = [
     "MomentumGrid",
     "GridSpinorField",
     "EnergyGridFunction",
     "build_grid",
-    "field_from_callable",
     "apply_hamiltonian",
     "apply_toa",
-    "apply_toa_nonrel",
     "commutator_residual",
-    "inner_product",
     "to_energy_rep",
     "energy_function_on_branch",
     "apply_toa_energy",
@@ -52,6 +53,10 @@ __all__ = [
 #: boundary-condition gate |g(end node)| <= BC_TOL * ||g|| at the +-m-adjacent
 #: node and, for ``symmetry_defect``, at the far end of the truncated axis
 BC_TOL = 1e-6
+
+# (lam, s) order of the channel axis of ``_spectral_data``: the first two
+# channels are the lam = +1 branch, the last two the lam = -1 branch
+_CHANNELS = ((1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5))
 
 
 def fd_weights(nodes: np.ndarray, x0: float, max_order: int) -> np.ndarray:
@@ -177,10 +182,6 @@ class MomentumGrid:
         out[n:] = np.einsum("ik,ik...->i...", w_p, values[n:][idx_p])
         return out
 
-    def integrate(self, samples: np.ndarray):
-        """Quadrature sum over all nodes; samples shape (n_nodes, ...)."""
-        return np.tensordot(self.weights, np.asarray(samples), axes=(0, 0))
-
     def norm(self, values: np.ndarray) -> float:
         """Quadrature L2 norm of a spinor-valued sample set."""
         dens = np.sum(np.abs(values) ** 2, axis=tuple(range(1, values.ndim)))
@@ -252,26 +253,6 @@ class GridSpinorField:
         return GridSpinorField(self.grid, self.values / n, dv, dict(self.meta))
 
 
-def field_from_callable(grid: MomentumGrid, fn, dfn=None) -> GridSpinorField:
-    """Sample fn(p) -> (..., 4) (and optionally its derivative) on the grid."""
-    vals = np.asarray(fn(grid.nodes), dtype=complex)
-    dvals = None if dfn is None else np.asarray(dfn(grid.nodes), dtype=complex)
-    return GridSpinorField(grid, vals, dvals)
-
-
-def _same_grid(f: GridSpinorField, g: GridSpinorField) -> bool:
-    return f.grid is g.grid or (
-        f.grid.n_nodes == g.grid.n_nodes and np.array_equal(f.grid.nodes, g.grid.nodes)
-    )
-
-
-def _deriv_of(f: GridSpinorField):
-    """(derivative samples, tag) using analytic values when available."""
-    if f.deriv_values is not None:
-        return f.deriv_values, "analytic"
-    return f.grid.derivative(f.values), f"fd{f.grid.deriv_order}"
-
-
 def apply_hamiltonian(f: GridSpinorField, m: float) -> GridSpinorField:
     """Node-wise H(p) = alpha_1 p + beta m; propagates analytic derivatives."""
     p = f.grid.nodes
@@ -284,28 +265,18 @@ def apply_hamiltonian(f: GridSpinorField, m: float) -> GridSpinorField:
 
 
 def apply_toa(f: GridSpinorField, m: float) -> GridSpinorField:
-    """Time-of-arrival operator T = (1/p) H(p) (-i d/dp) + i beta m/(2 p^2)."""
-    p = f.grid.nodes
-    df, tag = _deriv_of(f)
-    out = apply_h_values(m, p, -1j * df) / p[:, None]
-    out += (1j * m / (2.0 * p * p))[:, None] * (f.values * _BETA_DIAG)
-    meta = {"derivative": tag}
-    if tag != "analytic":
-        meta["one_sided_nodes"] = f.grid.one_sided_nodes
-    return GridSpinorField(f.grid, out, meta=meta)
+    """Time-of-arrival operator T = (1/p) H(p) (-i d/dp) + i beta m/(2 p^2).
 
-
-def apply_toa_nonrel(f: GridSpinorField, m: float) -> GridSpinorField:
-    """Nonrelativistic arrival operator -m (p^-1 x + x p^-1)/2, componentwise.
-
-    With x = +i d/dp this reads -i m (1/p) d/dp + i m/(2 p^2).
+    d/dp uses the field's analytic derivative samples when it carries them.
     """
     p = f.grid.nodes
-    df, tag = _deriv_of(f)
-    out = (-1j * m / p)[:, None] * df + (1j * m / (2.0 * p * p))[:, None] * f.values
-    meta = {"derivative": tag}
-    if tag != "analytic":
-        meta["one_sided_nodes"] = f.grid.one_sided_nodes
+    if f.deriv_values is not None:
+        df, meta = f.deriv_values, {"derivative": "analytic"}
+    else:
+        df = f.grid.derivative(f.values)
+        meta = {"derivative": f"fd{f.grid.deriv_order}", "one_sided_nodes": f.grid.one_sided_nodes}
+    out = apply_h_values(m, p, -1j * df) / p[:, None]
+    out += (1j * m / (2.0 * p * p))[:, None] * (f.values * _BETA_DIAG)
     return GridSpinorField(f.grid, out, meta=meta)
 
 
@@ -320,11 +291,18 @@ def commutator_residual(f: GridSpinorField, m: float) -> float:
     return f.grid.norm(resid) / norm_f
 
 
-def inner_product(f: GridSpinorField, g: GridSpinorField) -> complex:
-    """Quadrature Hermitian form sum_j w_j f_j^dag g_j."""
-    if not _same_grid(f, g):
-        raise ValueError("fields live on different grids")
-    return complex(np.sum(f.grid.weights * np.sum(np.conj(f.values) * g.values, axis=1)))
+def _spectral_data(f: GridSpinorField, m: float):
+    """Per-node spectral data of a field: (E_p, W(p), phi, c).
+
+    phi[k] holds the energy spinors phi_{lam s}(p), shape (N, 4), and c[k]
+    the branch projections phi_{lam s}^dag psi, shape (N,), for the k-th
+    (lam, s) of ``_CHANNELS``; one spinor call broadcasts over all four.
+    """
+    p = f.grid.nodes
+    lam, s = np.array(_CHANNELS).T[:, :, None]
+    phi = energy_spinor_values(m, p, lam, s)
+    c = np.einsum("kjc,jc->kj", np.conj(phi), f.values)
+    return np.hypot(p, m), weight_factor(m, p), phi, c
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +347,11 @@ def _induced_energy_axis(grid: MomentumGrid, m: float, branch: int):
     """E-nodes/weights induced from the positive momenta by E = branch * E_p.
 
     Weights are w_p * |dE/dp|; no re-interpolation is performed.  Returns
-    (nodes ascending, weights, ordering of the source |p| nodes).
+    (nodes ascending, weights, ordering of the source |p| nodes).  The map
+    needs m > 0: at m = 0 the two branches touch at E = 0.
     """
+    if m <= 0.0:
+        raise ValueError("the energy map requires m > 0")
     ppos = grid.nodes[grid.positive]
     wpos = grid.weights[grid.positive]
     E_p = np.hypot(ppos, m)
@@ -386,33 +367,24 @@ def to_energy_rep(f: GridSpinorField, m: float):
     """Project onto the energy eigenbasis and map to the spectral branches.
 
     Returns a pair (branch +1, branch -1) of EnergyGridFunction with four
-    channels (side, s), side = sign(p).  The map multiplies each projection
+    channels (side, s), side = sign(p), in the sign and spin order of
+    ``_CHANNELS``.  The map multiplies each projection of the spectral core
     by [E^2/(E^2 - m^2)]^(1/4) and rescales weights by |dE/dp| = |p|/E_p,
     which makes it an exact isometry of the discrete norms.
     """
-    if m <= 0.0:
-        raise ValueError("the energy map requires m > 0")
     grid = f.grid
-    npos = grid.n_per_side
-    p = grid.nodes
-    E_p = np.hypot(p, m)
-    quart = np.sqrt(E_p / np.abs(p))  # [E^2/(E^2-m^2)]^(1/4)
-    channels = ((1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5))
+    n = grid.n_per_side
+    E_p, _, _, c = _spectral_data(f, m)
+    proj = np.sqrt(E_p / np.abs(grid.nodes)) * c  # [E^2/(E^2-m^2)]^(1/4)
     out = []
-    for lam in (1, -1):
-        proj = {}
-        for s in (0.5, -0.5):
-            phi = energy_spinor_values(m, p, lam, s)
-            proj[s] = quart * np.einsum("jc,jc->j", np.conj(phi), f.values)
+    for lam, b in ((1, proj[:2]), (-1, proj[2:])):
         nodes, weights, order = _induced_energy_axis(grid, m, lam)
-        vals = np.empty((npos, 4), dtype=complex)
-        for k, (side, s) in enumerate(channels):
-            src = proj[s][npos:] if side == 1 else proj[s][:npos][::-1]
-            vals[:, k] = src[order]
+        # side +1 reads the positive momenta, side -1 the negative ones by |p|
+        vals = np.concatenate([b[:, n:], b[:, n - 1 :: -1]])[:, order].T
         out.append(
             EnergyGridFunction(
                 branch=lam, m=m, nodes=nodes, weights=weights,
-                values=vals, channels=channels,
+                values=vals, channels=_CHANNELS,
             )
         )
     return tuple(out)
@@ -422,8 +394,6 @@ def energy_function_on_branch(
     grid: MomentumGrid, m: float, branch: int, fn, dfn=None
 ) -> EnergyGridFunction:
     """Single-channel test function g(E) on the induced energy axis."""
-    if m <= 0.0:
-        raise ValueError("the energy map requires m > 0")
     nodes, weights, _ = _induced_energy_axis(grid, m, branch)
     vals = np.asarray(fn(nodes), dtype=complex)[:, None]
     dvals = None if dfn is None else np.asarray(dfn(nodes), dtype=complex)[:, None]
@@ -495,13 +465,8 @@ def energy_measure_identity(grid: MomentumGrid, m: float, h, e_n: int = 256, e_p
     image starts at E(p_min), which is the energy face of the excluded
     neighborhood of p = 0.  Returns (left, right).
     """
-    if m <= 0.0:
-        raise ValueError("requires m > 0")
-    ppos = grid.nodes[grid.positive]
-    wpos = grid.weights[grid.positive]
-    E_p = np.hypot(ppos, m)
-    jac = ppos / E_p
-    left = float(np.sum(wpos * jac * (h(E_p) + h(-E_p))))
+    E_p, weights, _ = _induced_energy_axis(grid, m, 1)
+    left = float(np.sum(weights * (h(E_p) + h(-E_p))))
     e_min = float(np.hypot(grid.p_min, m))
     e_max = float(np.hypot(grid.p_max, m))
     xe, we = _gauss_legendre_panels(e_min, e_max, e_n, e_panels)

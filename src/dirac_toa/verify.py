@@ -2,7 +2,9 @@
 
 Each check computes one scalar residual and compares it against a fixed
 tolerance.  Convergence-order checks report |fitted slope - nominal order|
-against a 0.5 band; boolean gates report 0.0 / 1.0 against a 0.0 tolerance.
+against a band: 0.5 for the finite-difference commutator, 0.05 for the
+nonrelativistic spinor slope; boolean gates report 0.0 / 1.0 against a 0.0
+tolerance.  The random-lattice checks make one broadcast spinor call each.
 
 ``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
 ``run_all_checks`` and the acceptance tests read it.  Each residual takes
@@ -52,10 +54,12 @@ class CheckResult:
         }
 
 
-def _random_lattice(rng, n: int):
-    """Random (m, p, lam, s) labels; a fixed slice is massless."""
+def _random_lattice(rng, n: int, massless: bool = True):
+    """Random (m, p, lam, s) labels; unless ``massless`` is False, a fixed
+    slice is massless."""
     ms = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=n))
-    ms[:: max(1, n // 10)] = 0.0
+    if massless:
+        ms[:: max(1, n // 10)] = 0.0
     ps = rng.uniform(0.2, 8.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     lams = rng.choice([1, -1], size=n)
     ss = rng.choice([0.5, -0.5], size=n)
@@ -81,68 +85,46 @@ def check_hermiticity() -> float:
 
 
 def check_helicity() -> float:
-    worst = 0.0
-    for s in (0.5, -0.5):
-        e = algebra.helicity_spinor(s)
-        worst = max(worst, np.max(np.abs(algebra.SIGMA1 @ e - 2 * s * e)))
-        worst = max(worst, abs(np.vdot(e, e) - 1.0))
-    e1, e2 = algebra.helicity_spinor(0.5), algebra.helicity_spinor(-0.5)
-    worst = max(worst, abs(np.vdot(e1, e2)))
-    comp = np.outer(e1, e1.conj()) + np.outer(e2, e2.conj())
-    worst = max(worst, np.max(np.abs(comp - np.eye(2))))
-    return float(worst)
+    s = np.array([0.5, -0.5])
+    e = algebra.helicity_spinor(s)  # one eta_s per row
+    eigen = e @ algebra.SIGMA1.T - (2 * s)[:, None] * e
+    gram = np.conj(e) @ e.T
+    comp = e.T @ np.conj(e)  # sum_s eta_s eta_s^dag
+    return float(max(np.max(np.abs(d)) for d in (eigen, gram - np.eye(2), comp - np.eye(2))))
 
 
 def check_spinor_norms(rng, n=200) -> float:
     ms, ps, lams, ss = _random_lattice(rng, n)
-    worst = 0.0
-    for m, p, lam, s in zip(ms, ps, lams, ss):
-        phi = algebra.energy_spinor_values(m, np.array([p]), int(lam), float(s))[0]
-        worst = max(worst, abs(np.linalg.norm(phi) - 1.0))
-        xi = algebra.event_spinor_values(p, np.array([m if m > 0 else 0.0]), int(lam), float(s))[0]
-        worst = max(worst, abs(np.linalg.norm(xi) - 1.0))
-    return float(worst)
+    phi = algebra.energy_spinor_values(ms, ps, lams, ss)
+    xi = algebra.event_spinor_values(ps, ms, lams, ss)
+    norms = np.linalg.norm(np.stack([phi, xi]), axis=-1)
+    return float(np.max(np.abs(norms - 1.0)))
 
 
 def check_hamiltonian_eigen(rng, n=200) -> float:
     ms, ps, lams, ss = _random_lattice(rng, n)
-    worst = 0.0
-    for m, p, lam, s in zip(ms, ps, lams, ss):
-        phi = algebra.energy_spinor_values(m, np.array([p]), int(lam), float(s))
-        h = algebra.apply_h_values(m, np.array([p]), phi)
-        E = np.hypot(p, m)
-        worst = max(worst, float(np.max(np.abs(h - lam * E * phi))))
-    return worst
+    phi = algebra.energy_spinor_values(ms, ps, lams, ss)
+    h = algebra.apply_h_values(ms, ps, phi)
+    E = np.hypot(ps, ms)
+    return float(np.max(np.abs(h - (lams * E)[:, None] * phi)))
 
 
 def check_orthonormality_completeness(rng, n=50) -> float:
     ms, ps, _, _ = _random_lattice(rng, n)
-    worst = 0.0
-    for m, p in zip(ms, ps):
-        spinors = [
-            algebra.energy_spinor_values(m, np.array([p]), lam, s)[0]
-            for lam in (1, -1)
-            for s in (0.5, -0.5)
-        ]
-        gram = np.array([[np.vdot(a, b) for b in spinors] for a in spinors])
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
-        comp = sum(np.outer(v, v.conj()) for v in spinors)
-        worst = max(worst, float(np.max(np.abs(comp - np.eye(4)))))
-    return worst
+    # (sample, channel, component): the four (lam, s) spinors at each label
+    lam, s = np.array(grids._CHANNELS).T[:, None, :]
+    spinors = algebra.energy_spinor_values(ms[:, None], ps[:, None], lam, s)
+    gram = np.einsum("nac,nbc->nab", np.conj(spinors), spinors)
+    comp = np.einsum("nac,nad->ncd", spinors, np.conj(spinors))
+    return float(max(np.max(np.abs(gram - np.eye(4))), np.max(np.abs(comp - np.eye(4)))))
 
 
 def check_w_relation(rng, n=100) -> float:
-    basis = algebra.dirac_basis()
-    worst = 0.0
-    for _ in range(n):
-        m = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
-        p = float(rng.uniform(0.2, 8.0) * rng.choice([-1.0, 1.0]))
-        s = float(rng.choice([0.5, -0.5]))
-        w = algebra.w_spinor_values(m, np.array([p]), s)[0]
-        phi = algebra.energy_spinor_values(m, np.array([-p]), -1, s)[0]
-        rhs = (p / abs(p)) * (basis.Sigma1 @ phi)
-        worst = max(worst, float(np.max(np.abs(w - rhs))))
-    return worst
+    ms, ps, _, ss = _random_lattice(rng, n, massless=False)
+    w = algebra.w_spinor_values(ms, ps, ss)
+    phi = algebra.energy_spinor_values(ms, -ps, -1, ss)
+    rhs = np.sign(ps)[:, None] * (phi @ algebra.dirac_basis().Sigma1.T)
+    return float(np.max(np.abs(w - rhs)))
 
 
 def check_duality_bijection(seed: int) -> float:
@@ -253,11 +235,15 @@ def check_massless_reduction() -> float:
 # eigenfunction checks
 # ---------------------------------------------------------------------------
 
+def _family_grid(m: float):
+    """The eigenfunction checks' grid at mass m: p_min = 1e-3 m (1e-3 at m = 0)."""
+    return grids.build_grid(1e-3 * m if m > 0 else 1e-3, 10.0, 256, 4)
+
+
 def check_time_family_residual() -> float:
     worst = 0.0
     for m in (0.0, 0.5, 1.0, 3.0):
-        p_min = 1e-3 * m if m > 0 else 1e-3
-        grid = grids.build_grid(p_min, 10.0, 256, 4)
+        grid = _family_grid(m)
         for t in (-5.0, -2.0, 0.0, 1.0, 5.0):
             for lam in (1, -1):
                 for s in (0.5, -0.5):
@@ -269,14 +255,15 @@ def check_time_family_residual() -> float:
     return worst
 
 
-def check_position_family_pointwise() -> float:
+def _family_pointwise(build, xs) -> float:
+    """max |T phi - local factor * phi| over m in {0, 1, 3}, the labels
+    ``xs`` and both signs of the family that ``build`` constructs."""
     worst = 0.0
     for m in (0.0, 1.0, 3.0):
-        p_min = 1e-3 * m if m > 0 else 1e-3
-        grid = grids.build_grid(p_min, 10.0, 256, 4)
-        for x in (-2.0, 0.5, 3.0):
-            for lam in (1, -1):
-                func = eigenfunctions.position_eigenfunction(x, lam, 0.5, m)
+        grid = _family_grid(m)
+        for x in xs:
+            for sign in (1, -1):
+                func = build(x, sign, 0.5, m)
                 f = func.on_grid(grid)
                 tv = grids.apply_toa(f, m)
                 local = func.eigenvalue(grid.nodes)
@@ -285,24 +272,14 @@ def check_position_family_pointwise() -> float:
                     float(np.max(np.abs(tv.values - local[:, None] * f.values))),
                 )
     return worst
+
+
+def check_position_family_pointwise() -> float:
+    return _family_pointwise(eigenfunctions.position_eigenfunction, (-2.0, 0.5, 3.0))
 
 
 def check_event_family_pointwise() -> float:
-    worst = 0.0
-    for m in (0.0, 1.0, 3.0):
-        p_min = 1e-3 * m if m > 0 else 1e-3
-        grid = grids.build_grid(p_min, 10.0, 256, 4)
-        for x in (-2.0, 3.0):
-            for b in (1, -1):
-                func = eigenfunctions.event_eigenfunction(x, b, 0.5, m)
-                f = func.on_grid(grid)
-                tv = grids.apply_toa(f, m)
-                local = func.eigenvalue(grid.nodes)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(tv.values - local[:, None] * f.values))),
-                )
-    return worst
+    return _family_pointwise(eigenfunctions.event_eigenfunction, (-2.0, 3.0))
 
 
 def check_family_consistency() -> float:

@@ -7,6 +7,8 @@ components sqrt(0.4) and sqrt(0.1).
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_toa import algebra
 
@@ -145,7 +147,7 @@ def test_event_spinor_tau_derivative_vs_finite_difference():
 def test_w_spinor_345_value():
     w = algebra.w_spinor_values(3.0, np.array([4.0]), 0.5)[0]
     assert np.allclose(w, [SQ01, SQ01, SQ04, SQ04], atol=1e-15)
-    u = algebra.u_spinor_values(3.0, np.array([4.0]), 0.5)[0]
+    u = algebra.energy_spinor_values(3.0, np.array([4.0]), 1, 0.5)[0]
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
 
@@ -174,9 +176,69 @@ def test_nr_limit_spinors():
             assert abs(np.vdot(algebra.nr_limit_spinor(1, s), algebra.nr_limit_spinor(-1, sp))) == 0.0
 
 
+def _hamiltonian_matrix(m, p):
+    """Reference: H(p) = alpha_1 p + beta m as an explicit 4x4 matrix."""
+    b = algebra.dirac_basis()
+    return b.alpha[0] * p + b.beta * m
+
+
 def test_hamiltonian_matrix_matches_apply():
-    H = algebra.hamiltonian_matrix(3.0, 4.0)
+    H = _hamiltonian_matrix(3.0, 4.0)
     phi = algebra.energy_spinor_values(3.0, np.array([4.0]), 1, 0.5)[0]
     assert np.max(np.abs(H @ phi - 5.0 * phi)) <= 1e-14
     via_apply = algebra.apply_h_values(3.0, np.array([4.0]), phi[None, :])[0]
     assert np.max(np.abs(H @ phi - via_apply)) <= 1e-15
+
+
+_LABEL = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+    st.sampled_from([1, -1]),
+    st.sampled_from([0.5, -0.5]),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(labels=st.lists(_LABEL, min_size=1, max_size=12))
+def test_broadcast_spinors_equal_scalar_evaluation(labels):
+    # one broadcast call over arrays of (m, p, lam, s) against one call per
+    # label, bit for bit, for every function that shares the branch factors
+    m, p, lam, s = (np.array(col) for col in zip(*labels))
+    funcs = [algebra.energy_spinor_values, algebra.energy_spinor_derivative]
+    for fn in funcs:
+        batch = fn(m, p, lam, s)
+        assert batch.shape == (len(labels), 4)
+        for i, (mi, pi, li, si) in enumerate(labels):
+            assert np.array_equal(batch[i], fn(mi, np.array([pi]), li, si)[0]), (fn.__name__, i)
+    # the event spinor under the duality substitution x = p, tau = m, b = lam
+    batch = algebra.event_spinor_values(p, m, lam, s)
+    for i, (mi, pi, li, si) in enumerate(labels):
+        assert np.array_equal(batch[i], algebra.event_spinor_values(pi, np.array([mi]), li, si)[0])
+    massive = m > 0.0
+    if np.any(massive):
+        batch = algebra.w_spinor_values(m[massive], p[massive], s[massive])
+        for row, mi, pi, si in zip(batch, m[massive], p[massive], s[massive]):
+            assert np.array_equal(row, algebra.w_spinor_values(mi, np.array([pi]), si)[0])
+
+
+def test_massless_branch_factors_are_exact():
+    # at m = 0, N = 1/sqrt(2) and c = lam sign(p) exactly, inside a broadcast
+    # call that also holds massive labels
+    m = np.array([0.0, 1.0, 0.0, 2.0])
+    p = np.array([3.0, -1.5, -0.25, 4.0])
+    lam = np.array([1, -1, -1, 1])
+    phi = algebra.energy_spinor_values(m, p, lam, 0.5)
+    e = algebra.helicity_spinor(0.5)
+    for i in (0, 2):
+        expect = np.concatenate([e, lam[i] * np.sign(p[i]) * e[::-1]]) / np.sqrt(2.0)
+        assert np.array_equal(phi[i], expect)
+    assert not np.any(algebra.energy_spinor_derivative(m, p, lam, 0.5)[[0, 2]])
+
+
+def test_helicity_spinor_broadcasts_over_s():
+    s = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    e = algebra.helicity_spinor(s)
+    assert e.shape == (2, 2, 2)
+    assert np.array_equal(e[0, 1], algebra.helicity_spinor(-0.5))
+    with pytest.raises(ValueError):
+        algebra.helicity_spinor(np.array([0.5, 0.3]))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dirac_toa import algebra, arrival, eigenfunctions, grids
-from dirac_toa.eigenfunctions import _CHANNELS, _lattice_overlaps, _spectral_data
+from dirac_toa.eigenfunctions import _lattice_overlaps
+from dirac_toa.grids import _CHANNELS, _spectral_data
 
 CLASSICAL_PEAK = 10.0 * np.sqrt(5.0) / 2.0  # -x0 E0/p0 for m=1, p0=2, x0=-10
 WINDOW = (-20.0, 43.0)
@@ -136,7 +137,7 @@ def test_packet_energy_expectation(grid512):
         spec = arrival.PacketSpec(m=m, x0=-10.0, p0=p0, sigma_p=sigma, c_plus=c_plus, c_minus=c_minus)
         f = arrival.build_packet(spec, grid512)
         hf = grids.apply_hamiltonian(f, m)
-        e_mean = grids.inner_product(f, hf).real
+        e_mean = np.sum(grid512.weights * np.sum(np.conj(f.values) * hf.values, axis=1)).real
         assert abs(e_mean - sign * expect_plus) <= 1e-9
         assert sign * e_mean > m
 
@@ -220,6 +221,35 @@ def test_narrow_window_warning(grid512, benchmark_packet):
     dist = arrival.arrival_distribution(benchmark_packet, 1.0, (10.0, 12.0), 101)
     assert dist.captured_mass < 0.99
     assert dist.warnings
+
+
+@pytest.mark.parametrize("n_points, warned", [(64, True), (256, False)])
+def test_capture_warning_looks_both_ways(n_points, warned):
+    # the default config: at 64 points the node sums repeat the arrival inside
+    # the window (captured_mass about 1.97), at 256 the grid resolves it
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
+    f = arrival.build_packet(spec, grids.build_grid(1e-3, 10.0, n_points, 4))
+    dist = arrival.arrival_distribution(f, 1.0, WINDOW, N_T)
+    assert (dist.captured_mass > 1.01) == warned
+    assert bool(dist.warnings) == warned
+    if warned:
+        assert "does not resolve the window" in dist.warnings[0]
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [arrival.arrival_distribution, arrival.arrival_distribution_nonrel, arrival.flux_at_origin],
+    ids=["arrival", "arrival_nonrel", "flux"],
+)
+@pytest.mark.parametrize(
+    "window, n_t, match",
+    [((5.0, 5.0), 11, "empty time window"), ((5.0, 1.0), 11, "empty time window"),
+     ((0.0, 20.0), 1, "n_t >= 2"), ((0.0, 20.0), 0, "n_t >= 2")],
+    ids=["empty", "reversed", "one-sample", "no-sample"],
+)
+def test_time_kernels_share_one_window_rule(benchmark_packet, kernel, window, n_t, match):
+    with pytest.raises(ValueError, match=match):
+        kernel(benchmark_packet, 1.0, window, n_t)
 
 
 def test_flux_oracle_agreement(grid512, benchmark_packet):

@@ -16,8 +16,10 @@ from dirac_toa.eigenfunctions import (
     position_eigenfunction,
     resynthesize_time_family,
     time_eigenfunction,
-    weight_factor,
 )
+from dirac_toa.algebra import weight_factor, weight_factor_derivative_ratio
+
+SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,106 @@ def test_event_family_derivative_vs_finite_difference():
     assert np.max(np.abs(func.derivative(p) - fd)) <= 1e-8
 
 
+def _reference_value(func, p):
+    """Reference: the per-family value that the six-entry table replaced."""
+    m, L = func.m, func.labels
+    if func.family == "time":
+        E = np.hypot(p, m)
+        phase = np.exp(1j * L["lam"] * E * L["t"]) / SQRT2PI
+        spin = algebra.energy_spinor_values(m, p, L["lam"], L["s"])
+        return weight_factor(m, p)[..., None] * spin * phase[..., None]
+    if func.family == "position":
+        phase = np.exp(-1j * p * L["x"]) / SQRT2PI
+        spin = algebra.energy_spinor_values(m, p, L["lam"], L["s"])
+        return weight_factor(m, p)[..., None] * spin * phase[..., None]
+    x, b, s = L["x"], L["b"], L["s"]
+    tau = x * m / p
+    wx = np.sqrt(np.abs(x) / np.hypot(x, tau))
+    phase = np.exp(-1j * p * x) / SQRT2PI
+    return wx[..., None] * algebra.event_spinor_values(x, tau, b, s) * phase[..., None]
+
+
+def _reference_derivative(func, p):
+    """Reference: the per-family d/dp that the six-entry table replaced.
+
+    Returns (the derivative, the amplitude x d spinor x phase term)."""
+    m, L = func.m, func.labels
+    vals = _reference_value(func, p)
+    if func.family in ("time", "position"):
+        lam, s = L["lam"], L["s"]
+        E = np.hypot(p, m)
+        if func.family == "time":
+            dln_phase = 1j * lam * L["t"] * p / E
+            phase = np.exp(1j * lam * E * L["t"]) / SQRT2PI
+        else:
+            dln_phase = np.broadcast_to(-1j * L["x"], p.shape)
+            phase = np.exp(-1j * p * L["x"]) / SQRT2PI
+        dspin = algebra.energy_spinor_derivative(m, p, lam, s)
+        term = weight_factor(m, p)[..., None] * dspin * phase[..., None]
+        return (weight_factor_derivative_ratio(m, p) + dln_phase)[..., None] * vals + term, term
+    x, b, s = L["x"], L["b"], L["s"]
+    tau = x * m / p
+    dtau = -x * m / (p * p)
+    t_x = np.hypot(x, tau)
+    wx = np.sqrt(np.abs(x) / t_x)
+    phase = np.exp(-1j * p * x) / SQRT2PI
+    dspin_dtau = algebra.event_spinor_tau_derivative(x, tau, b, s)
+    term = (wx * dtau)[..., None] * dspin_dtau * phase[..., None]
+    return (-tau / (2.0 * t_x * t_x) * dtau - 1j * x)[..., None] * vals + term, term
+
+
+REFERENCE_MEMBERS = [
+    (build, label, sign, s)
+    for build, labels in (
+        (time_eigenfunction, (-5.0, 0.0, 2.0)),
+        (position_eigenfunction, (-2.0, 0.5, 3.0)),
+        (event_eigenfunction, (-2.0, 3.0)),
+    )
+    for label in labels
+    for sign in (1, -1)
+    for s in (0.5, -0.5)
+]
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 3.0])
+def test_table_matches_per_family_reference(grid256, m):
+    # value: bit for bit.  d/dp: bit for bit for the time and position
+    # families; the event family's amplitude x d spinor x phase term is now
+    # wx (dtau dxi/dtau) phase, not (wx dtau) dxi/dtau phase, so each element
+    # may move by a rounding of that term and of the sum:
+    # |delta| <= 4 eps (|term| + |d/dp|)
+    p = grid256.nodes
+    eps = np.finfo(float).eps
+    for build, label, sign, s in REFERENCE_MEMBERS:
+        func = build(label, sign, s, m)
+        assert np.array_equal(func.value(p), _reference_value(func, p)), func
+        ref, term = _reference_derivative(func, p)
+        got = func.on_grid(grid256).deriv_values
+        if func.family == "event":
+            assert np.all(np.abs(got - ref) <= 4.0 * eps * (np.abs(term) + np.abs(ref))), func
+        else:
+            assert np.array_equal(got, ref), func
+
+
+def test_check_resolved_bounds_the_label(grid256):
+    # the phase advance per node gap, |label| max step, must stay below pi/2
+    ppos = grid256.nodes[grid256.positive]
+    x_limit = np.pi / (2.0 * np.max(np.diff(ppos)))
+    t_limit = np.pi / (2.0 * np.max(np.diff(np.hypot(ppos, 1.0))))
+    position_eigenfunction(0.99 * x_limit, 1, 0.5, 1.0).check_resolved(grid256)
+    event_eigenfunction(-0.99 * x_limit, 1, 0.5, 1.0).check_resolved(grid256)
+    time_eigenfunction(0.99 * t_limit, -1, 0.5, 1.0).check_resolved(grid256)
+    for func in (
+        position_eigenfunction(1.01 * x_limit, 1, 0.5, 1.0),
+        event_eigenfunction(-1.01 * x_limit, -1, 0.5, 1.0),
+        time_eigenfunction(-1.01 * t_limit, 1, 0.5, 1.0),
+    ):
+        with pytest.raises(ValueError, match="resolution limit"):
+            func.check_resolved(grid256)
+    # E_p flat on the grid in double precision: every t is resolved
+    time_eigenfunction(1e300, 1, 0.5, 1e300).check_resolved(grid256)
+
+
 def test_overlap_orthogonality_distinct_labels(grid256):
     m, x = 1.0, 1.5
     funcs = [
@@ -187,11 +289,13 @@ def test_overlap_delta_concentration():
     widths = []
     for p_max in (10.0, 20.0):
         grid = grids.build_grid(1e-3, p_max, 384, 4)
-        ref = position_eigenfunction(0.0, 1, 0.5, m).on_grid(grid)
+        ref = position_eigenfunction(0.0, 1, 0.5, m).value(grid.nodes)
         dxs = np.linspace(-2.0, 2.0, 401)
         overlap = np.array(
             [
-                abs(grids.inner_product(position_eigenfunction(dx, 1, 0.5, m).on_grid(grid), ref))
+                abs(np.sum(grid.weights * np.sum(
+                    np.conj(position_eigenfunction(dx, 1, 0.5, m).value(grid.nodes)) * ref, axis=1
+                )))
                 for dx in dxs
             ]
         )

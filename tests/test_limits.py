@@ -56,6 +56,25 @@ def test_nr_eigenfunction_limit_shrinks():
     assert rep.fitted_order >= 1.0
 
 
+def test_nr_eigenfunction_scan_keeps_ratios_from_1e_3():
+    ratios = (1e-1, 3.16e-2, 1e-2, 3.16e-3, 1e-3, 3.16e-4, 1e-4)
+    rep = limits.nr_eigenfunction_limit_scan(1.0, 0.5, 1.0, ratios)
+    assert rep.ratios.tolist() == [1e-1, 3.16e-2, 1e-2, 3.16e-3, 1e-3]
+    assert len(rep.errors) == 5 and 1.4 <= rep.fitted_order <= 1.6
+    # fewer than two ratios in the window: the fixed fallback lattice
+    for below in ((1e-4, 1e-5), (1e-2, 1e-5)):
+        rep = limits.nr_eigenfunction_limit_scan(1.0, 0.5, 1.0, below)
+        assert rep.ratios.tolist() == [1e-1, 1e-2, 1e-3]
+
+
+def test_nr_eigenfunction_distance_scales_below_the_window():
+    # the window is not numerical: d / ratio^1.5 stays at 0.2530 far below 1e-3
+    for m in (1.0, 1e5):
+        for r in (1e-3, 1e-6, 1e-9):
+            d = limits.nr_eigenfunction_limit(1.0, 0.5, m, r)
+            assert d / r**1.5 == pytest.approx(0.2530, rel=1e-3)
+
+
 def test_nr_eigenfunction_limit_t_zero_nonzero():
     d = limits.nr_eigenfunction_limit(0.0, 0.5, 1.0, 0.1)
     assert d > 1e-4  # pure spinor + weight discrepancy survives at t = 0
