@@ -22,7 +22,8 @@ Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``.  The samples t form the
 uniform lattice np.linspace(t0, t1, n_t), so the phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r; one
-matrix product per call contracts them with every channel, and the
+matrix product per coefficient column contracts them, so the working memory
+beside the tables and the output is one table-sized buffer, and the
 conjugate tables carry lam = -1.  No n_t x N array is formed.  ``evolve``
 needs only the core's per-node spinors and projections.
 """

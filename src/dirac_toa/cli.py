@@ -43,8 +43,9 @@ def _csv(path: str, header: str, columns) -> tuple:
     """(path, text) of a CSV with one %.16e cell per value; refuses non-finite values."""
     if not all(np.all(np.isfinite(c)) for c in columns):
         raise ConfigError(f"{path}: non-finite values, not written")
-    row = ",".join(["%.16e"] * len(columns))
-    return path, "\n".join([header, *(row % tuple(r) for r in np.column_stack(columns).tolist())])
+    table = np.column_stack(columns)
+    row = "\n" + ",".join(["%.16e"] * table.shape[1])
+    return path, header + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _json(path: str, obj) -> tuple:
@@ -61,7 +62,8 @@ def _write_all(out_dir: str, files) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for path, text in files:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:

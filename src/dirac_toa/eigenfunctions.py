@@ -60,9 +60,9 @@ def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
     (``tests/test_eigenfunctions.py`` checks it against long double).
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
-    Q = np.exp(np.outer(t0 + dt * np.arange(K), -1j * E))
-    S = np.exp(np.outer(-1j * E, dt * K * np.arange(-(-n_t // K))))
-    return Q, S
+    Q = np.outer(t0 + dt * np.arange(K), -1j * E)
+    S = np.outer(-1j * E, dt * K * np.arange(-(-n_t // K)))
+    return np.exp(Q, out=Q), np.exp(S, out=S)
 
 
 def _lattice_overlaps(
@@ -72,15 +72,18 @@ def _lattice_overlaps(
     t_i = t0 + i dt, i < n_t, for coefficient columns of shape (N, c) per
     branch; returns two (n_t, c) arrays.
 
-    Y = S[:, k] [plus | conj(minus)] for every block k, then one product Q @ Y
-    of K x N by N x (blocks * columns) gives block k's K rows; the lam = -1
-    block is the conjugate.  No n_t x N array is formed.
+    One product Q @ (S b) of K x N by N x blocks per column b of
+    [plus | conj(minus)] gives that column's K rows of every block; the
+    lam = -1 columns are conjugated back.  Beside the tables and the output
+    the working memory is one table-sized buffer, whatever the column count.
     """
     Q, S = _lattice_phases(E, t0, dt, n_t)
     B = np.concatenate([plus, np.conj(minus)], axis=1)
-    n_b, cols = S.shape[1], B.shape[1]
-    Y = (S[:, :, None] * B[:, None, :]).reshape(len(E), n_b * cols)
-    R = (Q @ Y).reshape(len(Q), n_b, cols).transpose(1, 0, 2).reshape(-1, cols)[:n_t]
+    R = np.empty((B.shape[1], S.shape[1], len(Q)), dtype=complex)
+    Y = np.empty_like(S)
+    for col, b in enumerate(B.T):
+        R[col] = (Q @ np.multiply(S, b[:, None], out=Y)).T
+    R = R.reshape(len(R), -1)[:, :n_t].T
     c = plus.shape[1]
     return R[:, :c], np.conj(R[:, c:])
 
@@ -92,17 +95,22 @@ def _lattice_adjoint(
     sum_i e^{-i E_j t_i} minus_i) for lattice columns of shape (n_t, c) per
     branch; returns two (N, c) arrays.
 
-    sum_k S[:, k] (Q^T @ X_k) over the K-row blocks X_k of [conj(plus) | minus],
-    with the blocks side by side in one product; the lam = +1 block is the
-    conjugate.
+    Per column x of [conj(plus) | minus], zero-padded to whole K-row blocks
+    X_k: Z = Q^T @ [X_0 ... X_{blocks-1}], then sum_k S[:, k] Z[:, k] row by
+    row; the lam = +1 columns are conjugated back.  As in the forward sums,
+    one table-sized buffer is the working memory beside the tables.
     """
     Q, S = _lattice_phases(E, t0, dt, n_t)
-    X = np.concatenate([np.conj(plus), minus], axis=1)
-    K, n_b, cols = len(Q), S.shape[1], X.shape[1]
-    X = np.concatenate([X, np.zeros((n_b * K - n_t, cols), dtype=X.dtype)])
-    Z = Q.T @ X.reshape(n_b, K, cols).transpose(1, 0, 2).reshape(K, n_b * cols)
-    R = np.einsum("jkc,jk->jc", Z.reshape(len(E), n_b, cols), S)
-    c = plus.shape[1]
+    K, n_b, c = len(Q), S.shape[1], plus.shape[1]
+    x = np.zeros(n_b * K, dtype=complex)
+    Z = np.empty_like(S)
+    R = np.empty((len(E), c + minus.shape[1]), dtype=complex)
+    for col, column in enumerate([*plus.T, *minus.T]):
+        x[:n_t] = column
+        if col < c:
+            np.conjugate(x, out=x)
+        np.matmul(Q.T, x.reshape(n_b, K).T, out=Z)
+        R[:, col] = np.einsum("jk,jk->j", Z, S)
     return np.conj(R[:, :c]), R[:, c:]
 
 

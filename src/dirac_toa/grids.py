@@ -91,14 +91,15 @@ def fd_weights(nodes: np.ndarray, x0: float, max_order: int) -> np.ndarray:
 
 
 def _gauss_legendre_panels(a: float, b: float, n: int, panels: int):
-    """Composite Gauss-Legendre rule with n nodes split over equal panels."""
+    """Composite Gauss-Legendre rule with n nodes split over equal panels;
+    the panels share one rule per distinct panel size."""
     base, rem = divmod(n, panels)
+    sizes = [base + (1 if i < rem else 0) for i in range(panels)]
+    rules = {q: np.polynomial.legendre.leggauss(q) for q in set(sizes)}
     edges = np.linspace(a, b, panels + 1)
     xs, ws = [], []
-    for i in range(panels):
-        q = base + (1 if i < rem else 0)
-        x0, w0 = np.polynomial.legendre.leggauss(q)
-        lo, hi = edges[i], edges[i + 1]
+    for lo, hi, q in zip(edges[:-1], edges[1:], sizes):
+        x0, w0 = rules[q]
         xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * w0)
     return np.concatenate(xs), np.concatenate(ws)

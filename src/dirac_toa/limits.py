@@ -117,7 +117,8 @@ def nr_eigenfunction_limit(
     W_non = np.sqrt(np.abs(p) / m)
     phase_non = np.exp(1j * p * p * t / (2.0 * m)) / _SQRT2PI
     f_non = W_non[:, None] * zeta[None, :] * phase_non[:, None]
-    gauss = np.exp(-p * p / (2.0 * sigma * sigma))
+    z = p / sigma  # no sigma^2 to underflow at a small ratio * m
+    gauss = np.exp(-0.5 * z * z)
     gauss /= np.sum(w * gauss)
     d2 = np.sum(w * gauss * np.sum(np.abs(f_rel - f_non) ** 2, axis=1))
     return float(np.sqrt(d2))

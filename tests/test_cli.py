@@ -112,6 +112,16 @@ def test_non_finite_output_is_not_written(tmp_path, capsys, assert_finite_output
     assert_finite_outputs(out)
 
 
+@pytest.mark.parametrize("mass", [1e-160, 1e-300])
+def test_limits_at_tiny_mass_writes_finite_files(tmp_path, assert_finite_outputs, mass):
+    # (ratio m)^2 underflows at these masses; the eigenfunction weight avoids it
+    cfg = write_config(tmp_path, mass=mass, **{"grid.n_points": 64})
+    out = tmp_path / "out"
+    assert cli.main(["limits", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "limits_eigfun.csv").exists()
+    assert_finite_outputs(out)
+
+
 def test_writers_refuse_non_finite_values(tmp_path):
     for render, args in (
         (cli._csv, ("x", [np.array([1.0, np.inf])])),

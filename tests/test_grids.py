@@ -306,3 +306,29 @@ def test_energy_rep_fd_derivative_close_to_analytic():
     t_an = grids.apply_toa_energy(g_an).values
     t_fd = grids.apply_toa_energy(g_fd).values
     assert np.max(np.abs(t_an - t_fd)) <= 1e-5
+
+
+def _per_panel_gauss_legendre(a, b, n, panels):
+    """The per-panel rule construction the shared rules replaced, kept as the reference."""
+    base, rem = divmod(n, panels)
+    edges = np.linspace(a, b, panels + 1)
+    xs, ws = [], []
+    for i in range(panels):
+        q = base + (1 if i < rem else 0)
+        x0, w0 = np.polynomial.legendre.leggauss(q)
+        lo, hi = edges[i], edges[i + 1]
+        xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
+        ws.append(0.5 * (hi - lo) * w0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize(
+    "a, b, n, panels",
+    [(1e-3, 10.0, 256, 4), (1e-3, 20.0, 1024, 8), (0.1, 7.0, 203, 8), (1e-2, 8.0, 13, 5)],
+)
+def test_gauss_legendre_panels_match_per_panel_rules(a, b, n, panels):
+    # n = 203 and 13 leave a remainder, so two panel sizes share the rules
+    nodes, weights = grids._gauss_legendre_panels(a, b, n, panels)
+    ref_nodes, ref_weights = _per_panel_gauss_legendre(a, b, n, panels)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
