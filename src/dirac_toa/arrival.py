@@ -21,11 +21,13 @@ an independent arrival-time oracle.
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``.  The samples t form the
 uniform lattice np.linspace(t0, t1, n_t), so the phases factor into two
-sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r; one
-matrix product per coefficient column contracts them, so the working memory
-beside the tables and the output is one table-sized buffer, and the
-conjugate tables carry lam = -1.  No n_t x N array is formed.  ``evolve``
-needs only the core's per-node spinors and projections.
+sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
+conjugate tables carry lam = -1.  The kernels build those tables for 128
+nodes at a time and contract each block with one matrix product per
+coefficient column, adding into the output, so the working memory beside the
+coefficients and the output is a few 128 x sqrt(n_t) tables, whatever N.  No
+n_t x N array and no N x sqrt(n_t) table is formed.  ``evolve`` needs only the
+core's per-node spinors and projections.
 """
 from __future__ import annotations
 
@@ -283,7 +285,7 @@ def flux_at_origin(
     # w sum_s c_{lam s} phi_{lam s} / sqrt(2 pi): the lam-branch part of psi
     b = f.grid.weights[:, None] * c[:, :, None] * phi / _SQRT2PI
     psi_pos, psi_neg = _lattice_overlaps(E, *lattice, b[0] + b[1], b[2] + b[3])
-    psi0 = psi_pos + psi_neg
+    psi0 = np.add(psi_pos, psi_neg, out=psi_pos)  # the kernel's output is ours to reuse
     J = 2.0 * np.real(
         np.conj(psi0[:, 0]) * psi0[:, 3] + np.conj(psi0[:, 1]) * psi0[:, 2]
     )

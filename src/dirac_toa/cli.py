@@ -19,8 +19,9 @@ order fit, an overflowing deficiency axis, and for ``verify`` a grid that
 cannot hold its fixed packets or whose energies collapse onto m); and a
 non-finite result, which the writers refuse with WHERE the file.  The
 domain rules live in the library; a command only names the config path.
-Every artifact of a command is rendered and checked before the first is
-written, so a run that exits 2 writes no file.
+Every artifact of a command is checked before the first file is written,
+so a run that exits 2 writes no file; CSV text is then rendered and written
+in blocks of rows.
 """
 from __future__ import annotations
 
@@ -39,30 +40,45 @@ from .config import (
 from .verify import run_all_checks
 
 
+# rows per rendered CSV block: the text is written as it is rendered, so no
+# file's whole text is held in memory
+_CSV_ROWS = 1024
+
+
 def _csv(path: str, header: str, columns) -> tuple:
-    """(path, text) of a CSV with one %.16e cell per value; refuses non-finite values."""
+    """(path, blocks of text) of a CSV with one %.16e cell per value; refuses
+    non-finite values before any block is rendered."""
     if not all(np.all(np.isfinite(c)) for c in columns):
         raise ConfigError(f"{path}: non-finite values, not written")
-    table = np.column_stack(columns)
-    row = "\n" + ",".join(["%.16e"] * table.shape[1])
-    return path, header + (row * len(table)) % tuple(table.ravel().tolist())
+    return path, _csv_blocks(header, columns)
+
+
+def _csv_blocks(header: str, columns):
+    """The header, then the rows ``_CSV_ROWS`` at a time, each block rendered
+    by one % over a flat tuple of its cells."""
+    yield header
+    row = "\n" + ",".join(["%.16e"] * len(columns))
+    for i in range(0, len(columns[0]), _CSV_ROWS):
+        block = np.column_stack([c[i : i + _CSV_ROWS] for c in columns])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _json(path: str, obj) -> tuple:
-    """(path, text) of a JSON document with sorted keys; refuses non-finite values."""
+    """(path, [text]) of a JSON document with sorted keys; refuses non-finite values."""
     try:
-        return path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)]
     except ValueError as exc:
         raise ConfigError(f"{path}: non-finite values, not written") from exc
 
 
 def _write_all(out_dir: str, files) -> None:
-    """Write the rendered (path, text) pairs.  Commands call it once every
-    artifact has rendered, so a run that exits 2 leaves no file behind."""
+    """Write the (path, blocks of text) pairs, each block as it comes.  Commands
+    call it once every value is checked and every JSON document rendered, so a
+    run that exits 2 leaves no file behind."""
     os.makedirs(out_dir, exist_ok=True)
-    for path, text in files:
+    for path, blocks in files:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
             fh.write("\n")
 
 

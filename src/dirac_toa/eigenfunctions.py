@@ -15,7 +15,8 @@ Three closed-form families, each with an analytic d/dp evaluator:
   lam = b * sign(x) * sign(p), and the local factor is -b t_x(p).
 
 Each member is amplitude x spinor x phase: one table per family, (amplitude,
-d ln amplitude, spinor, d spinor, phase, d ln phase), gives value and d/dp.
+spinor, phase), gives the value, and with (d ln amplitude, d spinor,
+d ln phase) appended the d/dp; ``value`` evaluates no derivative.
 """
 from __future__ import annotations
 
@@ -65,27 +66,43 @@ def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
     return np.exp(Q, out=Q), np.exp(S, out=S)
 
 
+# nodes per block of the lattice kernels: their working memory is a few
+# 128 x sqrt(n_t) tables, whatever the node count
+_NODE_BLOCK = 128
+
+
+def _node_blocks(n: int):
+    """Consecutive slices of at most ``_NODE_BLOCK`` nodes covering range(n)."""
+    return (slice(j, j + _NODE_BLOCK) for j in range(0, n, _NODE_BLOCK))
+
+
 def _lattice_overlaps(
     E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
 ):
     """The lam = +1 and lam = -1 node sums sum_j b_j e^{-i lam E_j t_i} on
     t_i = t0 + i dt, i < n_t, for coefficient columns of shape (N, c) per
-    branch; returns two (n_t, c) arrays.
+    branch; returns two (n_t, c) views of one result.
 
-    One product Q @ (S b) of K x N by N x blocks per column b of
-    [plus | conj(minus)] gives that column's K rows of every block; the
-    lam = -1 columns are conjugated back.  Beside the tables and the output
-    the working memory is one table-sized buffer, whatever the column count.
+    The nodes are taken in blocks of ``_NODE_BLOCK``: per block, the two exp
+    tables of its energies and, per column b of [plus | conj(minus)], one
+    product Q @ (S b) of K x block by block x blocks, added into that column's
+    K rows of every lattice block; the lam = -1 columns are conjugated back in
+    place.  Beside the coefficients and the output the working memory is three
+    block-sized tables and one product of a column's size, whatever N and the
+    column count.
     """
-    Q, S = _lattice_phases(E, t0, dt, n_t)
-    B = np.concatenate([plus, np.conj(minus)], axis=1)
-    R = np.empty((B.shape[1], S.shape[1], len(Q)), dtype=complex)
-    Y = np.empty_like(S)
-    for col, b in enumerate(B.T):
-        R[col] = (Q @ np.multiply(S, b[:, None], out=Y)).T
+    K = math.isqrt(max(n_t - 1, 0)) + 1
+    n_b, c = -(-n_t // K), plus.shape[1]
+    R = np.zeros((c + minus.shape[1], n_b, K), dtype=complex)
+    Z = np.empty((K, n_b), dtype=complex)
+    for blk in _node_blocks(len(E)):
+        Q, S = _lattice_phases(E[blk], t0, dt, n_t)
+        Y = np.empty_like(S)
+        for col, b in enumerate([*plus[blk].T, *np.conj(minus[blk]).T]):
+            R[col] += np.matmul(Q, np.multiply(S, b[:, None], out=Y), out=Z).T
+    np.conjugate(R[c:], out=R[c:])
     R = R.reshape(len(R), -1)[:, :n_t].T
-    c = plus.shape[1]
-    return R[:, :c], np.conj(R[:, c:])
+    return R[:, :c], R[:, c:]
 
 
 def _lattice_adjoint(
@@ -93,25 +110,30 @@ def _lattice_adjoint(
 ):
     """The adjoint of ``_lattice_overlaps``: (sum_i e^{+i E_j t_i} plus_i,
     sum_i e^{-i E_j t_i} minus_i) for lattice columns of shape (n_t, c) per
-    branch; returns two (N, c) arrays.
+    branch; returns two (N, c) views of one result.
 
-    Per column x of [conj(plus) | minus], zero-padded to whole K-row blocks
-    X_k: Z = Q^T @ [X_0 ... X_{blocks-1}], then sum_k S[:, k] Z[:, k] row by
-    row; the lam = +1 columns are conjugated back.  As in the forward sums,
-    one table-sized buffer is the working memory beside the tables.
+    Each column x of [conj(plus) | minus] is zero-padded to whole K-row
+    blocks X_k.  Per block of ``_NODE_BLOCK`` nodes and per column,
+    Z = Q^T @ [X_0 ... X_{blocks-1}], then sum_k S[:, k] Z[:, k] row by row
+    gives the block's output rows; the lam = +1 columns are conjugated back in
+    place.  As in the forward sums, the working memory beside the padded
+    columns and the output is three block-sized tables, whatever N.
     """
-    Q, S = _lattice_phases(E, t0, dt, n_t)
-    K, n_b, c = len(Q), S.shape[1], plus.shape[1]
-    x = np.zeros(n_b * K, dtype=complex)
-    Z = np.empty_like(S)
-    R = np.empty((len(E), c + minus.shape[1]), dtype=complex)
-    for col, column in enumerate([*plus.T, *minus.T]):
-        x[:n_t] = column
-        if col < c:
-            np.conjugate(x, out=x)
-        np.matmul(Q.T, x.reshape(n_b, K).T, out=Z)
-        R[:, col] = np.einsum("jk,jk->j", Z, S)
-    return np.conj(R[:, :c]), R[:, c:]
+    K = math.isqrt(max(n_t - 1, 0)) + 1
+    c = plus.shape[1]
+    X = np.zeros((c + minus.shape[1], -(-n_t // K) * K), dtype=complex)
+    np.conjugate(plus.T, out=X[:c, :n_t])
+    X[c:, :n_t] = minus.T
+    X = X.reshape(len(X), -1, K)
+    R = np.empty((len(E), len(X)), dtype=complex)
+    for blk in _node_blocks(len(E)):
+        Q, S = _lattice_phases(E[blk], t0, dt, n_t)
+        Z = np.empty_like(S)
+        for col, x in enumerate(X):
+            np.matmul(Q.T, x.T, out=Z)
+            R[blk, col] = np.einsum("jk,jk->j", Z, S)
+    np.conjugate(R[:, :c], out=R[:, :c])
+    return R[:, :c], R[:, c:]
 
 
 @dataclass(frozen=True)
@@ -128,8 +150,9 @@ class ToaEigenfunction:
     m: float
     labels: dict
 
-    def _table(self, p: np.ndarray) -> tuple:
-        """(amplitude, d ln amplitude, spinor, d spinor, phase, d ln phase) at p.
+    def _table(self, p: np.ndarray, derivative: bool) -> tuple:
+        """(amplitude, spinor, phase) at p and, if ``derivative``, then
+        (d ln amplitude, d spinor, d ln phase).
 
         d/dp is taken along p; for the event family the spinor's proper time
         tau(p) = x m / p carries the chain factor dtau/dp.
@@ -143,29 +166,36 @@ class ToaEigenfunction:
             phase, dln_phase = np.exp(-1j * p * L["x"]) / _SQRT2PI, -1j * L["x"]
         if self.family != "event":
             args = (m, p, L["lam"], L["s"])
-            return (
-                weight_factor(m, p), weight_factor_derivative_ratio(m, p),
-                energy_spinor_values(*args), energy_spinor_derivative(*args), phase, dln_phase,
+            table = (weight_factor(m, p), energy_spinor_values(*args), phase)
+            if not derivative:
+                return table
+            return table + (
+                weight_factor_derivative_ratio(m, p), energy_spinor_derivative(*args), dln_phase,
             )
         x, b, s = L["x"], L["b"], L["s"]
         tau = x * m / p
-        dtau = -x * m / (p * p)
         t_x = np.hypot(x, tau)
-        return (
-            np.sqrt(np.abs(x) / t_x), -tau / (2.0 * t_x * t_x) * dtau,
-            event_spinor_values(x, tau, b, s),
-            dtau[..., None] * event_spinor_tau_derivative(x, tau, b, s), phase, dln_phase,
+        table = (np.sqrt(np.abs(x) / t_x), event_spinor_values(x, tau, b, s), phase)
+        if not derivative:
+            return table
+        dtau = -x * m / (p * p)
+        return table + (
+            -tau / (2.0 * t_x * t_x) * dtau,
+            dtau[..., None] * event_spinor_tau_derivative(x, tau, b, s),
+            dln_phase,
         )
+
+    def value(self, p) -> np.ndarray:
+        """amplitude x spinor x phase at p; no derivative is evaluated."""
+        amp, spin, phase = self._table(np.asarray(p, dtype=float), False)
+        return amp[..., None] * spin * phase[..., None]
 
     def _closed_form(self, p) -> tuple:
         """(value, d/dp) at p: amplitude x spinor x phase and its product rule."""
-        amp, dln_amp, spin, dspin, phase, dln_phase = self._table(np.asarray(p, dtype=float))
+        amp, spin, phase, dln_amp, dspin, dln_phase = self._table(np.asarray(p, dtype=float), True)
         value = amp[..., None] * spin * phase[..., None]
         deriv = (dln_amp + dln_phase)[..., None] * value + amp[..., None] * dspin * phase[..., None]
         return value, deriv
-
-    def value(self, p) -> np.ndarray:
-        return self._closed_form(p)[0]
 
     def derivative(self, p) -> np.ndarray:
         return self._closed_form(p)[1]

@@ -1,6 +1,8 @@
 """CLI contract tests: exit statuses, file schemas, byte-identical reruns."""
 import json
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +124,16 @@ def test_limits_at_tiny_mass_writes_finite_files(tmp_path, assert_finite_outputs
     assert_finite_outputs(out)
 
 
+@pytest.mark.parametrize("mass", [1e-160, 1e-300])
+def test_limits_at_tiny_mass_raises_no_warning(tmp_path, mass):
+    # the eigenfunction values need no d/dp, whose table is what goes
+    # non-finite at these masses
+    cfg = write_config(tmp_path, mass=mass, **{"grid.n_points": 64})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["limits", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_writers_refuse_non_finite_values(tmp_path):
     for render, args in (
         (cli._csv, ("x", [np.array([1.0, np.inf])])),
@@ -181,8 +193,28 @@ def test_csv_text_matches_per_cell_formatter():
     ]
     columns[1] = columns[1][::-1]
     columns[4] = np.arange(len(columns[0]))  # an integer column
-    _, text = cli._csv("x.csv", "a,b,c,d,e", columns)
-    assert text == _per_cell_csv("a,b,c,d,e", columns)
+    # two full row blocks and a partial one, the same cells repeated
+    n_rows = 2 * cli._CSV_ROWS + 37
+    blocks = [np.resize(c, n_rows) for c in columns]
+    for table in (columns, blocks):
+        _, stream = cli._csv("x.csv", "a,b,c,d,e", table)
+        assert "".join(stream) == _per_cell_csv("a,b,c,d,e", table)
+
+
+def test_csv_stream_memory_is_below_the_text_size():
+    # 100 000 rows x 5 columns: the text is 11.7 MB, the stream peaked at 0.5 MB
+    rng = np.random.default_rng(11)
+    columns = [rng.standard_normal(100_000) for _ in range(5)]
+    text_bytes = sum(map(len, cli._csv("x.csv", "a,b,c,d,e", columns)[1]))
+    tracemalloc.start()
+    try:
+        _, stream = cli._csv("x.csv", "a,b,c,d,e", columns)
+        for _ in stream:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < text_bytes, (peak, text_bytes)
 
 
 def test_bad_json_exit_2(tmp_path, capsys):
