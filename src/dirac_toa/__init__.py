@@ -62,7 +62,6 @@ from .limits import (
     deficiency_diagnostic,
     dual_residual,
     dual_solution,
-    duality_map_max_residual,
     nr_eigen_limit_check,
     nr_eigenfunction_limit,
     nr_eigenfunction_limit_scan,

@@ -86,10 +86,10 @@ def dirac_basis() -> DiracBasis:
     )
 
 
-def clifford_max_residual(basis: DiracBasis | None = None) -> float:
+def clifford_max_residual() -> float:
     """Max deviation over the 16 anticommutator identities
     gamma^mu gamma^nu + gamma^nu gamma^mu - 2 g^{mu nu} I."""
-    b = basis if basis is not None else dirac_basis()
+    b = dirac_basis()
     worst = 0.0
     eye4 = np.eye(4)
     for mu in range(4):

@@ -19,8 +19,10 @@ against the probability current at the origin (``flux_at_origin``), which is
 an independent arrival-time oracle.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
-over the spectral core of ``grids``.  The samples t form the
-uniform lattice np.linspace(t0, t1, n_t), so the phases factor into two
+over the spectral core of ``grids``.  The samples t form the uniform lattice
+np.linspace(t0, t1, n_t), whose one window rule (t0 < t1 with a finite
+width, n_t >= 2) is ``eigenfunctions._time_lattice``, shared with
+``resynthesize_time_family``.  The phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
 conjugate tables carry lam = -1.  The kernels build those tables for 128
 nodes at a time and contract each block with one matrix product per
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import _SQRT2PI, _lattice_overlaps
+from .eigenfunctions import _SQRT2PI, _lattice_overlaps, _time_lattice
 from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
@@ -167,18 +169,12 @@ def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
     return kernel @ ft.values
 
 
-def _time_lattice(t_window: tuple, n_t: int):
-    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t).
-
-    The one window rule of the time kernels: t1 > t0 and n_t >= 2.
-    """
-    t0, t1 = map(float, t_window)
-    n_t = int(n_t)
-    if not t1 > t0:
-        raise ValueError(f"empty time window: need t_min < t_max, got ({t0}, {t1})")
-    if n_t < 2:
-        raise ValueError(f"need n_t >= 2 time samples, got {n_t}")
-    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / (n_t - 1), n_t)
+def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -> float:
+    """<psi|(I + beta P)|psi> under the grid weights, P the momentum reflection:
+    the full-line integral of a raw arrival density."""
+    direct = np.sum(weights * np.sum(np.conj(values) * values, axis=1))
+    mirror = np.sum(weights * np.sum(np.conj(values) * (values[::-1] * beta), axis=1))
+    return float(np.real(direct + mirror))
 
 
 def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistribution:
@@ -223,14 +219,7 @@ def arrival_distribution(
     pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
     pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
     pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
-    # full-line integral of the raw density: <psi|(I + beta P)|psi>
-    reflected = f.values[::-1] * _BETA_DIAG
-    full = float(
-        np.real(
-            np.sum(f.grid.weights * np.sum(np.conj(f.values) * f.values, axis=1))
-            + np.sum(f.grid.weights * np.sum(np.conj(f.values) * reflected, axis=1))
-        )
-    )
+    full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
     return _normalized(ts, (pi_pos + pi_neg + pi_int, pi_pos, pi_neg, pi_int), full)
 
 
@@ -257,14 +246,8 @@ def arrival_distribution_nonrel(
     b = (grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     amp, _ = _lattice_overlaps(p * p / (2.0 * m), *lattice, b, b[:, :0])
     pi_tot = np.sum(np.abs(amp) ** 2, axis=1)
-    # full-line integral: upper components against (I + P), P the reflection
-    up = f.values[:, :2]
-    full = float(
-        np.real(
-            np.sum(grid.weights * np.sum(np.abs(up) ** 2, axis=1))
-            + np.sum(grid.weights * np.sum(np.conj(up) * up[::-1], axis=1))
-        )
-    )
+    # the upper components, on which beta is +1
+    full = _full_line_mass(grid.weights, f.values[:, :2], _BETA_DIAG[:2])
     zero = np.zeros_like(ts)
     return _normalized(ts, (pi_tot, pi_tot, zero, zero), full)
 

@@ -17,11 +17,12 @@ nodes, a window without arrival mass, an eigen label past the grid
 resolution by ``ToaEigenfunction.check_resolved``, ratios that admit no
 order fit, an overflowing deficiency axis, and for ``verify`` a grid that
 cannot hold its fixed packets or whose energies collapse onto m); and a
-non-finite result, which the writers refuse with WHERE the file.  The
-domain rules live in the library; a command only names the config path.
-Every artifact of a command is checked before the first file is written,
-so a run that exits 2 writes no file; CSV text is then rendered and written
-in blocks of rows.
+non-finite result, which the writers refuse with WHERE the file; and an
+``--out`` that cannot hold the files, with WHERE ``--out DIR``.  The domain
+rules live in the library; a command only names the config path.  Every
+artifact of a command is checked before the first file is written, and a
+failed write removes the files it wrote, so a run that exits 2 leaves no
+file; CSV text is rendered and written in blocks of rows.
 """
 from __future__ import annotations
 
@@ -73,13 +74,21 @@ def _json(path: str, obj) -> tuple:
 
 def _write_all(out_dir: str, files) -> None:
     """Write the (path, blocks of text) pairs, each block as it comes.  Commands
-    call it once every value is checked and every JSON document rendered, so a
-    run that exits 2 leaves no file behind."""
-    os.makedirs(out_dir, exist_ok=True)
-    for path, blocks in files:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(blocks)
-            fh.write("\n")
+    call it once every value is checked and every JSON document rendered; an
+    ``OSError`` removes the files already written and becomes a ``ConfigError``,
+    so a run that exits 2 leaves no file behind."""
+    written = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, blocks in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.writelines(blocks)
+                fh.write("\n")
+    except OSError as exc:
+        for path in written:
+            os.remove(path)
+        raise ConfigError(f"--out {out_dir}: {exc}") from exc
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:

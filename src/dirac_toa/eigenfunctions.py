@@ -48,6 +48,20 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
+def _time_lattice(t_window: tuple, n_t: int):
+    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t); the
+    one window rule of the time kernels: t0 < t1, t1 - t0 finite, n_t >= 2."""
+    t0, t1 = map(float, t_window)
+    n_t = int(n_t)
+    if not t1 > t0:
+        raise ValueError(f"empty time window: need t_min < t_max, got ({t0}, {t1})")
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"time window width t_max - t_min overflows, got ({t0}, {t1})")
+    if n_t < 2:
+        raise ValueError(f"need n_t >= 2 time samples, got {n_t}")
+    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / (n_t - 1), n_t)
+
+
 def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
     """The two exp tables of the uniform lattice t_i = t0 + (k K + r) dt.
 
@@ -269,10 +283,9 @@ def overlap_matrix(funcs, grid: MomentumGrid) -> np.ndarray:
     return np.einsum("j,ajc,bjc->ab", grid.weights, np.conj(samples), samples)
 
 
-def resynthesize_time_family(
-    f: GridSpinorField, m: float, t_values: np.ndarray
-) -> GridSpinorField:
-    """Project onto a uniform t-lattice of time-labeled eigenfunctions and resum.
+def resynthesize_time_family(f: GridSpinorField, m: float, t_window: tuple, n_t: int) -> GridSpinorField:
+    """Project onto time-labeled eigenfunctions on the lattice
+    np.linspace(*t_window, n_t) (window rule: ``_time_lattice``) and resum.
 
     Summing |phi_t><phi_t| dt over all t yields I + beta P, where P is the
     momentum reflection p -> -p: the energies E_p of p and -p coincide, so
@@ -282,20 +295,13 @@ def resynthesize_time_family(
     psi + beta P psi (a one-sided packet comes back at half amplitude on
     its own half-line plus a half-amplitude beta-reflected mirror).
     """
-    t_values = np.asarray(t_values, dtype=float)
-    n_t = len(t_values)
-    if n_t < 2:
-        raise ValueError("need at least two t samples")
-    dt = float(t_values[-1] - t_values[0]) / (n_t - 1)
-    if not np.allclose(np.diff(t_values), dt, rtol=1e-12, atol=0.0):
-        raise ValueError("t lattice must be uniform")
-    lattice = (float(t_values[0]), dt, n_t)
+    _, lattice = _time_lattice(t_window, n_t)
     grid = f.grid
     E, W, phi, c = _spectral_data(f, m)
     b = grid.weights * W * c / _SQRT2PI
     amp_pos, amp_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)  # <phi_t|psi>
     # the resum is the adjoint contraction on the same lattice
     up_pos, up_neg = _lattice_adjoint(E, *lattice, amp_pos, amp_neg)
-    coeff = dt * np.concatenate([up_pos, up_neg], axis=1).T
+    coeff = lattice[1] * np.concatenate([up_pos, up_neg], axis=1).T
     rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
-    return GridSpinorField(grid, rec, meta={"t_window": (float(t_values[0]), float(t_values[-1])), "dt": dt})
+    return GridSpinorField(grid, rec)

@@ -129,16 +129,16 @@ class MomentumGrid:
     """Symmetric quadrature grid on [-p_max, -p_min] u [p_min, p_max].
 
     nodes are strictly increasing, none in (-p_min, p_min); weights are
-    composite Gauss-Legendre, so one side sums to p_max - p_min exactly.
-    ``deriv_order`` is 2, 4, or "analytic" (no finite-difference scheme;
-    operators then require fields carrying closed-form derivatives).
+    composite Gauss-Legendre on max(1, min(8, n_per_side // 4)) equal panels
+    per side, so one side sums to p_max - p_min exactly.  ``deriv_order``
+    (2 or 4) is the order of the finite-difference d/dp; a field that
+    carries ``deriv_values`` bypasses it.
     """
 
     p_min: float
     p_max: float
     n_per_side: int
-    deriv_order: object
-    panels: int
+    deriv_order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -154,12 +154,6 @@ class MomentumGrid:
     def negative(self) -> slice:
         return slice(0, self.n_per_side)
 
-    @property
-    def one_sided_nodes(self) -> int:
-        if self.deriv_order == "analytic":
-            return 0
-        return 4 * (int(self.deriv_order) // 2)
-
     @cached_property
     def _stencils(self) -> tuple:
         """(idx, weights) of the negative and positive half-lines, built on
@@ -171,11 +165,6 @@ class MomentumGrid:
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """Finite-difference d/dp per half-line; values shape (n_nodes, ...)."""
-        if self.deriv_order == "analytic":
-            raise ValueError(
-                "grid was built with deriv_order='analytic'; supply a field "
-                "with deriv_values instead"
-            )
         idx_n, w_n, idx_p, w_p = self._stencils
         n = self.n_per_side
         out = np.empty_like(np.asarray(values, dtype=complex))
@@ -189,22 +178,18 @@ class MomentumGrid:
         return float(np.sqrt(np.sum(self.weights * dens)))
 
 
-def build_grid(
-    p_min: float,
-    p_max: float,
-    n_points: int,
-    deriv_order=4,
-    panels: int = 8,
-) -> MomentumGrid:
-    """Build a symmetric composite Gauss-Legendre grid (n_points per side)."""
+def build_grid(p_min: float, p_max: float, n_points: int, deriv_order: int = 4) -> MomentumGrid:
+    """Build a symmetric composite Gauss-Legendre grid, n_points per side.
+
+    Each side is split into max(1, min(8, n_points // 4)) equal panels.
+    """
     if not (0.0 < p_min < p_max):
         raise ValueError(f"need 0 < p_min < p_max, got ({p_min}, {p_max})")
     if n_points < 8:
         raise ValueError(f"n_points must be >= 8, got {n_points}")
-    if deriv_order not in (2, 4, "analytic"):
-        raise ValueError(f"deriv_order must be 2, 4 or 'analytic', got {deriv_order!r}")
-    panels = max(1, min(panels, n_points // 4))
-    pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, panels)
+    if deriv_order not in (2, 4):
+        raise ValueError(f"deriv_order must be 2 or 4, got {deriv_order!r}")
+    pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, max(1, min(8, n_points // 4)))
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
     return MomentumGrid(
@@ -212,7 +197,6 @@ def build_grid(
         p_max=p_max,
         n_per_side=n_points,
         deriv_order=deriv_order,
-        panels=panels,
         nodes=nodes,
         weights=weights,
     )
@@ -271,14 +255,10 @@ def apply_toa(f: GridSpinorField, m: float) -> GridSpinorField:
     d/dp uses the field's analytic derivative samples when it carries them.
     """
     p = f.grid.nodes
-    if f.deriv_values is not None:
-        df, meta = f.deriv_values, {"derivative": "analytic"}
-    else:
-        df = f.grid.derivative(f.values)
-        meta = {"derivative": f"fd{f.grid.deriv_order}", "one_sided_nodes": f.grid.one_sided_nodes}
+    df = f.deriv_values if f.deriv_values is not None else f.grid.derivative(f.values)
     out = apply_h_values(m, p, -1j * df) / p[:, None]
     out += (1j * m / (2.0 * p * p))[:, None] * (f.values * _BETA_DIAG)
-    return GridSpinorField(f.grid, out, meta=meta)
+    return GridSpinorField(f.grid, out)
 
 
 def commutator_residual(f: GridSpinorField, m: float) -> float:
@@ -325,7 +305,6 @@ class EnergyGridFunction:
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
-    channels: tuple
     deriv_values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -385,7 +364,7 @@ def to_energy_rep(f: GridSpinorField, m: float):
         out.append(
             EnergyGridFunction(
                 branch=lam, m=m, nodes=nodes, weights=weights,
-                values=vals, channels=_CHANNELS,
+                values=vals,
             )
         )
     return tuple(out)
@@ -400,7 +379,7 @@ def energy_function_on_branch(
     dvals = None if dfn is None else np.asarray(dfn(nodes), dtype=complex)[:, None]
     return EnergyGridFunction(
         branch=branch, m=m, nodes=nodes, weights=weights,
-        values=vals, channels=("test",), deriv_values=dvals,
+        values=vals, deriv_values=dvals,
     )
 
 
@@ -418,21 +397,22 @@ def _check_boundary(g: EnergyGridFunction, index: int, condition: str):
         )
 
 
-def apply_toa_energy(g: EnergyGridFunction, order: int = 4) -> EnergyGridFunction:
+def apply_toa_energy(g: EnergyGridFunction) -> EnergyGridFunction:
     """-i d/dE on one spectral branch.
 
-    Rejects inputs that violate the symmetric-domain boundary condition
-    g(+-m) = 0 (checked at the gap-adjacent node).
+    d/dE is the field's ``deriv_values`` when it carries them, else the
+    4th-order finite-difference stencil on the energy nodes.  Rejects
+    inputs that violate the symmetric-domain boundary condition g(+-m) = 0
+    (checked at the gap-adjacent node).
     """
     _check_boundary(g, g.gap_adjacent_index, f"g({g.branch:+d}m) = 0")
     if g.deriv_values is not None:
         dg = g.deriv_values
     else:
-        idx, wts = _stencil_table(g.nodes, order)
+        idx, wts = _stencil_table(g.nodes, 4)
         dg = np.einsum("ik,ikc->ic", wts, g.values[idx])
     return EnergyGridFunction(
-        branch=g.branch, m=g.m, nodes=g.nodes, weights=g.weights,
-        values=-1j * dg, channels=g.channels,
+        branch=g.branch, m=g.m, nodes=g.nodes, weights=g.weights, values=-1j * dg,
     )
 
 
@@ -442,7 +422,7 @@ def energy_inner_product(g1: EnergyGridFunction, g2: EnergyGridFunction) -> comp
     return complex(np.sum(g1.weights * np.sum(np.conj(g1.values) * g2.values, axis=1)))
 
 
-def symmetry_defect(g1: EnergyGridFunction, g2: EnergyGridFunction, order: int = 4) -> complex:
+def symmetry_defect(g1: EnergyGridFunction, g2: EnergyGridFunction) -> complex:
     """<g1|T g2> - <T g1|g2>; vanishes when both satisfy the boundary condition.
 
     Integrating by parts leaves -i g1* g2 at both ends of the truncated
@@ -452,24 +432,24 @@ def symmetry_defect(g1: EnergyGridFunction, g2: EnergyGridFunction, order: int =
     for g in (g1, g2):
         far = len(g.nodes) - 1 - g.gap_adjacent_index
         _check_boundary(g, far, "g = 0 at the truncated end of the axis")
-    t2 = apply_toa_energy(g2, order)
-    t1 = apply_toa_energy(g1, order)
+    t2 = apply_toa_energy(g2)
+    t1 = apply_toa_energy(g1)
     return energy_inner_product(g1, t2) - energy_inner_product(t1, g2)
 
 
-def energy_measure_identity(grid: MomentumGrid, m: float, h, e_n: int = 256, e_panels: int = 8):
+def energy_measure_identity(grid: MomentumGrid, m: float, h):
     """Both sides of the spectral measure identity dE = p dp / E_p.
 
     Left: sum_lam int h(lam E_p) (p/E_p) dp over the positive momenta of the
     grid.  Right: int h(E) dE over the image interval on both spectral
-    branches, by an independent Gauss-Legendre rule in the E variable.  The
-    image starts at E(p_min), which is the energy face of the excluded
-    neighborhood of p = 0.  Returns (left, right).
+    branches, by an independent 256-node, 8-panel Gauss-Legendre rule in the
+    E variable.  The image starts at E(p_min), which is the energy face of
+    the excluded neighborhood of p = 0.  Returns (left, right).
     """
     E_p, weights, _ = _induced_energy_axis(grid, m, 1)
     left = float(np.sum(weights * (h(E_p) + h(-E_p))))
     e_min = float(np.hypot(grid.p_min, m))
     e_max = float(np.hypot(grid.p_max, m))
-    xe, we = _gauss_legendre_panels(e_min, e_max, e_n, e_panels)
+    xe, we = _gauss_legendre_panels(e_min, e_max, 256, 8)
     right = float(np.sum(we * (h(xe) + h(-xe))))
     return left, right

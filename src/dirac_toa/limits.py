@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import energy_spinor_values, event_spinor_values, nr_limit_spinor, w_spinor_values
 from .eigenfunctions import _SQRT2PI, time_eigenfunction
-from .grids import _gauss_legendre_panels
+from .grids import build_grid
 
 __all__ = [
     "LimitReport",
@@ -34,7 +34,6 @@ __all__ = [
     "nr_eigenfunction_limit_scan",
     "dual_solution",
     "dual_residual",
-    "duality_map_max_residual",
     "DeficiencyReport",
     "deficiency_diagnostic",
 ]
@@ -65,13 +64,13 @@ def _fit_order(ratios, errors) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def nr_spinor_errors(r: float, m: float = 1.0):
-    """(||u - zeta_+||, ||w - zeta_-||) at p = r * m; leading order r/2."""
+def nr_spinor_errors(r: float):
+    """(||u - zeta_+||, ||w - zeta_-||) at p = r m, m = 1; leading order r/2."""
     if r <= 0.0:
         raise ValueError("ratio must be > 0")
-    p = r * m
-    u_err = np.linalg.norm(energy_spinor_values(m, np.array([p]), 1, 0.5)[0] - nr_limit_spinor(1, 0.5))
-    w_err = np.linalg.norm(w_spinor_values(m, np.array([p]), 0.5)[0] - nr_limit_spinor(-1, 0.5))
+    p = np.array([r])
+    u_err = np.linalg.norm(energy_spinor_values(1.0, p, 1, 0.5)[0] - nr_limit_spinor(1, 0.5))
+    w_err = np.linalg.norm(w_spinor_values(1.0, p, 0.5)[0] - nr_limit_spinor(-1, 0.5))
     return float(u_err), float(w_err)
 
 
@@ -95,23 +94,21 @@ def nr_eigen_limit_check(x: float, p: float, m: float):
     return t_rel, t_non, abs(t_rel - t_non)
 
 
-def nr_eigenfunction_limit(
-    t: float, s: float, m: float, ratio: float, n: int = 1024
-) -> float:
+def nr_eigenfunction_limit(t: float, s: float, m: float, ratio: float) -> float:
     """Gaussian-weighted L2 distance between the rest-phase-stripped
     time-labeled eigenfunction and its nonrelativistic counterpart.
 
     The relativistic function is multiplied by e^{-i m t} (splitting
     e^{i E t} = e^{i p^2 t / 2m} e^{i m t} in the limit), then compared with
     (p^2/m^2)^{1/4} zeta_s e^{i p^2 t / 2m} / sqrt(2 pi) under a normalized
-    Gaussian weight of width sigma_p = ratio * m.
+    Gaussian weight of width sigma_p = ratio * m, on the grid
+    ``build_grid(1e-2 sigma_p, 8 sigma_p, 1024)``.
     """
     if ratio <= 0.0 or m <= 0.0:
         raise ValueError("ratio and m must be > 0")
     sigma = ratio * m
-    pos, w = _gauss_legendre_panels(sigma * 1e-2, 8.0 * sigma, n, 8)
-    p = np.concatenate([-pos[::-1], pos])
-    w = np.concatenate([w[::-1], w])
+    grid = build_grid(sigma * 1e-2, 8.0 * sigma, 1024)
+    p, w = grid.nodes, grid.weights
     f_rel = time_eigenfunction(t, 1, s, m).value(p) * np.exp(-1j * m * t)
     zeta = nr_limit_spinor(1, s)
     W_non = np.sqrt(np.abs(p) / m)
@@ -181,33 +178,13 @@ def dual_solution(x: float, b: int, s: float, tau: float) -> DualSolution:
     return DualSolution(x=x, tau=tau, b=b, s=s)
 
 
-def dual_residual(ds: DualSolution, E_samples=None, p_samples=None) -> float:
-    """max | -i d/dE phi - t phi | over the (E, p) sample lattice."""
-    E = np.linspace(-5.0, 5.0, 11) if E_samples is None else np.asarray(E_samples)
-    p = np.linspace(-3.0, 3.0, 7) if p_samples is None else np.asarray(p_samples)
-    EE, PP = np.meshgrid(E, p, indexing="ij")
+def dual_residual(ds: DualSolution) -> float:
+    """max | -i d/dE phi - t phi | over the unit-step (E, p) lattice
+    [-5, 5] x [-3, 3]."""
+    EE, PP = np.meshgrid(np.linspace(-5.0, 5.0, 11), np.linspace(-3.0, 3.0, 7), indexing="ij")
     lhs = -1j * ds.dvalue_dE(EE, PP)
     rhs = ds.t * ds.value(EE, PP)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def duality_map_max_residual(n_samples: int = 100, seed: int = 0) -> float:
-    """Componentwise defect of the substitution (x, tau, b t_x) <-> (p, m, lam E_p).
-
-    Random labels (m, p, lam, s) are mapped to (tau = m, x = p, b = lam);
-    the event spinor must then reproduce the energy spinor exactly, and
-    t^2 - x^2 = tau^2 must hold for the dual labels.
-    """
-    rng = np.random.default_rng(seed)
-    m = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=n_samples))
-    p = rng.uniform(0.2, 8.0, size=n_samples) * rng.choice([-1.0, 1.0], size=n_samples)
-    lam = rng.choice([1, -1], size=n_samples)
-    s = rng.choice([0.5, -0.5], size=n_samples)
-    phi = energy_spinor_values(m, p, lam, s)
-    xi = event_spinor_values(p, m, lam, s)
-    # the dual labels x = p, tau = m, t = b t_x of ``dual_solution``
-    t = lam * np.hypot(p, m)
-    return float(max(np.max(np.abs(phi - xi)), np.max(np.abs(t**2 - p**2 - m**2))))
 
 
 @dataclass(frozen=True)
@@ -233,18 +210,18 @@ class DeficiencyReport:
         return {**asdict(self), "equal": self.equal, "has_self_adjoint_extension": self.equal}
 
 
-def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n_panel: int = 64) -> float:
+def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int) -> float:
     """ln int |e^{sign_exp * E}|^2 dE over (m, e_max) or (-e_max, -m).
 
     With u = |E| - m the integrand is e^{2 k m} e^{2 k u}, k = sign_exp *
-    branch.  Gauss-Legendre panels of n_panel nodes are graded from the gap,
+    branch.  Gauss-Legendre panels of 64 nodes are graded from the gap,
     with edges at u = 0, 1, 2, 4, ..., so the decay length 1/2 is resolved
     at every m; the sum is a log-sum-exp shifted by the largest exponent.
     """
     span = e_max - m
     inner = [2.0**k for k in range(int(math.log2(span)) + 1) if 2.0**k < span]
     edges = np.array([0.0, *inner, span])
-    x0, w0 = np.polynomial.legendre.leggauss(n_panel)
+    x0, w0 = np.polynomial.legendre.leggauss(64)
     half = 0.5 * np.diff(edges)[:, None]
     u = (half * x0 + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
     w = (half * w0).ravel()
@@ -254,7 +231,7 @@ def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int, n
     return 2.0 * k * m + top + float(np.log(np.sum(w * np.exp(y - top))))
 
 
-def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyReport:
+def deficiency_diagnostic(m: float, e_max: float) -> DeficiencyReport:
     """Count normalizable solutions of -i dphi/dE = +-i phi per branch.
 
     The candidate solutions are phi = e^{-+E}.  Each truncated integral is
@@ -266,7 +243,7 @@ def deficiency_diagnostic(m: float, e_max: float | None = None) -> DeficiencyRep
     """
     if m <= 0.0:
         raise ValueError("requires m > 0")
-    e_max = 10.0 * m if e_max is None else float(e_max)
+    e_max = float(e_max)
     if e_max <= m:
         raise ValueError("e_max must exceed m")
     if not math.isfinite(4.0 * e_max):

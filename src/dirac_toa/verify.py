@@ -93,24 +93,24 @@ def check_helicity() -> float:
     return float(max(np.max(np.abs(d)) for d in (eigen, gram - np.eye(2), comp - np.eye(2))))
 
 
-def check_spinor_norms(rng, n=200) -> float:
-    ms, ps, lams, ss = _random_lattice(rng, n)
+def check_spinor_norms(rng) -> float:
+    ms, ps, lams, ss = _random_lattice(rng, 200)
     phi = algebra.energy_spinor_values(ms, ps, lams, ss)
     xi = algebra.event_spinor_values(ps, ms, lams, ss)
     norms = np.linalg.norm(np.stack([phi, xi]), axis=-1)
     return float(np.max(np.abs(norms - 1.0)))
 
 
-def check_hamiltonian_eigen(rng, n=200) -> float:
-    ms, ps, lams, ss = _random_lattice(rng, n)
+def check_hamiltonian_eigen(rng) -> float:
+    ms, ps, lams, ss = _random_lattice(rng, 200)
     phi = algebra.energy_spinor_values(ms, ps, lams, ss)
     h = algebra.apply_h_values(ms, ps, phi)
     E = np.hypot(ps, ms)
     return float(np.max(np.abs(h - (lams * E)[:, None] * phi)))
 
 
-def check_orthonormality_completeness(rng, n=50) -> float:
-    ms, ps, _, _ = _random_lattice(rng, n)
+def check_orthonormality_completeness(rng) -> float:
+    ms, ps, _, _ = _random_lattice(rng, 50)
     # (sample, channel, component): the four (lam, s) spinors at each label
     lam, s = np.array(grids._CHANNELS).T[:, None, :]
     spinors = algebra.energy_spinor_values(ms[:, None], ps[:, None], lam, s)
@@ -119,8 +119,8 @@ def check_orthonormality_completeness(rng, n=50) -> float:
     return float(max(np.max(np.abs(gram - np.eye(4))), np.max(np.abs(comp - np.eye(4)))))
 
 
-def check_w_relation(rng, n=100) -> float:
-    ms, ps, _, ss = _random_lattice(rng, n, massless=False)
+def check_w_relation(rng) -> float:
+    ms, ps, _, ss = _random_lattice(rng, 100, massless=False)
     w = algebra.w_spinor_values(ms, ps, ss)
     phi = algebra.energy_spinor_values(ms, -ps, -1, ss)
     rhs = np.sign(ps)[:, None] * (phi @ algebra.dirac_basis().Sigma1.T)
@@ -128,7 +128,14 @@ def check_w_relation(rng, n=100) -> float:
 
 
 def check_duality_bijection(seed: int) -> float:
-    return limits.duality_map_max_residual(100, seed)
+    """Defect of (x, tau, b t_x) <-> (p, m, lam E_p) on 100 random labels of their
+    own seed: the event spinor at x = p, tau = m, b = lam must equal the energy
+    spinor, and t = b t_x of ``limits.dual_solution`` must give t^2 - x^2 = tau^2."""
+    ms, ps, lams, ss = _random_lattice(np.random.default_rng(seed), 100, massless=False)
+    phi = algebra.energy_spinor_values(ms, ps, lams, ss)
+    xi = algebra.event_spinor_values(ps, ms, lams, ss)
+    t = lams * np.hypot(ps, ms)
+    return float(max(np.max(np.abs(phi - xi)), np.max(np.abs(t**2 - ps**2 - ms**2))))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ def check_commutator_analytic(m=1.0) -> float:
     return grids.commutator_residual(f, m)
 
 
-def check_commutator_order(order: int, m=1.0):
+def check_commutator_order(order: int):
     """(|slope - order|, residual sequence) over n in {128, 256, 512}."""
     ns = (128, 256, 512)
     res = []
@@ -167,7 +174,7 @@ def check_commutator_order(order: int, m=1.0):
         vals = np.zeros((grid.n_nodes, 4), dtype=complex)
         vals[:, 0] = np.exp(-((p - 2.0) ** 2) / (2 * 0.3**2))
         f = grids.GridSpinorField(grid, vals)
-        res.append(grids.commutator_residual(f, m))
+        res.append(grids.commutator_residual(f, 1.0))
     slope = -np.polyfit(np.log(ns), np.log(res), 1)[0]
     return float(abs(slope - order)), res
 
@@ -356,15 +363,15 @@ def check_delta_concentration() -> float:
     return float(abs(widths[0] / widths[1] - 2.0))
 
 
-def check_resynthesis(m=1.0) -> float:
+def check_resynthesis() -> float:
     """Recovery of a reflection-even packet from a dense t-lattice."""
+    m = 1.0
     grid = grids.build_grid(1e-3, 10.0, 384, 4)
     spec = arrival.PacketSpec(m=m, x0=0.0, p0=2.0, sigma_p=0.25)
     f = arrival.build_packet(spec, grid)
     beta_p = f.values[::-1] * algebra._BETA_DIAG
     even = grids.GridSpinorField(grid, f.values + beta_p).normalized()
-    ts = np.arange(-20.0, 20.0 + 1e-9, 0.25)
-    rec = eigenfunctions.resynthesize_time_family(even, m, ts)
+    rec = eigenfunctions.resynthesize_time_family(even, m, (-20.0, 20.0), 161)  # dt = 0.25
     return grid.norm(rec.values - even.values)
 
 

@@ -238,16 +238,20 @@ def test_capture_warning_looks_both_ways(n_points, warned):
 
 @pytest.mark.parametrize(
     "kernel",
-    [arrival.arrival_distribution, arrival.arrival_distribution_nonrel, arrival.flux_at_origin],
-    ids=["arrival", "arrival_nonrel", "flux"],
+    [arrival.arrival_distribution, arrival.arrival_distribution_nonrel, arrival.flux_at_origin,
+     eigenfunctions.resynthesize_time_family],
+    ids=["arrival", "arrival_nonrel", "flux", "resynth"],
 )
 @pytest.mark.parametrize(
     "window, n_t, match",
     [((5.0, 5.0), 11, "empty time window"), ((5.0, 1.0), 11, "empty time window"),
-     ((0.0, 20.0), 1, "n_t >= 2"), ((0.0, 20.0), 0, "n_t >= 2")],
-    ids=["empty", "reversed", "one-sample", "no-sample"],
+     ((0.0, 20.0), 1, "n_t >= 2"), ((0.0, 20.0), 0, "n_t >= 2"),
+     ((-1e308, 1e308), 11, "width t_max - t_min overflows")],
+    ids=["empty", "reversed", "one-sample", "no-sample", "overflow"],
 )
 def test_time_kernels_share_one_window_rule(benchmark_packet, kernel, window, n_t, match):
+    # one rule for the arrival kernels and the resynthesis: a window of
+    # overflowing width would otherwise return NaN/inf curves with a warning
     with pytest.raises(ValueError, match=match):
         kernel(benchmark_packet, 1.0, window, n_t)
 
@@ -293,7 +297,7 @@ def test_spectral_core_matches_per_channel_loop(two_branch_packet):
     assert np.max(np.abs(J - ref_J)) <= 1e-12 * np.max(np.abs(ref_J))
 
     t_lattice = np.arange(-20.0, 20.0 + 1e-9, 0.25)
-    rec = eigenfunctions.resynthesize_time_family(f, m, t_lattice).values
+    rec = eigenfunctions.resynthesize_time_family(f, m, (-20.0, 20.0), len(t_lattice)).values
     ref_rec = _loop_resynthesis(f, m, t_lattice)
     assert np.max(np.abs(rec - ref_rec)) <= 1e-12 * np.max(np.abs(ref_rec))
 

@@ -177,6 +177,31 @@ def test_failed_arrival_sidecar_writes_no_csv(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "arrival", "eigen", "limits"])
+def test_out_that_cannot_be_a_directory_exits_2(monkeypatch, tmp_path, capsys, command):
+    from dirac_toa.verify import CheckResult
+
+    # the checks do not matter here: verify.json is written like every other file
+    monkeypatch.setattr(cli, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
+    cfg = small_arrival_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
+def test_failed_write_removes_the_files_it_wrote(tmp_path, capsys):
+    # arrival.csv is written first; the sidecar's path is a directory
+    out = tmp_path / "out"
+    (out / "arrival.json").mkdir(parents=True)
+    assert cli.main(["arrival", "--config", small_arrival_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+    assert not (out / "arrival.csv").exists()
+    assert (out / "arrival.json").is_dir()
+
+
 def _per_cell_csv(header, columns):
     """The per-cell formatter the CSV writer replaced, kept as the reference."""
     rows = [",".join(f"{c[i]:.16e}" for c in columns) for i in range(len(columns[0]))]

@@ -40,6 +40,8 @@ def test_build_grid_validation():
         grids.build_grid(1e-3, 10.0, 4)
     with pytest.raises(ValueError):
         grids.build_grid(1e-3, 10.0, 256, 3)
+    with pytest.raises(ValueError):
+        grids.build_grid(1e-3, 10.0, 256, "analytic")
 
 
 def test_gaussian_quadrature(grid256):
@@ -92,15 +94,7 @@ def test_apply_toa_time_eigenfunction(grid256):
     m, t = 1.0, 2.0
     f = time_eigenfunction(t, 1, 0.5, m).on_grid(grid256)
     tv = grids.apply_toa(f, m)
-    assert tv.meta["derivative"] == "analytic"
     assert np.max(np.abs(tv.values - t * f.values)) <= 1e-10
-
-
-def test_apply_toa_fd_metadata(grid256):
-    f = gaussian_bump_field(grid256)
-    tv = grids.apply_toa(f, 1.0)
-    assert tv.meta["derivative"] == "fd4"
-    assert tv.meta["one_sided_nodes"] == 8
 
 
 def test_commutator_refinement_order4():
@@ -191,19 +185,6 @@ def test_massless_reduction_is_position_operator(grid256):
     lhs = grids.apply_toa(f, 0.0).values
     rhs = -1j * (dg[:, None] * spin)[:, ::-1]
     assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
-def test_analytic_grid_requires_deriv_values():
-    grid = grids.build_grid(1e-3, 10.0, 64, "analytic")
-    f = grids.GridSpinorField(grid, np.ones((grid.n_nodes, 4), dtype=complex))
-    with pytest.raises(ValueError):
-        grids.apply_toa(f, 1.0)
-    f2 = grids.GridSpinorField(
-        grid,
-        np.ones((grid.n_nodes, 4), dtype=complex),
-        np.zeros((grid.n_nodes, 4), dtype=complex),
-    )
-    grids.apply_toa(f2, 1.0)  # analytic derivative path works
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from dirac_toa import limits
-from dirac_toa.algebra import nr_limit_spinor
+from dirac_toa import limits, verify
+from dirac_toa.algebra import energy_spinor_values, event_spinor_values, nr_limit_spinor
+from dirac_toa.config import DEFAULT_CONFIG
 from dirac_toa.eigenfunctions import time_eigenfunction
 from dirac_toa.grids import _gauss_legendre_panels
 
@@ -140,8 +141,28 @@ def test_dual_solution_degenerate():
         limits.dual_solution(0.0, 1, 0.5, 1.0)
 
 
+def _duality_reference(n, seed):
+    """The duality defect with its own draw of (m, p, lam, s), as
+    ``limits.duality_map_max_residual`` computed it; kept as the reference."""
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=n))
+    p = rng.uniform(0.2, 8.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    lam = rng.choice([1, -1], size=n)
+    s = rng.choice([0.5, -0.5], size=n)
+    phi = energy_spinor_values(m, p, lam, s)
+    xi = event_spinor_values(p, m, lam, s)
+    # the dual labels x = p, tau = m, t = b t_x of ``dual_solution``
+    t = lam * np.hypot(p, m)
+    return float(max(np.max(np.abs(phi - xi)), np.max(np.abs(t**2 - p**2 - m**2))))
+
+
+@pytest.mark.parametrize("seed", [0, 123, DEFAULT_CONFIG["seed"]])
+def test_duality_check_matches_reference(seed):
+    assert verify.check_duality_bijection(seed) == _duality_reference(100, seed)
+
+
 def test_duality_map_bijection():
-    assert limits.duality_map_max_residual(100, seed=123) <= 1e-12
+    assert verify.check_duality_bijection(123) <= 1e-12
 
 
 def test_deficiency_integral_value():
@@ -191,6 +212,6 @@ def test_deficiency_convergent_branches_match_closed_form(m):
 
 def test_deficiency_validation():
     with pytest.raises(ValueError):
-        limits.deficiency_diagnostic(0.0)
+        limits.deficiency_diagnostic(0.0, 10.0)
     with pytest.raises(ValueError):
         limits.deficiency_diagnostic(1.0, 0.5)

@@ -1,10 +1,17 @@
-"""No public API that only tests call.
+"""No public API that only tests call, and no setting that no caller sets.
 
 Every name in a module's ``__all__`` must be used as code somewhere in
 ``src/dirac_toa``: a ``Name`` or an attribute access, outside the name's own
 definition and outside the package ``__init__``.  Docstrings, comments,
 imports and the ``__all__`` strings themselves do not count.  Attribute
 accesses match by name alone, so the rule errs toward passing.
+
+Every defaulted parameter of a public module-level function must be passed,
+by keyword or by position, by some call in ``src/dirac_toa`` outside the
+function's own body; otherwise the default is the only value it ever takes.
+Calls match by name alone and a call with ``*`` or ``**`` passes every
+parameter, so this rule errs toward passing too.  ``cli.main(argv)`` is the
+entry point and is exempt.
 """
 import ast
 from pathlib import Path
@@ -84,3 +91,79 @@ def test_rule_flags_a_name_only_its_own_body_uses():
     }
     assert unreferenced(sources) == {"a": ["unused"]}
 
+
+
+# (module, function, parameter) that may keep a default no call in src/ sets
+_ENTRY_POINTS = {("cli", "main", "argv")}
+
+
+def _defaulted(fn: ast.FunctionDef) -> list:
+    """(name, position or None) of each parameter of ``fn`` that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree: ast.AST, name: str, skip) -> list:
+    """Calls of ``name`` (as a Name or an attribute) in ``tree`` outside ``skip``."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == name) or (
+                isinstance(f, ast.Attribute) and f.attr == name
+            ):
+                found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_defaults(sources: dict) -> dict:
+    """module -> the "function.parameter" defaults that no call in ``sources`` sets."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    out = {}
+    for mod, tree in trees.items():
+        unset = []
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            calls = [c for t in trees.values() for c in _calls(t, fn.name, fn)]
+            unset += [
+                f"{fn.name}.{name}" for name, position in _defaulted(fn)
+                if (mod, fn.name, name) not in _ENTRY_POINTS
+                and not any(_passes(c, name, position) for c in calls)
+            ]
+        if unset:
+            out[mod] = unset
+    return out
+
+
+def test_every_default_has_a_setter_in_src():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 9
+    assert unset_defaults(sources) == {}
+
+
+def test_rule_flags_a_default_only_its_own_body_sets():
+    sources = {
+        "a": "def f(x, n=2, *, k=1):\n    return f(x, n - 1, k=0) if n else x\n"
+             "def g(x, n=2, m=3):\n    return x\n"
+             "def h(x, n=2):\n    return x\n"
+             "def _private(x, n=2):\n    return x\n",
+        "b": "from . import a\n\ndef caller(args, opts):\n"
+             "    return a.f(1), a.g(1, 2), a.g(1, m=4), a.h(*args), a.h(1, **opts)\n",
+    }
+    assert unset_defaults(sources) == {"a": ["f.n", "f.k"]}
