@@ -10,7 +10,8 @@ digit scientific notation and JSON sidecars with sorted keys, whose
 Exit status: 0 success, 1 a ``verify`` check failed, 2 invalid input,
 reported on stderr as ``config error: WHERE: WHY``; never a traceback.
 Status 2 covers a config that ``config_from_dict`` rejects (bad JSON, shape
-or type, a non-finite number, an unknown key, a library domain rule); a
+or type, a non-finite number, an unknown key, a seed < 0, also from
+``--seed``, a library domain rule); a
 config that loads but that the library rejects for the command, with WHERE
 the config section or field (a packet off the grid or without weight on its
 nodes, a window without arrival mass, an eigen label past the grid

@@ -4,13 +4,15 @@
 objects.  This module parses JSON shapes and types (objects, required
 fields, finite numbers, integers, [re, im] pairs), rejects unknown keys and
 checks the fields that no library object owns (mass sign, grid, time
-window, limit scan).  The library states the domain rules: ``PacketSpec``
-(sigma_p > 0, |c_plus|^2 + |c_minus|^2 = 1, spin) and the eigenfunction
-constructors (branch sign, event x != 0).  ``at_path`` re-raises their
-``ValueError`` as a ``ConfigError`` that starts with the JSON path; the CLI
-reports it with exit status 2.  ``config_to_dict`` is the inverse of
-``config_from_dict`` and the config echo of every sidecar.  Loading does no
-numerical work, but ``PacketSpec`` raises its |p0| <= 3 sigma_p warning here.
+window, limit scan).  ``RunConfig`` rejects a seed < 0, which numpy's rng
+refuses, also when the CLI's ``--seed`` replaces it.  The library states
+the domain rules: ``PacketSpec`` (sigma_p > 0, |c_plus|^2 + |c_minus|^2 =
+1, spin) and the eigenfunction constructors (branch sign, event x != 0).
+``at_path`` re-raises their ``ValueError`` as a ``ConfigError`` that starts
+with the JSON path; the CLI reports it with exit status 2.
+``config_to_dict`` is the inverse of ``config_from_dict`` and the config
+echo of every sidecar.  Loading does no numerical work, but ``PacketSpec``
+raises its |p0| <= 3 sigma_p warning here.
 """
 from __future__ import annotations
 
@@ -105,6 +107,10 @@ class RunConfig:
     seed: int
     eigen: tuple  # of ToaEigenfunction
     limits: LimitsConfig
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"config.seed: must be >= 0, got {self.seed}")
 
 
 def _object(d, path: str, required, optional=()) -> dict:

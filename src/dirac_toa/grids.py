@@ -5,7 +5,8 @@ built from composite Gauss-Legendre panels, so the neighborhood of p = 0 is
 excluded by construction (the time-of-arrival operator is singular there).
 Derivatives are polynomial finite differences of order 2 or 4 on the actual
 (non-uniform) nodes, evaluated per half-line; near each interval end the
-stencils become one-sided at the same order.  Fields may carry closed-form
+stencils become one-sided at the same order.  The weights are barycentric,
+one ``fd_weights`` call per half-line table.  Fields may carry closed-form
 derivative samples, in which case the operators use those instead.
 
 Operators:
@@ -59,35 +60,26 @@ BC_TOL = 1e-6
 _CHANNELS = ((1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5))
 
 
-def fd_weights(nodes: np.ndarray, x0: float, max_order: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary nodes (Fornberg recursion).
+def fd_weights(stencils, at) -> np.ndarray:
+    """First-derivative weights at node ``at`` of each stencil.
 
-    Returns an array c of shape (len(nodes), max_order + 1); column k holds
-    the weights of the k-th derivative at x0.
+    ``stencils`` has shape (..., k): k distinct nodes per stencil; ``at``
+    broadcasts against its leading axes.  The weights are those of the
+    interpolating polynomial's derivative in barycentric form (Berrut and
+    Trefethen, SIAM Review 46, 2004): with a_j = 1 / prod_{l != j} (x_j - x_l),
+    w_j = (a_j / a_at) / (x_at - x_j) for j != at and w_at = -sum_{j != at} w_j.
+    One call covers a whole stencil table.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
-    c = np.zeros((n, max_order + 1))
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, max_order)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
+    x = np.asarray(stencils, dtype=float)
+    k = x.shape[-1]
+    at = np.broadcast_to(at, x.shape[:-1])[..., None]
+    diff = x[..., :, None] - x[..., None, :]
+    diff[..., range(k), range(k)] = 1.0  # so the product runs over l != j
+    a = 1.0 / np.prod(diff, axis=-1)
+    dx = np.take_along_axis(x, at, axis=-1) - x
+    w = np.divide(a / np.take_along_axis(a, at, axis=-1), dx, out=np.zeros_like(x), where=dx != 0.0)
+    np.put_along_axis(w, at, -np.sum(w, axis=-1, keepdims=True), axis=-1)
+    return w
 
 
 def _gauss_legendre_panels(a: float, b: float, n: int, panels: int):
@@ -115,13 +107,9 @@ def _stencil_table(nodes: np.ndarray, order: int):
     k = order + 1
     if n < k:
         raise ValueError(f"need at least {k} nodes per side for order {order}")
-    idx = np.empty((n, k), dtype=int)
-    wts = np.empty((n, k))
-    for i in range(n):
-        start = min(max(i - order // 2, 0), n - k)
-        idx[i] = np.arange(start, start + k)
-        wts[i] = fd_weights(nodes[start : start + k], nodes[i], 1)[:, 1]
-    return idx, wts
+    start = np.clip(np.arange(n) - order // 2, 0, n - k)
+    idx = start[:, None] + np.arange(k)
+    return idx, fd_weights(nodes[idx], np.arange(n) - start)
 
 
 @dataclass(eq=False)

@@ -20,6 +20,12 @@ def test_clifford_anticommutators():
     assert algebra.clifford_max_residual() <= 1e-15
 
 
+def test_clifford_residual_sees_a_wrong_metric(monkeypatch):
+    # with g = I the spatial identities read gamma^i gamma^i + ... - 2 I = -4 I
+    monkeypatch.setattr(algebra, "_METRIC", np.eye(4))
+    assert algebra.clifford_max_residual() == 4.0
+
+
 def test_alpha_beta_identities():
     b = algebra.dirac_basis()
     a1 = b.alpha[0]

@@ -1,11 +1,17 @@
 """CLI contract tests: exit statuses, file schemas, byte-identical reruns."""
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirac_toa import cli
 from dirac_toa.config import DEFAULT_CONFIG, ConfigError, config_to_dict, load_config
@@ -53,6 +59,7 @@ FINITE_FIELDS = (
         pytest.param(
             {"time.t_min": -1e308, "time.t_max": 1e308}, "config.time", id="time-span-overflow"
         ),
+        pytest.param({"seed": -5}, "config.seed", id="seed-negative"),
     ]
     + [
         pytest.param({key: bad}, where, id=f"{key}-{bad}")
@@ -403,6 +410,56 @@ def test_seed_flag_overrides(tmp_path, capsys):
     assert cli.main(["arrival", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     sidecar = json.loads((out / "arrival.json").read_text())
     assert sidecar["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("command", ["verify", "arrival", "eigen", "limits"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, command, how):
+    # np.random.default_rng raised a traceback on a negative seed (exit 1)
+    if how == "flag":
+        args = ["--config", write_config(tmp_path), "--seed", "-1"]
+    else:
+        args = ["--config", write_config(tmp_path, seed=-5)]
+    out = tmp_path / "out"
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.seed")
+    assert not out.exists()
+
+
+def test_limits_at_tiny_ratios_writes_finite_files(tmp_path, assert_finite_outputs):
+    # the spinor errors underflowed to 0 below r ~ 1e-154 and the slopes read NaN
+    cfg = write_config(tmp_path, **{"limits.ratios": [1e-160, 1e-200, 1e-300]})
+    out = tmp_path / "out"
+    assert cli.main(["limits", "--config", cfg, "--out", str(out)]) == 0
+    assert_finite_outputs(out)
+    table = np.loadtxt(out / "limits_spinor.csv", delimiter=",", skiprows=1)
+    assert np.allclose(table[:, 1:], table[:, :1] / 2.0, rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(
+    mass=st.one_of(st.just(0.0), st.floats(-300.0, 5.0).map(lambda e: 10.0**e)),
+    seed=st.integers(),
+)
+@example(mass=1.0, seed=-1)
+@example(mass=1e5, seed=2**64)
+def test_verify_over_masses_and_seeds(mass, seed):
+    with tempfile.TemporaryDirectory() as work:
+        path, out = os.path.join(work, "cfg.json"), os.path.join(work, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**DEFAULT_CONFIG, "mass": mass}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(["verify", "--config", path, "--seed", str(seed), "--out", out])
+        if seed < 0:
+            assert status == 2
+            assert err.getvalue().startswith("config error: config.seed")
+            assert not os.path.exists(out)
+            return
+        assert status == 0, err.getvalue()
+        with open(os.path.join(out, "verify.json"), encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+    assert len(checks) == 42 and all(c["pass"] for c in checks)
 
 
 @pytest.mark.parametrize(

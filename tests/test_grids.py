@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_toa import algebra, grids
 from dirac_toa.eigenfunctions import time_eigenfunction
@@ -58,9 +60,71 @@ def test_fd_weights_uniform_five_point():
     # classic 5-point central first-derivative weights on a uniform grid
     h = 0.1
     x = np.arange(5) * h
-    w = grids.fd_weights(x, x[2], 1)[:, 1]
+    w = grids.fd_weights(x, 2)
     expect = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     assert np.max(np.abs(w - expect)) <= 1e-12 / h
+
+
+def _fornberg_reference(nodes, x0, max_order):
+    """Finite-difference weights on arbitrary nodes by Fornberg's recursion.
+
+    Returns an array c of shape (len(nodes), max_order + 1); column k holds
+    the weights of the k-th derivative at x0.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    c = np.zeros((n, max_order + 1))
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, max_order)
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+@st.composite
+def stencils(draw):
+    """(nodes, evaluation index): 3 or 5 distinct nodes at scales 1e-6..1e6,
+    offset by up to 1e3 scales, no two closer than 1e-3 of the scale."""
+    k = draw(st.sampled_from([3, 5]))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    offset = draw(st.floats(-1e3, 1e3)) * scale
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=k - 1, max_size=k - 1))
+    nodes = offset + scale * np.concatenate([[0.0], np.cumsum(gaps)])
+    return nodes, draw(st.integers(0, k - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(stencils())
+def test_fd_weights_match_fornberg_reference(stencil):
+    nodes, at = stencil
+    ref = _fornberg_reference(nodes, nodes[at], 1)[:, 1]
+    w = grids.fd_weights(nodes, at)
+    assert np.max(np.abs(w - ref)) <= 16.0 * np.finfo(float).eps * np.sum(np.abs(ref))
+
+
+def test_fd_weights_broadcast_over_stencils():
+    # a table of stencils in one call equals one call per stencil
+    rng = np.random.default_rng(5)
+    nodes = np.cumsum(rng.uniform(0.1, 1.0, size=(6, 5)), axis=1)
+    at = np.array([0, 1, 2, 3, 4, 2])
+    table = grids.fd_weights(nodes, at)
+    for row, i, w in zip(nodes, at, table):
+        assert np.array_equal(w, grids.fd_weights(row, i))
 
 
 def test_derivative_accuracy_and_order(grid256):

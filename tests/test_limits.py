@@ -1,4 +1,5 @@
 """Nonrelativistic limits, dual event states, deficiency diagnostics."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,21 @@ def test_nr_spinor_error_monotone():
     rs = np.linspace(0.01, 0.5, 25)
     errs = [limits.nr_spinor_errors(r)[0] for r in rs]
     assert np.all(np.diff(errs) > 0.0)
+
+
+@pytest.mark.parametrize("r", [1e-160, 1e-200, 1e-300])
+def test_nr_spinor_errors_at_tiny_ratios(r):
+    # squared components of size r/2 underflowed: 4.99997e-161 at 1e-160, 0 below 1e-154
+    u_err, w_err = limits.nr_spinor_errors(r)
+    assert u_err == pytest.approx(r / 2.0, rel=1e-12, abs=0.0)
+    assert w_err == pytest.approx(r / 2.0, rel=1e-12, abs=0.0)
+
+
+def test_nr_spinor_slope_at_tiny_ratios():
+    rep_u, rep_w = limits.nr_spinor_limit_scan([1e-160, 1e-200, 1e-300])
+    assert np.isfinite(rep_u.fitted_order) and np.isfinite(rep_w.fitted_order)
+    assert abs(rep_u.fitted_order - 1.0) <= 1e-12
+    assert abs(rep_w.fitted_order - 1.0) <= 1e-12
 
 
 def test_nr_spinor_slope():
@@ -198,16 +214,41 @@ def test_deficiency_indices_equal_and_stable():
         assert (rep.n_plus, rep.n_minus) == (base.n_plus, base.n_minus)
 
 
+def _log_integral_mpmath(m, e_max, k):
+    """ln int_0^{e_max - m} e^{2k(m + u)} du by 50-digit quadrature in u, with
+    breakpoints 0, 1, 2, 4, ... graded toward the integrand's peak (u = 0 for
+    k = -1, u = e_max - m for k = +1); the peak's exponent is factored out."""
+    with mpmath.workdps(50):
+        span = mpmath.mpf(e_max) - m
+        offsets = [mpmath.mpf(0)]  # distances from the peak
+        while offsets[-1] < span:
+            offsets.append(min(span, mpmath.mpf(2) ** (len(offsets) - 1)))
+        peak = 0 if k < 0 else span
+        edges = offsets if k < 0 else [span - d for d in reversed(offsets)]
+        integral = mpmath.quad(lambda u: mpmath.exp(2 * k * (u - peak)), edges)
+        return float(2 * k * (m + peak) + mpmath.log(integral))
+
+
 @pytest.mark.parametrize("m", [0.5, 370.0, 1e3, 1e5])
 def test_deficiency_convergent_branches_match_closed_form(m):
-    # int_m^e e^{-2E} dE = e^{-2m} (1 - e^{-2(e - m)}) / 2; 8 equal panels
-    # missed the decay length 1/2 here (ln I(4 e_max) - ln I(e_max) = -1.22 at m = 1e3)
+    # 8 equal panels missed the decay length 1/2 here (ln I(4 e_max) - ln I(e_max) = -1.22 at m = 1e3)
     rep = limits.deficiency_diagnostic(m, 10.0 * m)
-    exact = [-2.0 * m + np.log(-np.expm1(-2.0 * (e - m)) / 2.0) for e in rep.e_max_values]
+    exact = [_log_integral_mpmath(m, e, -1) for e in rep.e_max_values]
     for key in ("+i/branch+1", "-i/branch-1"):
         assert np.allclose(rep.log_integrals[key], exact, rtol=1e-14, atol=1e-12)
         assert rep.classifications[key] == "convergent"
     assert rep.n_plus == rep.n_minus == 1
+
+
+@pytest.mark.parametrize("m", [100.0, 1e5])
+def test_deficiency_divergent_branches_match_mpmath(m):
+    # panels graded from the gap were coarse where e^{+2E} peaks: ln I was
+    # off by 0.083 at m = 100 and by 1245 at m = 1e5
+    rep = limits.deficiency_diagnostic(m, 10.0 * m)
+    exact = [_log_integral_mpmath(m, e, 1) for e in rep.e_max_values]
+    for key in ("+i/branch-1", "-i/branch+1"):
+        assert np.allclose(rep.log_integrals[key], exact, rtol=1e-14, atol=1e-12)
+        assert rep.classifications[key] == "divergent"
 
 
 def test_deficiency_validation():
