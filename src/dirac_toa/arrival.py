@@ -19,17 +19,17 @@ against the probability current at the origin (``flux_at_origin``), which is
 an independent arrival-time oracle.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
-over the spectral core of ``grids``.  The samples t form the uniform lattice
-np.linspace(t0, t1, n_t), whose one window rule (t0 < t1 with a finite
-width, n_t >= 2) is ``eigenfunctions._time_lattice``, shared with
+over the spectral core of ``grids``; psi(t, x) is the lam = -1 sum with p_j
+in place of E_j.  The samples form the uniform lattice np.linspace(t0, t1,
+n_t), whose one window rule is ``eigenfunctions._time_lattice``, shared with
 ``resynthesize_time_family``.  The phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
 conjugate tables carry lam = -1.  The kernels build those tables for 128
 nodes at a time and contract each block with one matrix product per
 coefficient column, adding into the output, so the working memory beside the
 coefficients and the output is a few 128 x sqrt(n_t) tables, whatever N.  No
-n_t x N array and no N x sqrt(n_t) table is formed.  ``evolve`` needs only the
-core's per-node spinors and projections.
+n_t x N array and no N x sqrt(n_t) table is formed, for t or for x.
+``evolve`` needs only the core's per-node spinors and projections.
 """
 from __future__ import annotations
 
@@ -147,9 +147,7 @@ def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
     raw = f.norm()
     if raw == 0.0:
         raise ValueError("the packet has no weight on the grid nodes")
-    out = f.normalized()
-    out.meta["raw_norm"] = raw
-    return out
+    return f.normalized()
 
 
 def evolve(f: GridSpinorField, m: float, t: float) -> GridSpinorField:
@@ -160,13 +158,13 @@ def evolve(f: GridSpinorField, m: float, t: float) -> GridSpinorField:
     return GridSpinorField(f.grid, np.einsum("kj,kjc->jc", c * phase, phi))
 
 
-def position_profile(f: GridSpinorField, m: float, t: float, xs) -> np.ndarray:
-    """psi(t, x) synthesized by quadrature; returns shape (len(xs), 4)."""
-    xs = np.asarray(xs, dtype=float)
-    ft = evolve(f, m, t)
-    p = f.grid.nodes
-    kernel = np.exp(1j * np.outer(xs, p)) * f.grid.weights / _SQRT2PI
-    return kernel @ ft.values
+def position_profile(f: GridSpinorField, m: float, t: float, x_window: tuple, n_x: int):
+    """(x, psi(t, x)) on x = np.linspace(*x_window, n_x), psi of shape (n_x, 4):
+    sum_j w_j psi_j(t) e^{i p_j x} / sqrt(2 pi), the lam = -1 lattice sum."""
+    xs, lattice = _time_lattice(x_window, n_x)
+    b = f.grid.weights[:, None] * evolve(f, m, t).values / _SQRT2PI
+    _, psi = _lattice_overlaps(f.grid.nodes, *lattice, b[:, :0], b)
+    return xs, psi
 
 
 def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -> float:

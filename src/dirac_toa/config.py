@@ -3,11 +3,11 @@
 ``config_from_dict`` is the one place where outside input becomes library
 objects.  This module parses JSON shapes and types (objects, required
 fields, finite numbers, integers, [re, im] pairs), rejects unknown keys and
-checks the fields that no library object owns (mass sign, grid, time
-window, limit scan).  ``RunConfig`` rejects a seed < 0, which numpy's rng
-refuses, also when the CLI's ``--seed`` replaces it.  The library states
-the domain rules: ``PacketSpec`` (sigma_p > 0, |c_plus|^2 + |c_minus|^2 =
-1, spin) and the eigenfunction constructors (branch sign, event x != 0).
+checks the fields that no library rule covers (mass sign, limit scan).
+``RunConfig`` rejects a seed < 0, which numpy's rng refuses, also when the
+CLI's ``--seed`` replaces it.  The library states the domain rules:
+``PacketSpec``, the eigenfunction constructors, and the rules of
+``build_grid`` and ``_time_lattice``, called here without building anything.
 ``at_path`` re-raises their ``ValueError`` as a ``ConfigError`` that starts
 with the JSON path; the CLI reports it with exit status 2.
 ``config_to_dict`` is the inverse of ``config_from_dict`` and the config
@@ -22,7 +22,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from .arrival import PacketSpec
-from .eigenfunctions import event_eigenfunction, position_eigenfunction, time_eigenfunction
+from .eigenfunctions import (
+    _window_rule, event_eigenfunction, position_eigenfunction, time_eigenfunction,
+)
+from .grids import _grid_rule
 
 __all__ = [
     "ConfigError", "RunConfig", "at_path", "load_config", "config_from_dict",
@@ -155,12 +158,8 @@ def _grid_from(d, path: str) -> GridConfig:
     p_max = _number(d["p_max"], f"{path}.p_max")
     n_points = _integer(d["n_points"], f"{path}.n_points")
     order = _integer(d["deriv_order"], f"{path}.deriv_order")
-    if not 0.0 < p_min < p_max:
-        raise ConfigError(f"{path}: need 0 < p_min < p_max, got ({p_min}, {p_max})")
-    if n_points < 8:
-        raise ConfigError(f"{path}.n_points: must be >= 8, got {n_points}")
-    if order not in (2, 4):
-        raise ConfigError(f"{path}.deriv_order: must be 2 or 4, got {order}")
+    with at_path(path):
+        _grid_rule(p_min, p_max, n_points, order)
     return GridConfig(p_min, p_max, n_points, order)
 
 
@@ -181,12 +180,8 @@ def _time_from(d, path: str) -> TimeConfig:
     t_min = _number(d["t_min"], f"{path}.t_min")
     t_max = _number(d["t_max"], f"{path}.t_max")
     n_t = _integer(d["n_t"], f"{path}.n_t")
-    if not t_max > t_min:
-        raise ConfigError(f"{path}: need t_min < t_max")
-    if not math.isfinite(t_max - t_min):
-        raise ConfigError(f"{path}: t_max - t_min overflows, got ({t_min}, {t_max})")
-    if n_t < 2:
-        raise ConfigError(f"{path}.n_t: must be >= 2, got {n_t}")
+    with at_path(path):
+        _window_rule(t_min, t_max, n_t)
     return TimeConfig(t_min, t_max, n_t)
 
 

@@ -48,17 +48,23 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
-def _time_lattice(t_window: tuple, n_t: int):
-    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t); the
-    one window rule of the time kernels: t0 < t1, t1 - t0 finite, n_t >= 2."""
-    t0, t1 = map(float, t_window)
-    n_t = int(n_t)
+def _window_rule(t0: float, t1: float, n_t: int) -> None:
+    """The window rule, which ``config`` also applies at load: t0 < t1,
+    t1 - t0 finite, n_t >= 2."""
     if not t1 > t0:
         raise ValueError(f"empty time window: need t_min < t_max, got ({t0}, {t1})")
     if not math.isfinite(t1 - t0):
         raise ValueError(f"time window width t_max - t_min overflows, got ({t0}, {t1})")
     if n_t < 2:
         raise ValueError(f"need n_t >= 2 time samples, got {n_t}")
+
+
+def _time_lattice(t_window: tuple, n_t: int):
+    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t);
+    ``_window_rule`` is the one window rule of every t and x lattice."""
+    t0, t1 = map(float, t_window)
+    n_t = int(n_t)
+    _window_rule(t0, t1, n_t)
     return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / (n_t - 1), n_t)
 
 
@@ -154,7 +160,7 @@ def _lattice_adjoint(
 class ToaEigenfunction:
     """One labeled member of an arrival-operator eigenfunction family.
 
-    ``value`` and ``derivative`` are vectorized closed forms; ``eigenvalue``
+    ``value`` is the vectorized closed form; ``eigenvalue``
     returns the (possibly p-dependent) local factor the operator multiplies
     by, ``check_resolved`` states whether a grid resolves the label, and
     ``on_grid`` samples value and analytic derivative onto a grid.
@@ -210,9 +216,6 @@ class ToaEigenfunction:
         value = amp[..., None] * spin * phase[..., None]
         deriv = (dln_amp + dln_phase)[..., None] * value + amp[..., None] * dspin * phase[..., None]
         return value, deriv
-
-    def derivative(self, p) -> np.ndarray:
-        return self._closed_form(p)[1]
 
     def eigenvalue(self, p):
         """Local arrival-time factor at momentum p (constant for the time family)."""

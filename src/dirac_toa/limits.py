@@ -101,20 +101,20 @@ def nr_eigenfunction_limit(t: float, s: float, m: float, ratio: float) -> float:
     The relativistic function is multiplied by e^{-i m t} (splitting
     e^{i E t} = e^{i p^2 t / 2m} e^{i m t} in the limit), then compared with
     (p^2/m^2)^{1/4} zeta_s e^{i p^2 t / 2m} / sqrt(2 pi) under a normalized
-    Gaussian weight of width sigma_p = ratio * m, on the grid
-    ``build_grid(1e-2 sigma_p, 8 sigma_p, 1024)``.
+    Gaussian weight of width sigma_p = ratio * m.  Both depend only on p / m
+    and m t, so they are evaluated at unit mass, q = p / m = ratio z, with the
+    weight in z = p / sigma_p on ``build_grid(1e-2, 8, 1024)``: no node or
+    weight scales with m, and the normalizing sum is O(1) at every mass.
     """
     if ratio <= 0.0 or m <= 0.0:
         raise ValueError("ratio and m must be > 0")
-    sigma = ratio * m
-    grid = build_grid(sigma * 1e-2, 8.0 * sigma, 1024)
-    p, w = grid.nodes, grid.weights
-    f_rel = time_eigenfunction(t, 1, s, m).value(p) * np.exp(-1j * m * t)
+    grid = build_grid(1e-2, 8.0, 1024)
+    z, w = grid.nodes, grid.weights
+    q, mt = ratio * z, m * t
+    f_rel = time_eigenfunction(mt, 1, s, 1.0).value(q) * np.exp(-1j * mt)
     zeta = nr_limit_spinor(1, s)
-    W_non = np.sqrt(np.abs(p) / m)
-    phase_non = np.exp(1j * p * p * t / (2.0 * m)) / _SQRT2PI
-    f_non = W_non[:, None] * zeta[None, :] * phase_non[:, None]
-    z = p / sigma  # no sigma^2 to underflow at a small ratio * m
+    phase_non = np.exp(1j * q * q * mt / 2.0) / _SQRT2PI
+    f_non = np.sqrt(np.abs(q))[:, None] * zeta[None, :] * phase_non[:, None]
     gauss = np.exp(-0.5 * z * z)
     gauss /= np.sum(w * gauss)
     d2 = np.sum(w * gauss * np.sum(np.abs(f_rel - f_non) ** 2, axis=1))
@@ -192,7 +192,8 @@ class DeficiencyReport:
     """Normalizability of the deficiency solutions e^{-+E} per branch.
 
     ``log_integrals`` holds ln of each truncated integral, so that e^{+-2E}
-    neither overflows nor underflows at large m.
+    neither overflows nor underflows at large m.  ``equal`` is None unless
+    every branch is classified; ``classifications`` names the inconclusive ones.
     """
 
     m: float
@@ -203,7 +204,9 @@ class DeficiencyReport:
     n_minus: int
 
     @property
-    def equal(self) -> bool:
+    def equal(self) -> bool | None:
+        if "inconclusive" in self.classifications.values():
+            return None
         return self.n_plus == self.n_minus
 
     def to_dict(self) -> dict:

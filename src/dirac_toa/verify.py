@@ -345,16 +345,17 @@ def check_delta_concentration() -> float:
 
     The spinor part of phi_x does not depend on x, so the overlap with the
     shifted label is <phi_{x+dx}|phi_x> = sum_j w_j |phi_x(p_j)|^2 e^{i p_j dx},
-    one matvec for the whole dx scan.
+    the lam = -1 lattice sum with p_j in place of E_j over the dx lattice.
     """
     m, x = 1.0, 0.0
-    dxs = np.linspace(-2.0, 2.0, 801)
+    dxs, lattice = eigenfunctions._time_lattice((-2.0, 2.0), 801)
     widths = []
     for p_max in (10.0, 20.0):
         grid = grids.build_grid(1e-3, p_max, 512, 4)
-        ref = eigenfunctions.position_eigenfunction(x, 1, 0.5, m).on_grid(grid)
-        dens = grid.weights * np.sum(np.abs(ref.values) ** 2, axis=1)
-        overlap = np.abs(np.exp(1j * np.outer(dxs, grid.nodes)) @ dens)
+        ref = eigenfunctions.position_eigenfunction(x, 1, 0.5, m).value(grid.nodes)
+        dens = (grid.weights * np.sum(np.abs(ref) ** 2, axis=1))[:, None]
+        _, overlap = eigenfunctions._lattice_overlaps(grid.nodes, *lattice, dens[:, :0], dens)
+        overlap = np.abs(overlap[:, 0])
         if dxs[np.argmax(overlap)] != 0.0:
             return float("inf")
         half = overlap.max() / 2.0
@@ -424,10 +425,9 @@ def check_group_velocity(grid) -> float:
     E = np.hypot(p, m)
     dens = np.sum(np.abs(f.values) ** 2, axis=1)
     v_mean = float(np.sum(grid.weights * dens * p / E))
-    xs = np.linspace(-16.0, -2.0, 701)
 
     def centroid(time):
-        prof = arrival.position_profile(f, m, time, xs)
+        xs, prof = arrival.position_profile(f, m, time, (-16.0, -2.0), 701)
         rho = np.sum(np.abs(prof) ** 2, axis=1)
         return float(np.trapezoid(xs * rho, xs) / np.trapezoid(rho, xs))
 

@@ -75,6 +75,13 @@ def _loop_resynthesis(f, m, ts):
     return rec
 
 
+def _dense_profile(f, m, t, xs):
+    """Reference: psi(t, x) by one dense n_x x N exp kernel and one matmul, the
+    synthesis ``position_profile`` used before the lattice sums."""
+    kernel = np.exp(1j * np.outer(xs, f.grid.nodes)) * f.grid.weights / SQRT2PI
+    return kernel @ arrival.evolve(f, m, t).values
+
+
 def test_packet_spec_validation():
     with pytest.raises(ValueError):
         arrival.PacketSpec(m=1.0, x0=0.0, p0=2.0, sigma_p=-0.1)
@@ -147,7 +154,15 @@ def test_mixed_packet_norm(grid512):
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1, c_plus=c, c_minus=c)
     f = arrival.build_packet(spec, grid512)
     assert abs(f.norm() - 1.0) <= 1e-10
-    assert abs(f.meta["raw_norm"] - 1.0) <= 1e-6  # branch orthogonality
+    # branch orthogonality: the branches are orthogonal node by node, so the
+    # mixed packet is c (f_+ + f_-) of the unit single-branch packets
+    f_pos, f_neg = (
+        arrival.build_packet(arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1,
+                                                c_plus=cp, c_minus=cm), grid512)
+        for cp, cm in ((1.0, 0.0), (0.0, 1.0))
+    )
+    assert abs(np.sum(grid512.weights * np.sum(np.conj(f_pos.values) * f_neg.values, axis=1))) <= 1e-15
+    assert np.max(np.abs(f.values - c * (f_pos.values + f_neg.values))) <= 1e-12
 
 
 def test_evolve_identity_and_unitarity(grid512, benchmark_packet):
@@ -165,10 +180,9 @@ def test_group_velocity(grid512):
     p = grid512.nodes
     dens = np.sum(np.abs(f.values) ** 2, axis=1)
     v_mean = float(np.sum(grid512.weights * dens * p / np.hypot(p, m)))
-    xs = np.linspace(-16.0, -2.0, 701)
 
     def centroid(time):
-        prof = arrival.position_profile(f, m, time, xs)
+        xs, prof = arrival.position_profile(f, m, time, (-16.0, -2.0), 701)
         rho = np.sum(np.abs(prof) ** 2, axis=1)
         return float(np.trapezoid(xs * rho, xs) / np.trapezoid(rho, xs))
 
@@ -305,26 +319,60 @@ def test_spectral_core_matches_per_channel_loop(two_branch_packet):
 def test_time_kernels_hold_no_n_t_by_n_array():
     # the arrival_dense benchmark size, n_t = 12001 on N = 512 nodes: the
     # phases are two sqrt(n_t) x N tables, and a single n_t x N complex array
-    # would be 4 times the limit
+    # would be 4 times the limit; the position profile takes the same sums
+    # over an x lattice of the same size
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
     f, n_t = arrival.build_packet(spec, grids.build_grid(1e-3, 10.0, 256, 4)), 12001
     limit = n_t * f.grid.n_nodes * 16 / 4
-    for kernel in (arrival.arrival_distribution, arrival.flux_at_origin):
+    kernels = {
+        "arrival": lambda: arrival.arrival_distribution(f, 1.0, WINDOW, n_t),
+        "flux": lambda: arrival.flux_at_origin(f, 1.0, WINDOW, n_t),
+        "profile": lambda: arrival.position_profile(f, 1.0, 5.0, (-30.0, 30.0), n_t),
+    }
+    for name, run in kernels.items():
         tracemalloc.start()
         try:
-            kernel(f, 1.0, WINDOW, n_t)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, (kernel.__name__, peak, limit)
+        assert peak < limit, (name, peak, limit)
 
 
 def test_flux_matches_position_profile_current(two_branch_packet):
     # independent path: evolve + spatial synthesis at x = 0, no phase matrix in t
     f, m = two_branch_packet, 1.0
     ts, J = arrival.flux_at_origin(f, m, (0.0, 2.0 * CLASSICAL_PEAK), 5)
-    ref = np.array([_current(arrival.position_profile(f, m, t, [0.0])[0]) for t in ts])
+    ref = np.array([_current(_dense_profile(f, m, t, [0.0])[0]) for t in ts])
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "m, grid_args, packet, t, x_window, n_x",
+    [
+        (1.0, (1e-3, 10.0, 512, 4),
+         dict(x0=-10.0, p0=2.0, sigma_p=0.3, c_plus=0.5**0.5, c_minus=1j * 0.5**0.5),
+         3.0, (-20.0, 10.0), 601),
+        (0.0, (1e-3, 10.0, 512, 4), dict(x0=-10.0, p0=2.0, sigma_p=0.3), 5.0, (-20.0, 10.0), 601),
+        # the arrival_broad benchmark packet
+        (1.0, (1e-3, 20.0, 1024, 4),
+         dict(x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=0.5**0.5, c_minus=0.5**0.5),
+         2.0, (-30.0, 30.0), 1201),
+    ],
+    ids=["two_branch", "massless", "broad"],
+)
+def test_position_profile_matches_dense_synthesis(m, grid_args, packet, t, x_window, n_x):
+    # the lattice sum against the dense kernel, per spinor component, within the
+    # rounding bound of _lattice_phases: 16 eps (max|x| max|p| + N) sum_j |b_j|
+    f = arrival.build_packet(arrival.PacketSpec(m=m, **packet), grids.build_grid(*grid_args))
+    xs, psi = arrival.position_profile(f, m, t, x_window, n_x)
+    assert np.array_equal(xs, np.linspace(*x_window, n_x))
+    ref = _dense_profile(f, m, t, xs)
+    assert psi.shape == ref.shape == (n_x, 4)
+    b = f.grid.weights[:, None] * arrival.evolve(f, m, t).values / SQRT2PI
+    scale = np.max(np.abs(xs)) * np.max(np.abs(f.grid.nodes)) + f.grid.n_nodes
+    bound = 16.0 * np.finfo(float).eps * scale * np.sum(np.abs(b), axis=0)
+    assert np.all(np.max(np.abs(psi - ref), axis=0) <= bound)
 
 
 def test_nonrelativistic_arrival_agreement():

@@ -96,6 +96,8 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
         ("eigen", {"mass": 1e308}, "eigen_00.csv"),
         ("limits", {"limits.ratios": [1.0, 1.0]}, "config.limits.ratios"),
         ("limits", {"mass": 1e10, "limits.e_max_factor": 1e300}, "config.limits.e_max_factor"),
+        # the eigenfunction distance is finite at unit mass; 10 m overflows
+        ("limits", {"mass": 1e308}, "config.limits.e_max_factor"),
     ],
 )
 def test_validated_config_that_the_library_rejects_exit_2(
@@ -109,11 +111,21 @@ def test_validated_config_that_the_library_rejects_exit_2(
 
 
 @pytest.mark.parametrize(
-    "command, first", [("arrival", "arrival.csv"), ("limits", "limits_eigfun.csv")]
+    "command, overrides, first",
+    [
+        # at m = 1e308, m + E_p overflows: the spinors and every curve are NaN
+        pytest.param("arrival", {"mass": 1e308}, "arrival.csv", id="arrival-arrival.csv"),
+        # at ratio 1e160, q^2 = (p / m)^2 overflows in the eigenfunction distance
+        pytest.param(
+            "limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv",
+            id="limits-limits_eigfun.csv",
+        ),
+    ],
 )
-def test_non_finite_output_is_not_written(tmp_path, capsys, assert_finite_outputs, command, first):
-    # at m = 1e308, m + E_p overflows: the spinors and every curve are NaN
-    cfg = write_config(tmp_path, mass=1e308, **{"grid.n_points": 64})
+def test_non_finite_output_is_not_written(
+    tmp_path, capsys, assert_finite_outputs, command, overrides, first
+):
+    cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"{out / first}: non-finite values, not written" in capsys.readouterr().err
@@ -141,6 +153,49 @@ def test_limits_at_tiny_mass_raises_no_warning(tmp_path, mass):
         assert cli.main(["limits", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("mass", [1e-308, 1e-310, 1e-318])
+def test_limits_at_subnormal_mass_matches_unit_mass(tmp_path, assert_finite_outputs, mass):
+    # the grid weights scaled with ratio m, so their sum went subnormal: the
+    # distance read inf at 1e-308 and NaN at 1e-310, and limits exited 2.  It
+    # depends on p / m and m t alone, so it differs from the m = 1 run only by
+    # the m t = 1 phase: within 1e-5 relative (5.4e-6 at ratio 0.1)
+    def distances(m, name):
+        cfg = write_config(tmp_path, name=f"{name}.json", mass=m, **{"grid.n_points": 64})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["limits", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert_finite_outputs(tmp_path / name)
+        return np.loadtxt(tmp_path / name / "limits_eigfun.csv", delimiter=",", skiprows=1)
+
+    tiny, unit = distances(mass, "tiny"), distances(1.0, "unit")
+    assert np.array_equal(tiny[:, 0], unit[:, 0])
+    assert np.all(np.abs(tiny[:, 1] - unit[:, 1]) <= 1e-5 * unit[:, 1])
+
+
+_BRANCHES = ("+i/branch+1", "+i/branch-1", "-i/branch+1", "-i/branch-1")
+
+
+@pytest.mark.parametrize(
+    "mass, headline, counts, classes",
+    [
+        (0.01, None, 0, ("inconclusive",) * 4),
+        (0.1, None, 0, ("inconclusive",) * 4),
+        (1.0, True, 1, ("convergent", "divergent", "divergent", "convergent")),
+        (1e5, True, 1, ("convergent", "divergent", "divergent", "convergent")),
+    ],
+)
+def test_deficiency_headline_needs_every_branch_classified(tmp_path, mass, headline, counts, classes):
+    # at m <= 0.1 the default axis reaches no decay length: 0 == 0 over four
+    # inconclusive branches used to read "equal": true
+    cfg = write_config(tmp_path, mass=mass, **{"grid.n_points": 64})
+    out = tmp_path / "lim"
+    assert cli.main(["limits", "--config", cfg, "--out", str(out)]) == 0
+    d = json.loads((out / "deficiency.json").read_text())
+    assert d["equal"] is headline and d["has_self_adjoint_extension"] is headline
+    assert (d["n_plus"], d["n_minus"]) == (counts, counts)
+    assert d["classifications"] == dict(zip(_BRANCHES, classes))
+
+
 def test_writers_refuse_non_finite_values(tmp_path):
     for render, args in (
         (cli._csv, ("x", [np.array([1.0, np.inf])])),
@@ -156,7 +211,7 @@ def test_writers_refuse_non_finite_values(tmp_path):
     "command, overrides, error",
     [
         # limits_spinor.csv renders, limits_eigfun.csv is non-finite
-        ("limits", {"mass": 1e308}, "limits_eigfun.csv: non-finite"),
+        ("limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv: non-finite"),
         # eigen_00.csv renders, eigen[1] is past the grid resolution
         (
             "eigen",

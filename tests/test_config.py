@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dirac_toa import cli
@@ -21,7 +21,8 @@ from dirac_toa.arrival import PacketSpec
 from dirac_toa.config import (
     DEFAULT_CONFIG, ConfigError, config_from_dict, config_to_dict,
 )
-from dirac_toa.eigenfunctions import ToaEigenfunction
+from dirac_toa.eigenfunctions import ToaEigenfunction, _time_lattice
+from dirac_toa.grids import build_grid
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -154,6 +155,42 @@ def with_field(path, value):
         node = node[int(key)] if key.isdigit() else node[key]
     node[last] = value
     return data
+
+
+def _rejection(call):
+    """The message of the ``ValueError`` that ``call()`` raises, or None."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    p_min=st.one_of(finite, st.sampled_from([0.0, 1e-300, 5e-324])),
+    p_max=st.one_of(finite, st.sampled_from([1e-3, 1.0, 1e300])),
+    n_points=st.integers(-2, 40),
+    deriv_order=st.integers(0, 6),
+)
+def test_config_rejects_a_grid_exactly_when_build_grid_does(p_min, p_max, n_points, deriv_order):
+    grid = {"p_min": p_min, "p_max": p_max, "n_points": n_points, "deriv_order": deriv_order}
+    library = _rejection(lambda: build_grid(**grid))
+    loaded = _rejection(lambda: config_from_dict({**DEFAULT_CONFIG, "grid": grid}))
+    assert loaded == (None if library is None else f"config.grid: {library}")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(t_min=finite, t_max=finite, n_t=st.integers(-2, 40))
+@example(t_min=-1e308, t_max=1e308, n_t=11)
+@example(t_min=0.0, t_max=5e-324, n_t=2)
+def test_config_rejects_a_window_exactly_when_the_time_lattice_does(t_min, t_max, n_t):
+    library = _rejection(lambda: _time_lattice((t_min, t_max), n_t))
+    time = {"t_min": t_min, "t_max": t_max, "n_t": n_t}
+    loaded = _rejection(lambda: config_from_dict({**DEFAULT_CONFIG, "time": time}))
+    assert loaded == (None if library is None else f"config.time: {library}")
 
 
 @pytest.mark.parametrize(
