@@ -21,7 +21,7 @@ an independent arrival-time oracle.
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``; psi(t, x) is the lam = -1 sum with p_j
 in place of E_j.  The samples form the uniform lattice np.linspace(t0, t1,
-n_t), whose one window rule is ``eigenfunctions._time_lattice``, shared with
+n_t), whose one window rule is ``eigenfunctions._window_rule``, shared with
 ``resynthesize_time_family``.  The phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
 conjugate tables carry lam = -1.  The kernels build those tables for 128
@@ -144,8 +144,7 @@ def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
         if c != 0.0:
             vals += c * g[:, None] * energy_spinor_values(spec.m, p, lam, spec.s)
     f = GridSpinorField(grid, vals)
-    raw = f.norm()
-    if raw == 0.0:
+    if f.norm() == 0.0:
         raise ValueError("the packet has no weight on the grid nodes")
     return f.normalized()
 
@@ -161,10 +160,9 @@ def evolve(f: GridSpinorField, m: float, t: float) -> GridSpinorField:
 def position_profile(f: GridSpinorField, m: float, t: float, x_window: tuple, n_x: int):
     """(x, psi(t, x)) on x = np.linspace(*x_window, n_x), psi of shape (n_x, 4):
     sum_j w_j psi_j(t) e^{i p_j x} / sqrt(2 pi), the lam = -1 lattice sum."""
-    xs, lattice = _time_lattice(x_window, n_x)
+    xs, lattice = _time_lattice(x_window, n_x, "x")
     b = f.grid.weights[:, None] * evolve(f, m, t).values / _SQRT2PI
-    _, psi = _lattice_overlaps(f.grid.nodes, *lattice, b[:, :0], b)
-    return xs, psi
+    return xs, _lattice_overlaps(f.grid.nodes, *lattice, b[:, :0], b)[1]
 
 
 def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -> float:

@@ -22,9 +22,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from .arrival import PacketSpec
-from .eigenfunctions import (
-    _window_rule, event_eigenfunction, position_eigenfunction, time_eigenfunction,
-)
+from .eigenfunctions import _window_rule, event_eigenfunction, position_eigenfunction, time_eigenfunction
 from .grids import _grid_rule
 
 __all__ = [

@@ -48,24 +48,24 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
-def _window_rule(t0: float, t1: float, n_t: int) -> None:
-    """The window rule, which ``config`` also applies at load: t0 < t1,
-    t1 - t0 finite, n_t >= 2."""
-    if not t1 > t0:
-        raise ValueError(f"empty time window: need t_min < t_max, got ({t0}, {t1})")
-    if not math.isfinite(t1 - t0):
-        raise ValueError(f"time window width t_max - t_min overflows, got ({t0}, {t1})")
-    if n_t < 2:
-        raise ValueError(f"need n_t >= 2 time samples, got {n_t}")
+def _window_rule(lo: float, hi: float, n: int, axis: str = "t") -> None:
+    """The window rule of every t or x lattice, which ``config`` also applies at load."""
+    word = {"t": "time", "x": "position"}[axis]
+    if not hi > lo:
+        raise ValueError(f"empty {word} window: need {axis}_min < {axis}_max, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{word} window width {axis}_max - {axis}_min overflows, got ({lo}, {hi})")
+    if n < 2:
+        raise ValueError(f"need n_{axis} >= 2 {word} samples, got {n}")
 
 
-def _time_lattice(t_window: tuple, n_t: int):
-    """The samples np.linspace(t0, t1, n_t) and their lattice (t0, dt, n_t);
-    ``_window_rule`` is the one window rule of every t and x lattice."""
-    t0, t1 = map(float, t_window)
-    n_t = int(n_t)
-    _window_rule(t0, t1, n_t)
-    return np.linspace(t0, t1, n_t), (t0, (t1 - t0) / (n_t - 1), n_t)
+def _time_lattice(window: tuple, n: int, axis: str = "t"):
+    """The samples np.linspace(lo, hi, n) of a t or x window and their
+    lattice (lo, (hi - lo) / (n - 1), n), under ``_window_rule``."""
+    lo, hi = map(float, window)
+    n = int(n)
+    _window_rule(lo, hi, n, axis)
+    return np.linspace(lo, hi, n), (lo, (hi - lo) / (n - 1), n)
 
 
 def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
@@ -160,9 +160,9 @@ def _lattice_adjoint(
 class ToaEigenfunction:
     """One labeled member of an arrival-operator eigenfunction family.
 
-    ``value`` is the vectorized closed form; ``eigenvalue``
-    returns the (possibly p-dependent) local factor the operator multiplies
-    by, ``check_resolved`` states whether a grid resolves the label, and
+    ``value`` is the vectorized closed form; ``eigenvalue`` returns the
+    (possibly p-dependent) local factor the operator multiplies by,
+    ``check_resolved`` states whether a grid resolves the label, and
     ``on_grid`` samples value and analytic derivative onto a grid.
     """
 

@@ -101,20 +101,20 @@ def nr_eigenfunction_limit(t: float, s: float, m: float, ratio: float) -> float:
     The relativistic function is multiplied by e^{-i m t} (splitting
     e^{i E t} = e^{i p^2 t / 2m} e^{i m t} in the limit), then compared with
     (p^2/m^2)^{1/4} zeta_s e^{i p^2 t / 2m} / sqrt(2 pi) under a normalized
-    Gaussian weight of width sigma_p = ratio * m.  Both depend only on p / m
-    and m t, so they are evaluated at unit mass, q = p / m = ratio z, with the
-    weight in z = p / sigma_p on ``build_grid(1e-2, 8, 1024)``: no node or
-    weight scales with m, and the normalizing sum is O(1) at every mass.
+    Gaussian weight of width sigma_p = ratio * m.  Both depend on p / m and m t
+    alone: they are taken at unit mass on q = ratio z, z = p / sigma_p on
+    ``build_grid(1e-2, 8, 1024)``, and without their common phase
+    e^{i q^2 m t / 2}, so the relativistic one keeps m t (E_q - 1 - q^2/2) =
+    -m t (q c)^2 / 2, c = q / (1 + E_q): no phase m t is rounded.
     """
     if ratio <= 0.0 or m <= 0.0:
         raise ValueError("ratio and m must be > 0")
     grid = build_grid(1e-2, 8.0, 1024)
     z, w = grid.nodes, grid.weights
-    q, mt = ratio * z, m * t
-    f_rel = time_eigenfunction(mt, 1, s, 1.0).value(q) * np.exp(-1j * mt)
-    zeta = nr_limit_spinor(1, s)
-    phase_non = np.exp(1j * q * q * mt / 2.0) / _SQRT2PI
-    f_non = np.sqrt(np.abs(q))[:, None] * zeta[None, :] * phase_non[:, None]
+    q = ratio * z
+    c = q / (1.0 + np.hypot(q, 1.0))
+    f_rel = time_eigenfunction(0.0, 1, s, 1.0).value(q) * np.exp(-0.5j * m * t * (q * c) ** 2)[:, None]
+    f_non = np.sqrt(np.abs(q))[:, None] * nr_limit_spinor(1, s)[None, :] / _SQRT2PI
     gauss = np.exp(-0.5 * z * z)
     gauss /= np.sum(w * gauss)
     d2 = np.sum(w * gauss * np.sum(np.abs(f_rel - f_non) ** 2, axis=1))
@@ -192,8 +192,7 @@ class DeficiencyReport:
     """Normalizability of the deficiency solutions e^{-+E} per branch.
 
     ``log_integrals`` holds ln of each truncated integral, so that e^{+-2E}
-    neither overflows nor underflows at large m.  ``equal`` is None unless
-    every branch is classified; ``classifications`` names the inconclusive ones.
+    neither overflows nor underflows at large m; ``equal`` is None unless all are classified.
     """
 
     m: float

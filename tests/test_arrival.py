@@ -375,6 +375,18 @@ def test_position_profile_matches_dense_synthesis(m, grid_args, packet, t, x_win
     assert np.all(np.max(np.abs(psi - ref), axis=0) <= bound)
 
 
+@pytest.mark.parametrize(
+    "window, n_x, match",
+    [((1.0, 1.0), 11, r"empty position window: need x_min < x_max, got \(1.0, 1.0\)"),
+     ((0.0, 1.0), 1, "need n_x >= 2 position samples, got 1")],
+    ids=["empty", "one-sample"],
+)
+def test_position_profile_names_its_window(benchmark_packet, window, n_x, match):
+    # the window rule of the t lattices, worded for x
+    with pytest.raises(ValueError, match=match):
+        arrival.position_profile(benchmark_packet, 1.0, 0.0, window, n_x)
+
+
 def test_nonrelativistic_arrival_agreement():
     # p0/m = 0.01: the two constructions agree in L1 after normalization
     m, p0, sigma, x0 = 100.0, 1.0, 0.1, -1.0

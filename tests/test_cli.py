@@ -113,9 +113,11 @@ def test_validated_config_that_the_library_rejects_exit_2(
 @pytest.mark.parametrize(
     "command, overrides, first",
     [
-        # at m = 1e308, m + E_p overflows: the spinors and every curve are NaN
+        # the two inputs are open defects logged as FOUND in CHANGES.md; a fix of
+        # either must give its case another non-finite input.  At m = 1e308,
+        # m + E_p overflows in algebra._branch_factors: every curve is NaN
         pytest.param("arrival", {"mass": 1e308}, "arrival.csv", id="arrival-arrival.csv"),
-        # at ratio 1e160, q^2 = (p / m)^2 overflows in the eigenfunction distance
+        # at ratio 1e160, (q c)^2 overflows in limits.nr_eigenfunction_limit
         pytest.param(
             "limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv",
             id="limits-limits_eigfun.csv",
@@ -210,7 +212,9 @@ def test_writers_refuse_non_finite_values(tmp_path):
 @pytest.mark.parametrize(
     "command, overrides, error",
     [
-        # limits_spinor.csv renders, limits_eigfun.csv is non-finite
+        # limits_spinor.csv renders, limits_eigfun.csv is non-finite: (q c)^2
+        # overflows at ratio 1e160, an open defect logged as FOUND in CHANGES.md;
+        # a fix of it must give this case another non-finite input
         ("limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv: non-finite"),
         # eigen_00.csv renders, eigen[1] is past the grid resolution
         (
