@@ -28,7 +28,12 @@ conjugate tables carry lam = -1.  The kernels build those tables for 128
 nodes at a time and contract each block with one matrix product per
 coefficient column, adding into the output, so the working memory beside the
 coefficients and the output is a few 128 x sqrt(n_t) tables, whatever N.  No
-n_t x N array and no N x sqrt(n_t) table is formed, for t or for x.
+n_t x N array and no N x sqrt(n_t) table is formed, for t or for x.  Per
+block, subnormal coefficient parts are flushed to 0 and only the columns that
+still hold a value != 0 (NaN and inf included) are multiplied; a block with
+none builds no tables.  That skips a one-helicity packet's spin-flipped
+columns and the blocks where its Gaussian has underflowed, and moves each
+sample by at most 2 N tiny (tiny = np.finfo(float).tiny).
 ``evolve`` needs only the core's per-node spinors and projections.
 """
 from __future__ import annotations

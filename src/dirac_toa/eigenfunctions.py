@@ -110,16 +110,35 @@ def _lattice_overlaps(
     place.  Beside the coefficients and the output the working memory is three
     block-sized tables and one product of a column's size, whatever N and the
     column count.
+
+    Skip and flush: per block, the subnormal real and imaginary parts of the
+    coefficients are set to 0, and only the columns that then hold a value
+    != 0 are multiplied; a block with none builds no tables.  Skipping an
+    exact zero leaves a floating-point sum as it was, and NaN and inf
+    coefficients stay live, so each output sample moves by at most
+    2 N tiny (tiny = ``np.finfo(float).tiny``), from the flushed subnormals
+    alone, while the gemm takes no subnormal operand.
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
     n_b, c = -(-n_t // K), plus.shape[1]
     R = np.zeros((c + minus.shape[1], n_b, K), dtype=complex)
     Z = np.empty((K, n_b), dtype=complex)
+    tiny = np.finfo(float).tiny
     for blk in _node_blocks(len(E)):
+        B = np.empty((len(R), len(E[blk])), dtype=complex)  # one row per column
+        B[:c] = plus[blk].T
+        np.conjugate(minus[blk].T, out=B[c:])
+        parts = B.view(float)
+        flushed = np.abs(parts) < tiny  # zeros and subnormals; NaN compares False
+        parts[flushed] = 0.0
+        live = [col for col, dead in enumerate(flushed.all(axis=1).tolist()) if not dead]
+        if not live:
+            continue
         Q, S = _lattice_phases(E[blk], t0, dt, n_t)
         Y = np.empty_like(S)
-        for col, b in enumerate([*plus[blk].T, *np.conj(minus[blk]).T]):
-            R[col] += np.matmul(Q, np.multiply(S, b[:, None], out=Y), out=Z).T
+        for col in live:
+            R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z).T
+        del Q, S, Y  # the next block's tables are built after these are freed
     np.conjugate(R[c:], out=R[c:])
     R = R.reshape(len(R), -1)[:, :n_t].T
     return R[:, :c], R[:, c:]
@@ -181,14 +200,14 @@ class ToaEigenfunction:
         if self.family == "time":
             E = np.hypot(p, m)
             phase = np.exp(1j * L["lam"] * E * L["t"]) / _SQRT2PI
-            dln_phase = 1j * L["lam"] * L["t"] * p / E
         else:
-            phase, dln_phase = np.exp(-1j * p * L["x"]) / _SQRT2PI, -1j * L["x"]
+            phase = np.exp(-1j * p * L["x"]) / _SQRT2PI
         if self.family != "event":
             args = (m, p, L["lam"], L["s"])
             table = (weight_factor(m, p), energy_spinor_values(*args), phase)
             if not derivative:
                 return table
+            dln_phase = 1j * L["lam"] * L["t"] * p / E if self.family == "time" else -1j * L["x"]
             return table + (
                 weight_factor_derivative_ratio(m, p), energy_spinor_derivative(*args), dln_phase,
             )
@@ -202,7 +221,7 @@ class ToaEigenfunction:
         return table + (
             -tau / (2.0 * t_x * t_x) * dtau,
             dtau[..., None] * event_spinor_tau_derivative(x, tau, b, s),
-            dln_phase,
+            -1j * x,
         )
 
     def value(self, p) -> np.ndarray:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirac_toa import algebra, grids
+from dirac_toa import algebra, eigenfunctions, grids
 from dirac_toa.eigenfunctions import (
+    _NODE_BLOCK,
     _lattice_adjoint,
     _lattice_overlaps,
     event_eigenfunction,
@@ -66,6 +67,14 @@ def test_time_family_derivative_vs_finite_difference():
     h = 1e-5
     fd = (func.value(p + h) - func.value(p - h)) / (2 * h)
     assert np.max(np.abs(func._closed_form(p)[1] - fd)) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_family_value_evaluates_no_derivative_at_subnormal_mass():
+    """``value`` forms no d ln(phase) = i lam t p / E, which overflows at a
+    subnormal E; the value itself is finite."""
+    v = time_eigenfunction(1.0, 1, 0.5, 1e-310).value(np.array([1e-312]))
+    assert np.all(np.isfinite(v))
 
 
 def test_position_family_pointwise_factor_345():
@@ -355,14 +364,22 @@ LATTICE_SIZES = [2, 3, 5, 7, 97, 101, 4, 9, 16, 100, 121, 8, 10, 15, 17, 99, 120
     t0=st.floats(-1e3, 1e3),
     t1=st.floats(-1e3, 1e3),
     seed=st.integers(0, 2**32 - 1),
+    zero_block=st.booleans(),
+    zero_column=st.booleans(),
+    subnormal=st.booleans(),
 )
-def test_lattice_sums_match_extended_precision(n_t, n_nodes, e_exp, t0, t1, seed):
+def test_lattice_sums_match_extended_precision(
+    n_t, n_nodes, e_exp, t0, t1, seed, zero_block, zero_column, subnormal
+):
     """The factored lattice sums against the direct sums in long double.
 
     Bound, per output column: |delta| <= C eps (max|t| max|E| + L) sum|b| with
     C = 16, where L is the number of summed terms (N for the overlaps, n_t
     for the adjoint).  The first term is the rounding of E t in the two exp
     tables and of dt; the second bounds the rounding of the products and sums.
+    The overlap coefficients may hold an exactly-zero node block, an
+    exactly-zero column and subnormal parts; the overlaps flush those parts to
+    0, which adds 2 N tiny to their bound.
     """
     assume(t0 != t1)
     rng = np.random.default_rng(seed)
@@ -374,6 +391,18 @@ def test_lattice_sums_match_extended_precision(n_t, n_nodes, e_exp, t0, t1, seed
 
     plus, minus = cplx(n_nodes, 2), cplx(n_nodes, 3)
     x_plus, x_minus = cplx(n_t, 2), cplx(n_t, 3)
+    tiny = np.finfo(float).tiny
+    for coeff in (plus, minus):
+        if zero_block:
+            j = _NODE_BLOCK * rng.integers(0, -(-n_nodes // _NODE_BLOCK))
+            coeff[j : j + _NODE_BLOCK] = 0.0
+        if zero_column:
+            coeff[:, rng.integers(0, coeff.shape[1])] = 0.0
+        if subnormal:
+            parts = coeff.view(float)  # a whole column and a random scatter of parts
+            parts[:, 2 * rng.integers(0, coeff.shape[1]) + np.arange(2)] *= tiny / 8.0
+            scatter = rng.random(parts.shape) < 0.3
+            parts[scatter] = tiny * rng.uniform(-1.0, 1.0, np.count_nonzero(scatter))
 
     ld = np.longdouble
     t = ld(t0) + np.arange(n_t).astype(ld) * ((ld(t1) - ld(t0)) / ld(n_t - 1))
@@ -394,7 +423,77 @@ def test_lattice_sums_match_extended_precision(n_t, n_nodes, e_exp, t0, t1, seed
         assert got[key].shape == exact[key].shape, key
         err = np.max(np.abs(got[key] - exact[key]), axis=0).astype(float)
         bound = 16.0 * eps * (scale + terms) * np.sum(np.abs(coeff), axis=0)
+        if key.startswith("overlap"):
+            bound += 2.0 * n_nodes * tiny
         assert np.all(err <= bound), (key, err / bound)
+
+
+def _three_blocks():
+    """Energies and (plus, minus) coefficients, 2 columns each, on three node
+    blocks: the first all zero, the last all subnormal."""
+    n = 3 * _NODE_BLOCK
+    rng = np.random.default_rng(7)
+    E = np.hypot(rng.uniform(1e-3, 10.0, n), 1.0)
+    coeff = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
+    coeff[:, :_NODE_BLOCK] = 0.0
+    coeff[:, 2 * _NODE_BLOCK :] *= np.finfo(float).tiny / 8.0
+    return E, coeff[0], coeff[1]
+
+
+def test_lattice_overlaps_build_no_tables_for_a_zero_block(monkeypatch):
+    """Only the middle block holds a value once subnormals are flushed, so
+    only its exp tables are built, and the sums equal those over it alone."""
+    E, plus, minus = _three_blocks()
+    phases, built = eigenfunctions._lattice_phases, []
+
+    def counted(E_blk, *lattice):
+        built.append(E_blk)
+        return phases(E_blk, *lattice)
+
+    monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted)
+    got = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
+    assert len(built) == 1 and np.array_equal(built[0], E[_NODE_BLOCK : 2 * _NODE_BLOCK])
+    mid = slice(_NODE_BLOCK, 2 * _NODE_BLOCK)
+    alone = _lattice_overlaps(E[mid], -20.0, 0.05, 801, plus[mid], minus[mid])
+    for a, b in zip(got, alone):
+        assert np.array_equal(a, b)
+
+
+def test_lattice_overlaps_zero_column_is_exact_zero():
+    """An all-zero coefficient column, beside live ones, sums to +0 exactly;
+    its lam = -1 sum is the conjugate of +0."""
+    E, plus, minus = _three_blocks()
+    plus[:, 1] = 0.0
+    minus[:, 0] = 0.0
+    pos, neg = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
+    for col in (pos[:, 1], np.conj(neg[:, 0])):
+        parts = np.ascontiguousarray(col).view(float)
+        assert np.all(parts == 0.0) and not np.any(np.signbit(parts))
+    assert np.all(pos[:, 0] != 0.0) and np.all(neg[:, 1] != 0.0)
+
+
+def test_lattice_overlaps_keep_the_smallest_normal_live():
+    """Only subnormals are flushed: a column whose one value is the smallest
+    normal number, tiny, in an otherwise all-zero block still sums."""
+    E, plus, minus = _three_blocks()
+    plus[:, 0] = 0.0
+    plus[3, 0] = np.finfo(float).tiny
+    pos, _ = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
+    assert np.max(np.abs(pos[:, 0])) >= 0.5 * np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lattice_overlaps_keep_non_finite_coefficients_live(bad):
+    """A NaN or inf coefficient in an otherwise all-zero block is not
+    skipped: its column comes back non-finite, for the writer guard to see."""
+    E, plus, minus = _three_blocks()
+    plus[:, 0] = 0.0
+    plus[5, 0] = bad
+    minus[7, 1] = bad * 1j
+    with np.errstate(invalid="ignore"):  # inf times a phase has NaN parts
+        pos, neg = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
+    assert not np.any(np.isfinite(pos[:, 0])) and not np.any(np.isfinite(neg[:, 1]))
+    assert np.all(np.isfinite(pos[:, 1])) and np.all(np.isfinite(neg[:, 0]))
 
 
 @pytest.mark.parametrize("n_nodes, n_t", [(2048, 2501), (512, 12001)])
@@ -424,6 +523,28 @@ def test_lattice_kernels_working_memory_is_bounded(n_nodes, n_t):
             tracemalloc.stop()
         limit = 2 * (tables + 16 * 8 * out_rows)
         assert peak <= limit, (kernel.__name__, peak / limit)
+
+
+@pytest.mark.parametrize("n_nodes, n_t", [(512, 12001), (2048, 2501)])
+def test_lattice_overlaps_hold_one_block_of_tables_at_a_time(n_nodes, n_t):
+    """Beside the output and its K x blocks product, the peak traced memory of
+    the overlaps stays below 5 tables of 128 x max(K, blocks): the current
+    block's Q, S and scaled S, and its small coefficient rows (measured 3.7
+    and 4.2; with the previous block's tables still held while the next
+    block's are built, 6.2 and 7.0)."""
+    rng = np.random.default_rng(3)
+    E = np.hypot(rng.uniform(1e-3, 20.0, n_nodes), 1.0)
+    plus, minus = rng.standard_normal((2, n_nodes, 4)) + 1j * rng.standard_normal((2, n_nodes, 4))
+    K = math.isqrt(n_t - 1) + 1
+    n_b = -(-n_t // K)
+    tracemalloc.start()
+    try:
+        _lattice_overlaps(E, -45.0, 90.0 / (n_t - 1), n_t, plus, minus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = (peak - 16 * (8 + 1) * K * n_b) / (16 * _NODE_BLOCK * max(K, n_b))
+    assert tables <= 5.0, tables
 
 
 def test_lattice_kernels_memory_does_not_grow_with_the_node_count():
