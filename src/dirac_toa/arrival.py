@@ -34,7 +34,10 @@ still hold a value != 0 (NaN and inf included) are multiplied; a block with
 none builds no tables.  That skips a one-helicity packet's spin-flipped
 columns and the blocks where its Gaussian has underflowed, and moves each
 sample by at most 2 N tiny (tiny = np.finfo(float).tiny).
-``evolve`` needs only the core's per-node spinors and projections.
+``evolve`` needs only the core's per-node spinors and projections.  The
+nonrelativistic overlaps are the lam = +1 sums on the energies p^2 / 2m beside
+a zero lam = -1 block, which the kernel skips; ``_normalized`` forms every
+distribution's curves from its two branch amplitudes.
 """
 from __future__ import annotations
 
@@ -178,11 +181,16 @@ def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -
     return float(np.real(direct + mirror))
 
 
-def _normalized(ts: np.ndarray, curves: tuple, full: float) -> ArrivalDistribution:
-    """(Pi_total, Pi_pos, Pi_neg, Pi_interf) divided by the window integral of
-    Pi_total, with a warning when it is off its full-line value ``full`` by
-    over 1%.  Above 1 the node sums, almost periodic in t, repeat the arrival
-    inside a window that the momentum grid does not resolve."""
+def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: float) -> ArrivalDistribution:
+    """(Pi_total, Pi_pos, Pi_neg, Pi_interf): sum_s |a_pos + a_neg|^2 of the
+    (n_t, spin) branch amplitudes and its three parts, divided by the window
+    integral of Pi_total, with a warning when it is off its full-line value
+    ``full`` by over 1%.  Above 1 the node sums, almost periodic in t, repeat
+    the arrival inside a window that the momentum grid does not resolve."""
+    pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
+    pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
+    pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
+    curves = (pi_pos + pi_neg + pi_int, pi_pos, pi_neg, pi_int)
     raw = float(np.trapezoid(curves[0], ts))
     if raw <= 0.0:
         raise ValueError("no arrival mass inside the window")
@@ -215,13 +223,9 @@ def arrival_distribution(
     ts, lattice = _time_lattice(t_window, n_t)
     E, W, _, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / _SQRT2PI
-    # A_{lam s}(t), one column per spin s
-    a_pos, a_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)
-    pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
-    pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
-    pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
     full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
-    return _normalized(ts, (pi_pos + pi_neg + pi_int, pi_pos, pi_neg, pi_int), full)
+    # A_{lam s}(t), one column per spin s
+    return _normalized(ts, *_lattice_overlaps(E, *lattice, b[:2].T, b[2:].T), full)
 
 
 def arrival_distribution_nonrel(
@@ -235,22 +239,19 @@ def arrival_distribution_nonrel(
     Overlaps with (p^2/m^2)^{1/4} zeta_s e^{i p^2 t / 2 m} / sqrt(2 pi); only
     the positive-branch spin structure zeta_{+s} enters, matching the
     nonrelativistic reduction where the branches decouple.  The rest-mass
-    phase e^{i m t} drops out of the squared modulus.
+    phase e^{i m t} drops out of the squared modulus.  The lam = -1 block is
+    zero, so Pi_neg and Pi_interf are 0 and Pi_total = Pi_pos.
     """
     if m <= 0.0:
         raise ValueError("nonrelativistic comparison requires m > 0")
     ts, lattice = _time_lattice(t_window, n_t)
-    grid = f.grid
-    p = grid.nodes
+    p = f.grid.nodes
     Wn = np.sqrt(np.abs(p) / m)
     zeta = np.stack([nr_limit_spinor(1, s) for s in (0.5, -0.5)], axis=1)
-    b = (grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
-    amp, _ = _lattice_overlaps(p * p / (2.0 * m), *lattice, b, b[:, :0])
-    pi_tot = np.sum(np.abs(amp) ** 2, axis=1)
+    b = (f.grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     # the upper components, on which beta is +1
-    full = _full_line_mass(grid.weights, f.values[:, :2], _BETA_DIAG[:2])
-    zero = np.zeros_like(ts)
-    return _normalized(ts, (pi_tot, pi_tot, zero, zero), full)
+    full = _full_line_mass(f.grid.weights, f.values[:, :2], _BETA_DIAG[:2])
+    return _normalized(ts, *_lattice_overlaps(p * p / (2.0 * m), *lattice, b, np.zeros_like(b)), full)
 
 
 def flux_at_origin(

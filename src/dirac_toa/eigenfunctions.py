@@ -171,6 +171,7 @@ def _lattice_adjoint(
         for col, x in enumerate(X):
             np.matmul(Q.T, x.T, out=Z)
             R[blk, col] = np.einsum("jk,jk->j", Z, S)
+        del Q, S, Z  # the next block's tables are built after these are freed
     np.conjugate(R[:, :c], out=R[:, :c])
     return R[:, :c], R[:, c:]
 

@@ -319,20 +319,15 @@ def _induced_energy_axis(grid: MomentumGrid, m: float, branch: int):
     """E-nodes/weights induced from the positive momenta by E = branch * E_p.
 
     Weights are w_p * |dE/dp|; no re-interpolation is performed.  Returns
-    (nodes ascending, weights, ordering of the source |p| nodes).  The map
-    needs m > 0: at m = 0 the two branches touch at E = 0.
+    (nodes ascending, weights): branch -1 is the positive axis negated and
+    reversed.  The map needs m > 0: at m = 0 the two branches touch at E = 0.
     """
     if m <= 0.0:
         raise ValueError("the energy map requires m > 0")
     ppos = grid.nodes[grid.positive]
-    wpos = grid.weights[grid.positive]
     E_p = np.hypot(ppos, m)
-    jac = ppos / E_p
-    if branch == 1:
-        order = np.arange(len(ppos))
-        return E_p, wpos * jac, order
-    order = np.arange(len(ppos))[::-1]
-    return -E_p[::-1], (wpos * jac)[::-1], order
+    weights = grid.weights[grid.positive] * (ppos / E_p)
+    return (E_p, weights) if branch == 1 else (-E_p[::-1], weights[::-1])
 
 
 def to_energy_rep(f: GridSpinorField, m: float):
@@ -350,9 +345,10 @@ def to_energy_rep(f: GridSpinorField, m: float):
     proj = np.sqrt(E_p / np.abs(grid.nodes)) * c  # [E^2/(E^2-m^2)]^(1/4)
     out = []
     for lam, b in ((1, proj[:2]), (-1, proj[2:])):
-        nodes, weights, order = _induced_energy_axis(grid, m, lam)
-        # side +1 reads the positive momenta, side -1 the negative ones by |p|
-        vals = np.concatenate([b[:, n:], b[:, n - 1 :: -1]])[:, order].T
+        nodes, weights = _induced_energy_axis(grid, m, lam)
+        # side +1 reads the positive momenta, side -1 the negative ones by |p|;
+        # branch -1 takes them in reverse, as its axis
+        vals = np.concatenate([b[:, n:], b[:, n - 1 :: -1]])[:, ::lam].T
         out.append(
             EnergyGridFunction(
                 branch=lam, m=m, nodes=nodes, weights=weights,
@@ -366,7 +362,7 @@ def energy_function_on_branch(
     grid: MomentumGrid, m: float, branch: int, fn, dfn=None
 ) -> EnergyGridFunction:
     """Single-channel test function g(E) on the induced energy axis."""
-    nodes, weights, _ = _induced_energy_axis(grid, m, branch)
+    nodes, weights = _induced_energy_axis(grid, m, branch)
     vals = np.asarray(fn(nodes), dtype=complex)[:, None]
     dvals = None if dfn is None else np.asarray(dfn(nodes), dtype=complex)[:, None]
     return EnergyGridFunction(
@@ -438,7 +434,7 @@ def energy_measure_identity(grid: MomentumGrid, m: float, h):
     E variable.  The image starts at E(p_min), which is the energy face of
     the excluded neighborhood of p = 0.  Returns (left, right).
     """
-    E_p, weights, _ = _induced_energy_axis(grid, m, 1)
+    E_p, weights = _induced_energy_axis(grid, m, 1)
     left = float(np.sum(weights * (h(E_p) + h(-E_p))))
     e_min = float(np.hypot(grid.p_min, m))
     e_max = float(np.hypot(grid.p_max, m))

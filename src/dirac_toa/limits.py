@@ -94,9 +94,10 @@ def nr_eigen_limit_check(x: float, p: float, m: float):
     return t_rel, t_non, abs(t_rel - t_non)
 
 
-def nr_eigenfunction_limit(t: float, s: float, m: float, ratio: float) -> float:
+def nr_eigenfunction_limit(t: float, s: float, m: float, ratio):
     """Gaussian-weighted L2 distance between the rest-phase-stripped
-    time-labeled eigenfunction and its nonrelativistic counterpart.
+    time-labeled eigenfunction and its nonrelativistic counterpart,
+    broadcast over ``ratio`` on one z-grid (a few (ratios, 2048, 4) arrays).
 
     The relativistic function is multiplied by e^{-i m t} (splitting
     e^{i E t} = e^{i p^2 t / 2m} e^{i m t} in the limit), then compared with
@@ -105,20 +106,27 @@ def nr_eigenfunction_limit(t: float, s: float, m: float, ratio: float) -> float:
     alone: they are taken at unit mass on q = ratio z, z = p / sigma_p on
     ``build_grid(1e-2, 8, 1024)``, and without their common phase
     e^{i q^2 m t / 2}, so the relativistic one keeps m t (E_q - 1 - q^2/2) =
-    -m t (q c)^2 / 2, c = q / (1 + E_q): no phase m t is rounded.
+    -m t (q c)^2 / 2, c = q / (1 + E_q): no phase m t is rounded.  A ratio
+    at which that phase is not finite (past about 1.7e153 at m t = 1) is a
+    ``ValueError`` naming it, raised before any phase is formed.
     """
-    if ratio <= 0.0 or m <= 0.0:
+    ratio = np.asarray(ratio, dtype=float)
+    if np.any(ratio <= 0.0) or m <= 0.0:
         raise ValueError("ratio and m must be > 0")
     grid = build_grid(1e-2, 8.0, 1024)
     z, w = grid.nodes, grid.weights
-    q = ratio * z
-    c = q / (1.0 + np.hypot(q, 1.0))
-    f_rel = time_eigenfunction(0.0, 1, s, 1.0).value(q) * np.exp(-0.5j * m * t * (q * c) ** 2)[:, None]
-    f_non = np.sqrt(np.abs(q))[:, None] * nr_limit_spinor(1, s)[None, :] / _SQRT2PI
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = ratio[..., None] * z
+        c = q / (1.0 + np.hypot(q, 1.0))
+        theta = -0.5 * m * t * (q * c) ** 2
+    bad = ratio[~np.isfinite(theta).all(axis=-1)]
+    if bad.size:
+        raise ValueError(f"the phase m t (q c)^2 / 2 is not finite at ratio {bad.flat[0]:.6g}")
+    f_rel = time_eigenfunction(0.0, 1, s, 1.0).value(q) * np.exp(1j * theta)[..., None]
+    f_non = np.sqrt(np.abs(q))[..., None] * nr_limit_spinor(1, s) / _SQRT2PI
     gauss = np.exp(-0.5 * z * z)
     gauss /= np.sum(w * gauss)
-    d2 = np.sum(w * gauss * np.sum(np.abs(f_rel - f_non) ** 2, axis=1))
-    return float(np.sqrt(d2))
+    return np.sqrt(np.sum(w * gauss * np.sum(np.abs(f_rel - f_non) ** 2, axis=-1), axis=-1))
 
 
 def nr_eigenfunction_limit_scan(t: float, s: float, m: float, ratios) -> LimitReport:
@@ -133,7 +141,7 @@ def nr_eigenfunction_limit_scan(t: float, s: float, m: float, ratios) -> LimitRe
     ratios = ratios[ratios >= 1e-3]
     if len(ratios) < 2:
         ratios = np.asarray([1e-1, 1e-2, 1e-3])
-    dists = np.array([nr_eigenfunction_limit(t, s, m, r) for r in ratios])
+    dists = nr_eigenfunction_limit(t, s, m, ratios)
     return LimitReport(ratios, dists, _fit_order(ratios, dists))
 
 

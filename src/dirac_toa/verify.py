@@ -8,17 +8,17 @@ tolerance.  The random-lattice checks make one broadcast spinor call each.
 
 ``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
 ``run_all_checks`` and the acceptance tests read it.  Each residual takes
-the per-run ``_Run``: the config, its mass and grid, one rng
-that the random-lattice checks draw from in registry order, and the shared
-scenario: the m = 1 benchmark packet on the run grid, with its arrival
-distribution and flux, computed once for the three checks that read them.
-``_Run.from_config`` first tries what the checks put on the run grid, so a
-config they cannot evaluate is a ``ConfigError`` at its JSON path.
+the per-run ``_Run``, the run's one scenario: the config, its mass and
+grid, one rng that the random-lattice checks draw from in registry order,
+and each input that several checks share or a config field decides, built
+once by ``_Run.from_config`` under that field's JSON path, so a config the
+checks cannot evaluate is a ``ConfigError`` there.  Every fixed packet is
+``_BENCH_SPEC`` with fields replaced.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +28,12 @@ from .config import RunConfig, at_path
 
 __all__ = ["CheckResult", "CHECKS", "check_names", "run_all_checks"]
 
-# the benchmark scenario: classically the packet arrives at t = 10 sqrt(5)/2
+# the benchmark scenario and its classical arrival time -x0 E / p0
 _BENCH_SPEC = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
 _BENCH_WINDOW, _BENCH_NT = (-20.0, 43.0), 1261
+_BENCH_ARRIVAL = -_BENCH_SPEC.x0 * np.hypot(_BENCH_SPEC.p0, _BENCH_SPEC.m) / _BENCH_SPEC.p0
 # the group-velocity packet, the widest that a check builds on the run grid
-_GROUP_SPEC = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.5)
+_GROUP_SPEC = replace(_BENCH_SPEC, sigma_p=0.5)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def check_grid_odd(grid) -> float:
     return float(abs(np.sum(grid.weights * grid.nodes)))
 
 
-def check_commutator_analytic(m=1.0) -> float:
+def check_commutator_analytic(m) -> float:
     # the axis scales with m past m = 1, so p_min < p_max at every mass
     grid = grids.build_grid(1e-3 * max(m, 1e-3), 10.0 * max(m, 1.0), 256, 4)
     f = eigenfunctions.time_eigenfunction(2.0, 1, 0.5, m).on_grid(grid)
@@ -179,26 +180,23 @@ def check_commutator_order(order: int):
     return float(abs(slope - order)), res
 
 
-def check_measure_identity(grid, m=1.0) -> float:
+def check_measure_identity(grid, m) -> float:
     h = lambda E: np.exp(-((E - 2.0) ** 2))
     left, right = grids.energy_measure_identity(grid, m, h)
     return abs(left - right)
 
 
-def check_parseval(grid, m, packet_spec) -> float:
-    f = arrival.build_packet(packet_spec, grid)
-    g_plus, g_minus = grids.to_energy_rep(f, m)
+def check_parseval(f, energy) -> float:
+    g_plus, g_minus = energy
     total = g_plus.norm_sq() + g_minus.norm_sq()
     return abs(total - f.norm() ** 2)
 
 
-def check_branch_isolation(grid, m, packet_spec) -> float:
-    f = arrival.build_packet(packet_spec, grid)
-    _, g_minus = grids.to_energy_rep(f, m)
-    return float(np.sqrt(g_minus.norm_sq()))
+def check_branch_isolation(energy) -> float:
+    return float(np.sqrt(energy[1].norm_sq()))
 
 
-def check_symmetry_defect(m=1.0) -> float:
+def check_symmetry_defect(m) -> float:
     """|<g|Tg> - <Tg|g>| for g = u e^{-u}, u = (E - m)/m.
 
     g vanishes at the gap and decays on the scale m, so on an axis out to
@@ -212,7 +210,7 @@ def check_symmetry_defect(m=1.0) -> float:
     return abs(grids.symmetry_defect(g, g))
 
 
-def check_boundary_rejection(m=1.0) -> float:
+def check_boundary_rejection(m) -> float:
     # the axis scales with m past m = 1, so that E_p > m at every node
     grid = grids.build_grid(1e-3 * max(m, 1.0), 16.0 * max(m, 1.0), 256, 4)
     g = grids.energy_function_on_branch(grid, m, 1, lambda E: np.exp(-(E - m)))
@@ -380,8 +378,7 @@ def check_resynthesis() -> float:
 # arrival checks
 # ---------------------------------------------------------------------------
 
-def check_norm_drift(grid, m, packet_spec) -> float:
-    f = arrival.build_packet(packet_spec, grid)
+def check_norm_drift(f, m) -> float:
     worst = 0.0
     for t in (0.0, 1.0, 5.0, 20.0):
         worst = max(worst, abs(arrival.evolve(f, m, t).norm() - f.norm()))
@@ -389,8 +386,7 @@ def check_norm_drift(grid, m, packet_spec) -> float:
 
 
 def check_interference_zero(grid, m) -> float:
-    spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1)
-    f = arrival.build_packet(spec, grid)
+    f = arrival.build_packet(replace(_BENCH_SPEC, m=m), grid)
     dist = arrival.arrival_distribution(f, m, _BENCH_WINDOW, _BENCH_NT)
     return float(np.max(np.abs(dist.Pi_interf)))
 
@@ -398,11 +394,10 @@ def check_interference_zero(grid, m) -> float:
 def check_arrival_benchmark(dist, ts, J) -> float:
     """Largest offset among the distribution peak, the flux peak and the
     classical arrival time of the benchmark packet."""
-    classical = 10.0 * np.sqrt(5.0) / 2.0
     flux_peak = float(ts[np.argmax(J)])
     return float(max(
-        abs(dist.peak_time - classical),
-        abs(flux_peak - classical),
+        abs(dist.peak_time - _BENCH_ARRIVAL),
+        abs(flux_peak - _BENCH_ARRIVAL),
         abs(dist.peak_time - flux_peak),
     ))
 
@@ -413,18 +408,17 @@ def check_flux_unit_crossing(ts, J) -> float:
 
 def check_mirror_symmetry(grid, dist) -> float:
     """Pi_total of the benchmark packet against its mirror image x -> -x."""
-    b = arrival.build_packet(arrival.PacketSpec(m=1.0, x0=10.0, p0=-2.0, sigma_p=0.1), grid)
-    db = arrival.arrival_distribution(b, 1.0, _BENCH_WINDOW, _BENCH_NT)
+    spec = replace(_BENCH_SPEC, x0=-_BENCH_SPEC.x0, p0=-_BENCH_SPEC.p0)
+    db = arrival.arrival_distribution(arrival.build_packet(spec, grid), spec.m, _BENCH_WINDOW, _BENCH_NT)
     return float(np.max(np.abs(dist.Pi_total - db.Pi_total)))
 
 
-def check_group_velocity(grid) -> float:
+def check_group_velocity(f) -> float:
     m, t = _GROUP_SPEC.m, 2.0
-    f = arrival.build_packet(_GROUP_SPEC, grid)
-    p = grid.nodes
+    p = f.grid.nodes
     E = np.hypot(p, m)
     dens = np.sum(np.abs(f.values) ** 2, axis=1)
-    v_mean = float(np.sum(grid.weights * dens * p / E))
+    v_mean = float(np.sum(f.grid.weights * dens * p / E))
 
     def centroid(time):
         xs, prof = arrival.position_profile(f, m, time, (-16.0, -2.0), 701)
@@ -435,24 +429,20 @@ def check_group_velocity(grid) -> float:
 
 
 def check_antiparticle_peak(grid) -> float:
-    """Negative-branch packet with p0 > 0 arrives at negative t."""
-    m = 1.0
-    spec = arrival.PacketSpec(m=m, x0=-10.0, p0=2.0, sigma_p=0.1, c_plus=0.0, c_minus=1.0)
-    f = arrival.build_packet(spec, grid)
-    dist = arrival.arrival_distribution(f, m, (-43.0, 20.0), 1261)
-    classical = -10.0 * np.sqrt(5.0) / 2.0
-    return abs(dist.peak_time - classical)
+    """The negative-branch benchmark packet arrives at minus its time, in the mirrored window."""
+    spec = replace(_BENCH_SPEC, c_plus=0.0, c_minus=1.0)
+    window = (-_BENCH_WINDOW[1], -_BENCH_WINDOW[0])
+    dist = arrival.arrival_distribution(arrival.build_packet(spec, grid), spec.m, window, _BENCH_NT)
+    return abs(dist.peak_time + _BENCH_ARRIVAL)
 
 
 def check_nonrel_arrival_l1() -> float:
-    m, p0, sigma, x0 = 100.0, 1.0, 0.1, -1.0
-    grid = grids.build_grid(0.1, 10.0, 512, 4)
-    spec = arrival.PacketSpec(m=m, x0=x0, p0=p0, sigma_p=sigma)
-    f = arrival.build_packet(spec, grid)
-    t_star = -x0 * np.hypot(p0, m) / p0
+    spec = arrival.PacketSpec(m=100.0, x0=-1.0, p0=1.0, sigma_p=0.1)
+    f = arrival.build_packet(spec, grids.build_grid(0.1, 10.0, 512, 4))
+    t_star = -spec.x0 * np.hypot(spec.p0, spec.m) / spec.p0
     window = (t_star - 2500.0, t_star + 2500.0)
-    rel = arrival.arrival_distribution(f, m, window, 1601)
-    non = arrival.arrival_distribution_nonrel(f, m, window, 1601)
+    rel = arrival.arrival_distribution(f, spec.m, window, 1601)
+    non = arrival.arrival_distribution_nonrel(f, spec.m, window, 1601)
     return arrival.l1_distance(rel, non)
 
 
@@ -460,8 +450,8 @@ def check_nonrel_arrival_l1() -> float:
 # limit checks
 # ---------------------------------------------------------------------------
 
-def check_nr_spinor_slope(ratios) -> float:
-    rep_u, rep_w = limits.nr_spinor_limit_scan(ratios)
+def check_nr_spinor_slope(reports) -> float:
+    rep_u, rep_w = reports
     return max(abs(rep_u.fitted_order - 1.0), abs(rep_w.fitted_order - 1.0))
 
 
@@ -480,8 +470,7 @@ def check_nr_eigenvalue_gap() -> float:
 
 
 def check_nr_eigenfunction_ratio() -> float:
-    d1 = limits.nr_eigenfunction_limit(1.0, 0.5, 1.0, 0.1)
-    d2 = limits.nr_eigenfunction_limit(1.0, 0.5, 1.0, 0.01)
+    d1, d2 = limits.nr_eigenfunction_limit(1.0, 0.5, 1.0, (0.1, 0.01))
     return max(0.0, 5.0 - d1 / d2)
 
 
@@ -501,7 +490,7 @@ def check_dual_residual() -> float:
     return worst
 
 
-def check_deficiency(m=1.0) -> float:
+def check_deficiency(m) -> float:
     rep = limits.deficiency_diagnostic(m, 10.0 * m)
     ok = (
         rep.n_plus == 1
@@ -521,12 +510,18 @@ def check_deficiency(m=1.0) -> float:
 
 @dataclass
 class _Run:
-    """Per-run inputs of the checks; see the module docstring."""
+    """The run's scenario, each input built once; see the module docstring."""
 
     cfg: RunConfig
     m: float
+    # the mass of the six checks that clamp it; ROADMAP item 7 runs them at m
+    m_clamped: float
     rng: np.random.Generator
     grid: grids.MomentumGrid
+    psi: grids.GridSpinorField
+    energy: tuple | None  # to_energy_rep(psi, m); the energy map needs m > 0
+    group: grids.GridSpinorField
+    nr_spinor: tuple
     dist: arrival.ArrivalDistribution
     ts: np.ndarray
     J: np.ndarray
@@ -536,20 +531,18 @@ class _Run:
         grid = grids.build_grid(**asdict(cfg.grid))
         with at_path("config.grid"):
             # _GROUP_SPEC reaches furthest of the fixed packets put on this grid
-            arrival.build_packet(_GROUP_SPEC, grid)
+            group = arrival.build_packet(_GROUP_SPEC, grid)
         with at_path("config.packet"):
             psi = arrival.build_packet(cfg.packet, grid)
         with at_path("config.limits.ratios"):
-            limits.nr_spinor_limit_scan(cfg.limits.ratios)  # nr_spinor_slope fits over these
-        if cfg.mass > 0.0:
-            # energy_parseval and branch_isolation map the run grid to energies
-            with at_path("config.grid.p_min"):
-                grids.to_energy_rep(psi, cfg.mass)
+            nr_spinor = limits.nr_spinor_limit_scan(cfg.limits.ratios)
+        with at_path("config.grid.p_min"):
+            energy = grids.to_energy_rep(psi, cfg.mass) if cfg.mass > 0.0 else None
         bench = arrival.build_packet(_BENCH_SPEC, grid)
-        dist = arrival.arrival_distribution(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
-        ts, J = arrival.flux_at_origin(bench, 1.0, _BENCH_WINDOW, _BENCH_NT)
+        dist = arrival.arrival_distribution(bench, _BENCH_SPEC.m, _BENCH_WINDOW, _BENCH_NT)
+        ts, J = arrival.flux_at_origin(bench, _BENCH_SPEC.m, _BENCH_WINDOW, _BENCH_NT)
         rng = np.random.default_rng(cfg.seed)
-        return cls(cfg, cfg.mass, rng, grid, dist, ts, J)
+        return cls(cfg, cfg.mass, max(cfg.mass, 0.5), rng, grid, psi, energy, group, nr_spinor, dist, ts, J)
 
 
 # (name, residual of a _Run, tolerance), in report order.  The lambdas look
@@ -567,14 +560,14 @@ CHECKS = (
     ("grid_weight_sum", lambda r: check_grid_weight_sum(r.grid), 1e-12),
     ("grid_gaussian_quadrature", lambda r: check_grid_gaussian(r.grid), 1e-10),
     ("grid_odd_integrand", lambda r: check_grid_odd(r.grid), 1e-12),
-    ("commutator_analytic", lambda r: check_commutator_analytic(max(r.m, 0.5)), 1e-9),
+    ("commutator_analytic", lambda r: check_commutator_analytic(r.m_clamped), 1e-9),
     ("commutator_order_{deriv_order}", lambda r: check_commutator_order(r.cfg.grid.deriv_order)[0], 0.5),
-    ("measure_identity", lambda r: check_measure_identity(r.grid, max(r.m, 0.5)), 1e-8),
-    # the energy map needs m > 0; massless runs pass these two vacuously
-    ("energy_parseval", lambda r: check_parseval(r.grid, r.m, r.cfg.packet) if r.m > 0 else 0.0, 1e-8),
-    ("branch_isolation", lambda r: check_branch_isolation(r.grid, r.m, r.cfg.packet) if r.m > 0 else 0.0, 1e-12),
-    ("symmetry_defect", lambda r: check_symmetry_defect(max(r.m, 0.5)), 1e-8),
-    ("boundary_rejection", lambda r: check_boundary_rejection(max(r.m, 0.5)), 0.0),
+    ("measure_identity", lambda r: check_measure_identity(r.grid, r.m_clamped), 1e-8),
+    # massless runs have no energy map and pass these two vacuously
+    ("energy_parseval", lambda r: check_parseval(r.psi, r.energy) if r.energy else 0.0, 1e-8),
+    ("branch_isolation", lambda r: check_branch_isolation(r.energy) if r.energy else 0.0, 1e-12),
+    ("symmetry_defect", lambda r: check_symmetry_defect(r.m_clamped), 1e-8),
+    ("boundary_rejection", lambda r: check_boundary_rejection(r.m_clamped), 0.0),
     ("massless_reduction", lambda r: check_massless_reduction(), 1e-14),
     ("time_family_eigen_residual", lambda r: check_time_family_residual(), 1e-9),
     ("position_family_pointwise", lambda r: check_position_family_pointwise(), 1e-9),
@@ -584,21 +577,21 @@ CHECKS = (
     ("overlap_orthogonality", lambda r: check_overlap_orthogonality(), 1e-10),
     ("delta_concentration_width", lambda r: check_delta_concentration(), 0.4),
     ("time_family_resynthesis", lambda r: check_resynthesis(), 1e-6),
-    ("evolution_norm_drift", lambda r: check_norm_drift(r.grid, r.m, r.cfg.packet), 1e-12),
-    ("interference_single_branch", lambda r: check_interference_zero(r.grid, max(r.m, 0.5)), 1e-12),
+    ("evolution_norm_drift", lambda r: check_norm_drift(r.psi, r.m), 1e-12),
+    ("interference_single_branch", lambda r: check_interference_zero(r.grid, r.m_clamped), 1e-12),
     ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist, r.ts, r.J), 0.5),
     ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.ts, r.J), 1e-2),
     ("mirror_symmetry", lambda r: check_mirror_symmetry(r.grid, r.dist), 1e-12),
-    ("group_velocity", lambda r: check_group_velocity(r.grid), 1e-2),
+    ("group_velocity", lambda r: check_group_velocity(r.group), 1e-2),
     ("antiparticle_reversed_peak", lambda r: check_antiparticle_peak(r.grid), 0.5),
     ("nonrel_arrival_l1", lambda r: check_nonrel_arrival_l1(), 0.05),
-    ("nr_spinor_slope", lambda r: check_nr_spinor_slope(r.cfg.limits.ratios), 0.05),
+    ("nr_spinor_slope", lambda r: check_nr_spinor_slope(r.nr_spinor), 0.05),
     ("nr_spinor_leading_term", lambda r: check_nr_spinor_leading(), 0.2),
     ("nr_eigenvalue_gap", lambda r: check_nr_eigenvalue_gap(), 1e-12),
     ("nr_eigenfunction_ratio", lambda r: check_nr_eigenfunction_ratio(), 0.0),
     ("nr_eigenfunction_order", lambda r: check_nr_eigenfunction_order(), 0.0),
     ("dual_residual", lambda r: check_dual_residual(), 1e-13),
-    ("deficiency_indices", lambda r: check_deficiency(max(r.m, 0.5)), 0.0),
+    ("deficiency_indices", lambda r: check_deficiency(r.m_clamped), 0.0),
 )
 
 

@@ -7,6 +7,7 @@ only.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,31 @@ def test_every_check_passes_across_masses(mass):
     cfg = config_from_dict({**DEFAULT_CONFIG, "mass": mass})
     for r in verify.run_all_checks(cfg):
         report(r)
+
+
+def test_a_run_builds_each_scenario_input_once(monkeypatch):
+    # _Run holds the inputs that several checks share; no check builds one again
+    cfg = config_from_dict(DEFAULT_CONFIG)
+    seen, specs = Counter(), []
+
+    def count(module, name, record):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            record(*args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(verify.arrival, "build_packet", lambda spec, grid: specs.append(spec))
+    count(verify.grids, "to_energy_rep", lambda *args: seen.update(["to_energy_rep"]))
+    count(verify.limits, "nr_spinor_limit_scan", lambda *args: seen.update(["nr_spinor_limit_scan"]))
+    count(verify.limits, "build_grid", lambda *args: seen.update([args]))
+    assert all(r.passed for r in verify.run_all_checks(cfg))
+    assert seen["to_energy_rep"] == 1 and seen["nr_spinor_limit_scan"] == 1
+    assert sum(s is cfg.packet for s in specs) == 1
+    assert sum(s is verify._GROUP_SPEC for s in specs) == 1
+    assert seen[(1e-2, 8.0, 1024)] <= 2  # the eigenfunction-limit z-grid
 
 
 def _perfbench_verify_checks() -> dict:

@@ -401,6 +401,25 @@ def test_nonrelativistic_arrival_agreement():
     assert non.captured_mass >= 0.99
 
 
+def test_nonrelativistic_arrival_is_the_positive_branch_of_the_shared_assembly():
+    # the scenario above; Pi_total is sum_s |zeta overlap|^2, formed directly
+    m, t_star, n_t = 100.0, np.hypot(1.0, 100.0), 1601
+    window = (t_star - 2500.0, t_star + 2500.0)
+    f = arrival.build_packet(
+        arrival.PacketSpec(m=m, x0=-1.0, p0=1.0, sigma_p=0.1), grids.build_grid(0.1, 10.0, 512, 4)
+    )
+    non = arrival.arrival_distribution_nonrel(f, m, window, n_t)
+    p, w = f.grid.nodes, f.grid.weights
+    zeta = np.stack([algebra.nr_limit_spinor(1, s) for s in (0.5, -0.5)], axis=1)
+    b = (w * np.sqrt(np.abs(p) / m) / SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
+    ts, lattice = eigenfunctions._time_lattice(window, n_t)
+    amp, _ = _lattice_overlaps(p * p / (2.0 * m), *lattice, b, b[:, :0])
+    pi = np.sum(np.abs(amp) ** 2, axis=1)
+    assert np.array_equal(non.Pi_total, pi / float(np.trapezoid(pi, ts)))
+    assert np.array_equal(non.Pi_pos, non.Pi_total)
+    assert not np.any(non.Pi_neg) and not np.any(non.Pi_interf)
+
+
 def test_l1_distance_mismatched_lattice(grid512, benchmark_packet):
     d1 = arrival.arrival_distribution(benchmark_packet, 1.0, (0.0, 20.0), 101)
     d2 = arrival.arrival_distribution(benchmark_packet, 1.0, (0.0, 20.0), 201)

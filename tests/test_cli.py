@@ -7,13 +7,14 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirac_toa import cli
+from dirac_toa import cli, limits
 from dirac_toa.config import DEFAULT_CONFIG, ConfigError, config_to_dict, load_config
 
 SCI17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -98,6 +99,8 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
         ("limits", {"mass": 1e10, "limits.e_max_factor": 1e300}, "config.limits.e_max_factor"),
         # the eigenfunction distance is finite at unit mass; 10 m overflows
         ("limits", {"mass": 1e308}, "config.limits.e_max_factor"),
+        # the eigenfunction-limit phase m t (q c)^2 / 2 overflows at ratio 1e160
+        ("limits", {"limits.ratios": [1.0, 1e160]}, "config.limits.ratios"),
     ],
 )
 def test_validated_config_that_the_library_rejects_exit_2(
@@ -110,23 +113,35 @@ def test_validated_config_that_the_library_rejects_exit_2(
     assert_finite_outputs(out)
 
 
+def _nan_eigenfunction_scan(monkeypatch):
+    """Make the eigenfunction-limit scan report NaN distances."""
+    scan = limits.nr_eigenfunction_limit_scan
+
+    def nan_scan(*args):
+        rep = scan(*args)
+        return replace(rep, errors=np.full_like(rep.errors, np.nan))
+
+    monkeypatch.setattr(limits, "nr_eigenfunction_limit_scan", nan_scan)
+
+
 @pytest.mark.parametrize(
-    "command, overrides, first",
+    "command, overrides, patch, first",
     [
-        # the two inputs are open defects logged as FOUND in CHANGES.md; a fix of
-        # either must give its case another non-finite input.  At m = 1e308,
-        # m + E_p overflows in algebra._branch_factors: every curve is NaN
-        pytest.param("arrival", {"mass": 1e308}, "arrival.csv", id="arrival-arrival.csv"),
-        # at ratio 1e160, (q c)^2 overflows in limits.nr_eigenfunction_limit
+        # an open defect logged as FOUND in CHANGES.md; a fix of it must give
+        # this case another non-finite input.  At m = 1e308, m + E_p overflows
+        # in algebra._branch_factors: every curve is NaN
+        pytest.param("arrival", {"mass": 1e308}, None, "arrival.csv", id="arrival-arrival.csv"),
         pytest.param(
-            "limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv",
+            "limits", {}, _nan_eigenfunction_scan, "limits_eigfun.csv",
             id="limits-limits_eigfun.csv",
         ),
     ],
 )
 def test_non_finite_output_is_not_written(
-    tmp_path, capsys, assert_finite_outputs, command, overrides, first
+    monkeypatch, tmp_path, capsys, assert_finite_outputs, command, overrides, patch, first
 ):
+    if patch:
+        patch(monkeypatch)
     cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -210,23 +225,24 @@ def test_writers_refuse_non_finite_values(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, overrides, error",
+    "command, overrides, patch, error",
     [
-        # limits_spinor.csv renders, limits_eigfun.csv is non-finite: (q c)^2
-        # overflows at ratio 1e160, an open defect logged as FOUND in CHANGES.md;
-        # a fix of it must give this case another non-finite input
-        ("limits", {"limits.ratios": [1.0, 1e160]}, "limits_eigfun.csv: non-finite"),
+        # limits_spinor.csv renders, limits_eigfun.csv is non-finite
+        ("limits", {}, _nan_eigenfunction_scan, "limits_eigfun.csv: non-finite"),
         # eigen_00.csv renders, eigen[1] is past the grid resolution
         (
             "eigen",
             {"eigen": [{"family": "time", "t": 2.0, "lam": 1, "s": 0.5},
                        {"family": "position", "x": 1e6, "lam": 1, "s": 0.5}]},
+            None,
             "config.eigen[1]",
         ),
     ],
     ids=["limits", "eigen"],
 )
-def test_failed_run_writes_nothing(tmp_path, capsys, command, overrides, error):
+def test_failed_run_writes_nothing(monkeypatch, tmp_path, capsys, command, overrides, patch, error):
+    if patch:
+        patch(monkeypatch)
     cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -1,4 +1,6 @@
 """Nonrelativistic limits, dual event states, deficiency diagnostics."""
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -135,6 +137,24 @@ def test_nr_eigenfunction_limit_at_tiny_mass(m):
     # sigma^2 = (ratio m)^2 underflows to 0 here; the distance is scale-free
     d = limits.nr_eigenfunction_limit(1.0, 0.5, m, 1e-2)
     assert d == pytest.approx(limits.nr_eigenfunction_limit(1.0, 0.5, 1.0, 1e-2), rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [1e-308, 1.0, 1e5])
+def test_nr_eigenfunction_limit_broadcasts_bit_for_bit(m):
+    ratios = DEFAULT_CONFIG["limits"]["ratios"]
+    at_once = limits.nr_eigenfunction_limit(1.0, 0.5, m, ratios)
+    assert at_once.shape == (len(ratios),)
+    assert at_once.tolist() == [limits.nr_eigenfunction_limit(1.0, 0.5, m, r) for r in ratios]
+
+
+def test_nr_eigenfunction_limit_rejects_a_ratio_whose_phase_overflows():
+    # m t (q c)^2 / 2 passes the float range near ratio 1.7e153 at m t = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(limits.nr_eigenfunction_limit(1.0, 0.5, 1.0, 1e153))
+        for scan in (limits.nr_eigenfunction_limit, limits.nr_eigenfunction_limit_scan):
+            with pytest.raises(ValueError, match=r"not finite at ratio 1e\+160"):
+                scan(1.0, 0.5, 1.0, (1.0, 1e160))
 
 
 def test_nr_eigenfunction_limit_t_zero_nonzero():

@@ -12,6 +12,12 @@ function's own body; otherwise the default is the only value it ever takes.
 Calls match by name alone and a call with ``*`` or ``**`` passes every
 parameter, so this rule errs toward passing too.  ``cli.main(argv)`` is the
 entry point and is exempt.
+
+Conversely, no such default may be passed by every call in ``src/dirac_toa``
+that names the function: then the default is never the value, and the
+parameter should be required.  A call with ``*`` or ``**`` counts as passing
+here, so this rule errs toward flagging, and a function no call names is left
+to the first rule.
 """
 import ast
 from pathlib import Path
@@ -131,24 +137,39 @@ def _passes(call: ast.Call, name: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
-def unset_defaults(sources: dict) -> dict:
-    """module -> the "function.parameter" defaults that no call in ``sources`` sets."""
+def _defaults_by_calls(sources: dict, flagged) -> dict:
+    """module -> the "function.parameter" defaults of public module-level
+    functions for which ``flagged(calls, name, position)`` holds, ``calls``
+    being the calls of the function in ``sources`` outside its own body."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     out = {}
     for mod, tree in trees.items():
-        unset = []
+        hits = []
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                 continue
             calls = [c for t in trees.values() for c in _calls(t, fn.name, fn)]
-            unset += [
+            hits += [
                 f"{fn.name}.{name}" for name, position in _defaulted(fn)
-                if (mod, fn.name, name) not in _ENTRY_POINTS
-                and not any(_passes(c, name, position) for c in calls)
+                if (mod, fn.name, name) not in _ENTRY_POINTS and flagged(calls, name, position)
             ]
-        if unset:
-            out[mod] = unset
+        if hits:
+            out[mod] = hits
     return out
+
+
+def unset_defaults(sources: dict) -> dict:
+    """module -> the "function.parameter" defaults that no call in ``sources`` sets."""
+    return _defaults_by_calls(
+        sources, lambda calls, name, pos: not any(_passes(c, name, pos) for c in calls)
+    )
+
+
+def overridden_defaults(sources: dict) -> dict:
+    """module -> the "function.parameter" defaults that every call in ``sources`` sets."""
+    return _defaults_by_calls(
+        sources, lambda calls, name, pos: calls and all(_passes(c, name, pos) for c in calls)
+    )
 
 
 def test_every_default_has_a_setter_in_src():
@@ -167,3 +188,24 @@ def test_rule_flags_a_default_only_its_own_body_sets():
              "    return a.f(1), a.g(1, 2), a.g(1, m=4), a.h(*args), a.h(1, **opts)\n",
     }
     assert unset_defaults(sources) == {"a": ["f.n", "f.k"]}
+
+
+def test_no_default_is_set_by_every_call_in_src():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 9
+    assert overridden_defaults(sources) == {}
+
+
+def test_rule_flags_a_default_every_call_sets():
+    sources = {
+        "a": "def f(x, n=2, *, k=1):\n    return f(x) if n else x\n"
+             "def g(x, n=2, m=3):\n    return x\n"
+             "def h(x, n=2):\n    return x\n"
+             "def unused(x, n=2):\n    return x\n"
+             "def _private(x, n=2):\n    return x\n",
+        "b": "from . import a\n\ndef caller(args):\n"
+             "    return a.f(1, 3, k=0), a.f(1, n=0, k=2), a.g(1, 2), a.g(1, m=4),"
+             " a.h(*args), a._private(1, 2)\n",
+    }
+    # f's own recursive call does not count; g.m is left at its default once
+    assert overridden_defaults(sources) == {"a": ["f.n", "f.k", "h.n"]}
