@@ -197,11 +197,12 @@ def cmd_limits(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
+# name -> (command, help text), in the order ``--help`` lists them
 _COMMANDS = {
-    "verify": cmd_verify,
-    "arrival": cmd_arrival,
-    "eigen": cmd_eigen,
-    "limits": cmd_limits,
+    "verify": (cmd_verify, "run every invariant check and report pass/fail"),
+    "arrival": (cmd_arrival, "compute the arrival-time distribution and flux oracle"),
+    "eigen": (cmd_eigen, "sample eigenfunctions of the arrival operator"),
+    "limits": (cmd_limits, "nonrelativistic limit tables and deficiency diagnostic"),
 }
 
 
@@ -211,12 +212,7 @@ def main(argv=None) -> int:
         description="Relativistic free-motion time-of-arrival toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run every invariant check and report pass/fail"),
-        ("arrival", "compute the arrival-time distribution and flux oracle"),
-        ("eigen", "sample eigenfunctions of the arrival operator"),
-        ("limits", "nonrelativistic limit tables and deficiency diagnostic"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config path (built-in default if omitted)")
         p.add_argument("--out", help="output directory")
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else config_from_dict(DEFAULT_CONFIG)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

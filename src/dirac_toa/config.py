@@ -207,14 +207,14 @@ def _eigen_from(items, path: str, mass: float) -> tuple:
 
 
 def _limits_from(d, path: str) -> LimitsConfig:
-    d = _object(d, path, (), ("ratios", "e_max_factor"))
-    ratios = d.get("ratios", DEFAULT_CONFIG["limits"]["ratios"])
+    d = {**DEFAULT_CONFIG["limits"], **_object(d, path, (), ("ratios", "e_max_factor"))}
+    ratios = d["ratios"]
     if not isinstance(ratios, list) or len(ratios) < 2:
         raise ConfigError(f"{path}.ratios: expected a list of at least two ratios")
     vals = tuple(_number(r, f"{path}.ratios[{i}]") for i, r in enumerate(ratios))
     if any(r <= 0.0 for r in vals):
         raise ConfigError(f"{path}.ratios: all ratios must be > 0")
-    factor = _number(d.get("e_max_factor", 10.0), f"{path}.e_max_factor")
+    factor = _number(d["e_max_factor"], f"{path}.e_max_factor")
     if factor <= 1.0:
         raise ConfigError(f"{path}.e_max_factor: must be > 1")
     return LimitsConfig(vals, factor)

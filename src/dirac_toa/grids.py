@@ -17,8 +17,8 @@ Operators:
 * ``commutator_residual`` -- the canonical relation [T, H] = i on a field.
 * ``to_energy_rep``      -- isometry onto functions of E on the two spectral
   branches (-inf, -m) u (m, +inf), with the exact Jacobian |dE/dp| = |p|/E_p.
-* ``apply_toa_energy``   -- -i d/dE per branch, gated on the boundary
-  condition g(+-m) = 0 that makes the operator symmetric.
+* ``apply_toa_energy``   -- closed-form -i d/dE per branch, gated on the
+  boundary condition g(+-m) = 0 that makes the operator symmetric.
 * ``symmetry_defect``    -- <g1|T g2> - <T g1|g2> on one branch.
 
 The spectral core ``_spectral_data`` lives here: one broadcast spinor call
@@ -386,21 +386,16 @@ def _check_boundary(g: EnergyGridFunction, index: int, condition: str):
 
 
 def apply_toa_energy(g: EnergyGridFunction) -> EnergyGridFunction:
-    """-i d/dE on one spectral branch.
+    """-i d/dE on one spectral branch, from the field's closed-form ``deriv_values``.
 
-    d/dE is the field's ``deriv_values`` when it carries them, else the
-    4th-order finite-difference stencil on the energy nodes.  Rejects
-    inputs that violate the symmetric-domain boundary condition g(+-m) = 0
-    (checked at the gap-adjacent node).
+    Rejects a field that breaks the symmetric-domain boundary condition
+    g(+-m) = 0 at the gap-adjacent node, then one without ``deriv_values``.
     """
     _check_boundary(g, g.gap_adjacent_index, f"g({g.branch:+d}m) = 0")
-    if g.deriv_values is not None:
-        dg = g.deriv_values
-    else:
-        idx, wts = _stencil_table(g.nodes, 4)
-        dg = np.einsum("ik,ikc->ic", wts, g.values[idx])
+    if g.deriv_values is None:
+        raise ValueError("no closed-form d/dE: pass dfn to energy_function_on_branch")
     return EnergyGridFunction(
-        branch=g.branch, m=g.m, nodes=g.nodes, weights=g.weights, values=-1j * dg,
+        branch=g.branch, m=g.m, nodes=g.nodes, weights=g.weights, values=-1j * g.deriv_values,
     )
 
 

@@ -192,8 +192,10 @@ def check_parseval(f, energy) -> float:
     return abs(total - f.norm() ** 2)
 
 
-def check_branch_isolation(energy) -> float:
-    return float(np.sqrt(energy[1].norm_sq()))
+def check_branch_isolation(energy, c_minus) -> float:
+    """| ||g_-|| - |c_-| |: the lam = -1 branch of the energy map holds the
+    packet's own lam = -1 share |c_-|, none for a one-branch packet."""
+    return float(abs(np.sqrt(energy[1].norm_sq()) - abs(c_minus)))
 
 
 def check_symmetry_defect(m) -> float:
@@ -393,8 +395,8 @@ def check_interference_zero(grid, m) -> float:
 
 def check_arrival_benchmark(dist, ts, J) -> float:
     """Largest offset among the distribution peak, the flux peak and the
-    classical arrival time of the benchmark packet."""
-    flux_peak = float(ts[np.argmax(J)])
+    classical arrival time of the benchmark packet, peaks by ``arrival.peak_location``."""
+    flux_peak = arrival.peak_location(ts, J)
     return float(max(
         abs(dist.peak_time - _BENCH_ARRIVAL),
         abs(flux_peak - _BENCH_ARRIVAL),
@@ -565,7 +567,7 @@ CHECKS = (
     ("measure_identity", lambda r: check_measure_identity(r.grid, r.m_clamped), 1e-8),
     # massless runs have no energy map and pass these two vacuously
     ("energy_parseval", lambda r: check_parseval(r.psi, r.energy) if r.energy else 0.0, 1e-8),
-    ("branch_isolation", lambda r: check_branch_isolation(r.energy) if r.energy else 0.0, 1e-12),
+    ("branch_isolation", lambda r: check_branch_isolation(r.energy, r.cfg.packet.c_minus) if r.energy else 0.0, 1e-12),
     ("symmetry_defect", lambda r: check_symmetry_defect(r.m_clamped), 1e-8),
     ("boundary_rejection", lambda r: check_boundary_rejection(r.m_clamped), 0.0),
     ("massless_reduction", lambda r: check_massless_reduction(), 1e-14),

@@ -123,6 +123,16 @@ def test_every_check_passes_across_masses(mass):
         report(r)
 
 
+@pytest.mark.parametrize("c_plus, c_minus", [([0.8, 0.0], [0.0, 0.6]), ([0.0, 0.0], [1.0, 0.0])])
+def test_every_check_passes_on_two_branch_packets(c_plus, c_minus):
+    # branch_isolation compares the lam = -1 branch with the packet's own |c_-|
+    packet = {**DEFAULT_CONFIG["packet"], "c_plus": c_plus, "c_minus": c_minus}
+    results = verify.run_all_checks(config_from_dict({**DEFAULT_CONFIG, "packet": packet}))
+    assert len(results) == 42
+    for r in results:
+        report(r)
+
+
 def test_a_run_builds_each_scenario_input_once(monkeypatch):
     # _Run holds the inputs that several checks share; no check builds one again
     cfg = config_from_dict(DEFAULT_CONFIG)

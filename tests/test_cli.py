@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac_toa import cli, limits
-from dirac_toa.config import DEFAULT_CONFIG, ConfigError, config_to_dict, load_config
+from dirac_toa.config import DEFAULT_CONFIG, ConfigError, config_from_dict, config_to_dict, load_config
 
 SCI17 = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -391,6 +391,46 @@ def test_arrival_outputs_and_determinism(tmp_path):
     assert abs(sidecar["flux_peak_time"] - sidecar["peak_time"]) <= 0.5
     assert sidecar["captured_mass"] >= 0.99
     assert sidecar["config"]["packet"]["p0"] == 2.0
+
+
+def test_verify_peak_residual_matches_arrival_sidecar(tmp_path):
+    # the default packet and window are verify's benchmark: both commands
+    # locate the two peaks by the one rule, arrival.peak_location
+    from dirac_toa.verify import run_all_checks
+
+    assert cli.main(["arrival", "--out", str(tmp_path)]) == 0
+    sidecar = json.loads((tmp_path / "arrival.json").read_text())
+    peak, flux_peak = sidecar["peak_time"], sidecar["flux_peak_time"]
+    classical = 10.0 * np.hypot(2.0, 1.0) / 2.0
+    rebuilt = max(abs(peak - classical), abs(flux_peak - classical), abs(peak - flux_peak))
+    results = {r.name: r for r in run_all_checks(config_from_dict(DEFAULT_CONFIG))}
+    assert results["arrival_peak_benchmark"].max_residual == rebuilt
+
+
+def test_verify_passes_on_the_broad_two_branch_packet(tmp_path, capsys):
+    # the packet and grid of the arrival_broad benchmark workload: c_- != 0
+    h = 0.7071067811865476
+    cfg = write_config(
+        tmp_path,
+        **{"grid.p_max": 20.0, "grid.n_points": 1024, "packet.p0": 5.0, "packet.sigma_p": 1.5,
+           "packet.c_plus": [h, 0.0], "packet.c_minus": [0.0, h]},
+    )
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert "42/42 checks passed" in capsys.readouterr().out
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, help_text in (
+        ("verify", "run every invariant check and report pass/fail"),
+        ("arrival", "compute the arrival-time distribution and flux oracle"),
+        ("eigen", "sample eigenfunctions of the arrival operator"),
+        ("limits", "nonrelativistic limit tables and deficiency diagnostic"),
+    ):
+        assert re.search(rf"^\s+{name}\s+{re.escape(help_text)}$", out, re.M), name
 
 
 def test_arrival_packet_off_grid_exit_2(tmp_path, capsys):

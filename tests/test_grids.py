@@ -325,6 +325,21 @@ def test_boundary_condition_gate():
         grids.apply_toa_energy(g)
 
 
+def test_energy_derivative_is_closed_form_only():
+    # a function that meets g(m) = 0 but carries no d/dE is refused by name;
+    # one that breaks g(m) = 0 is refused for the boundary condition first
+    m = 1.0
+    grid = grids.build_grid(1e-3, 16.0, 256, 4)
+    g = grids.energy_function_on_branch(grid, m, 1, lambda E: (E - m) ** 2 * np.exp(-(E - m)))
+    with pytest.raises(ValueError, match="no closed-form d/dE"):
+        grids.apply_toa_energy(g)
+    g = grids.energy_function_on_branch(
+        grid, m, 1, lambda E: np.exp(-(E - m)), lambda E: -np.exp(-(E - m))
+    )
+    with pytest.raises(ValueError, match="boundary condition"):
+        grids.apply_toa_energy(g)
+
+
 def test_energy_rep_translation_response():
     # g(E) = e^{i E t0} bump(E): <g|T g>/||g||^2 = t0 exactly for a real bump
     m, t0, center, width = 1.0, 3.0, 5.0, 0.6
@@ -339,18 +354,6 @@ def test_energy_rep_translation_response():
     tg = grids.apply_toa_energy(g)
     expval = grids.energy_inner_product(g, tg) / g.norm_sq()
     assert abs(expval - t0) <= 1e-8
-
-
-def test_energy_rep_fd_derivative_close_to_analytic():
-    m, t0, center, width = 1.0, 1.0, 5.0, 0.6
-    grid = grids.build_grid(1e-4, 16.0, 1024, 4)
-    fn = lambda E: np.exp(1j * E * t0) * np.exp(-((E - center) ** 2) / (2 * width**2))
-    dfn = lambda E: (1j * t0 - (E - center) / width**2) * fn(E)
-    g_an = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
-    g_fd = grids.energy_function_on_branch(grid, m, 1, fn)
-    t_an = grids.apply_toa_energy(g_an).values
-    t_fd = grids.apply_toa_energy(g_fd).values
-    assert np.max(np.abs(t_an - t_fd)) <= 1e-5
 
 
 def _per_panel_gauss_legendre(a, b, n, panels):

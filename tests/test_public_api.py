@@ -18,8 +18,14 @@ that names the function: then the default is never the value, and the
 parameter should be required.  A call with ``*`` or ``**`` counts as passing
 here, so this rule errs toward flagging, and a function no call names is left
 to the first rule.
+
+The package surface is stated once: ``__init__`` star-imports each library
+module, so the ``dirac_toa`` namespace is the union of their ``__all__``
+lists, no name is exported by two modules, and ``__init__`` imports no name
+explicitly.
 """
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dirac_toa"
@@ -209,3 +215,53 @@ def test_rule_flags_a_default_every_call_sets():
     }
     # f's own recursive call does not count; g.m is left at its default once
     assert overridden_defaults(sources) == {"a": ["f.n", "f.k", "h.n"]}
+
+
+# the modules whose ``__all__`` make up the package surface; ``verify`` and
+# ``cli`` are reached by their module names
+LIBRARY = ("algebra", "arrival", "config", "eigenfunctions", "grids", "limits")
+
+
+def surface_faults(init_text: str, exports: dict) -> list:
+    """Faults of a package ``__init__`` against ``exports``, module -> its
+    ``__all__``: an import of explicit names, a module not star-imported, a
+    name that two modules export."""
+    faults, starred = [], set()
+    for node in ast.walk(ast.parse(init_text)):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if names == ["*"]:
+                starred.add(node.module)
+            else:
+                faults.append(f"explicit import from {node.module}: {', '.join(names)}")
+    faults += [f"{mod} is not star-imported" for mod in exports if mod not in starred]
+    owner = {}
+    for mod, names in exports.items():
+        for name in names:
+            if name in owner:
+                faults.append(f"{name} is exported by {owner[name]} and {mod}")
+            owner.setdefault(name, mod)
+    return faults
+
+
+def test_package_surface_is_the_modules_all():
+    exports = {
+        mod: _exports(ast.parse((SRC / f"{mod}.py").read_text(encoding="utf-8")))
+        for mod in LIBRARY
+    }
+    assert surface_faults((SRC / "__init__.py").read_text(encoding="utf-8"), exports) == []
+    package = importlib.import_module("dirac_toa")
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    public = {
+        name for name in vars(package)
+        if not name.startswith("_") and name not in submodules
+    }
+    assert public == set().union(*exports.values())
+
+
+def test_rule_flags_a_second_export_list():
+    exports = {"a": ["f", "g"], "b": ["g"], "c": ["h"]}
+    init = "from .a import *\nfrom .b import *\nfrom .c import h\n"
+    assert surface_faults(init, exports) == [
+        "explicit import from c: h", "c is not star-imported", "g is exported by a and b",
+    ]
