@@ -17,10 +17,12 @@ Spinor families provided:
 * ``nr_limit_spinor``      -- the nonrelativistic limits zeta_{+-s}.
 
 The energy and event spinors share one layout, N (eta_s ; c sigma_1 eta_s),
-and differ only in N and c.  ``weight_factor`` is the eigenfunction weight
-W(p) = [p^2/(p^2 + m^2)]^{1/4}.  All functions are pure and broadcast over
-every argument (mass or x, momentum or proper time, sign, spin), so one
-call evaluates a whole lattice of labels.
+and one factor rule for N and c: the event spinor is the energy spinor at the
+dual labels (p, m, lambda) = (x, tau, b), with a mass that may be negative.
+``weight_factor`` is the eigenfunction weight W(p) = [p^2/(p^2 + m^2)]^{1/4},
+and the event weight [x^2/(x^2 + tau^2)]^{1/4} at the same labels.  All
+functions are pure and broadcast over every argument (mass or x, momentum or
+proper time, sign, spin), so one call evaluates a whole lattice of labels.
 """
 from __future__ import annotations
 
@@ -111,7 +113,7 @@ def helicity_spinor(s) -> np.ndarray:
 def _spinor_layout(N, c, s) -> np.ndarray:
     """(N eta_s ; N c sigma_1 eta_s), broadcast over N, c and s; shape (..., 4).
 
-    The one layout of the energy and event spinors, which differ only in N, c.
+    The one layout of the energy and event spinors.
     """
     e = helicity_spinor(s)
     # sigma_1 swaps the two components of eta_s
@@ -119,25 +121,34 @@ def _spinor_layout(N, c, s) -> np.ndarray:
 
 
 def _branch_factors(m, p, lam):
-    """Stable prefactors of the energy spinor, broadcast over m, p and lam.
+    """Stable prefactors of the layout, broadcast over m, p and lam.
 
-    Returns (E, D, N, c) with D = m + lam E, N = sqrt(D/(2 lam E)) and
-    c = p/D.  On the lam = -1 branch D is evaluated as -p^2/(E + m) to avoid
-    cancellation for |p| << m.  At m = 0, N = 1/sqrt(2) and c = lam sign(p)
-    exactly.  p = 0 and m < 0 are rejected.
+    Returns (E, D, N, c) with E = sqrt(p^2 + m^2), D = m + lam E,
+    N = sqrt(D/(2 lam E)) and c = p/D.  The mass m is signed: the event
+    spinor passes its proper time, which is negative when x p < 0.  Wherever
+    lam m < 0, D is evaluated as lam p^2/(E + |m|), free of the cancellation
+    for |p| << |m|.  At m = 0, N = 1/sqrt(2) and c = lam sign(p) exactly.
+    p = 0 and signs other than +-1 are rejected.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p == 0.0):
         raise ValueError("p = 0 is excluded")
-    if np.any(np.asarray(m) < 0.0):
-        raise ValueError("mass must be >= 0")
+    if not np.all(np.abs(lam) == 1):
+        raise ValueError(f"sign must be +1 or -1, got {lam}")
     E = np.hypot(p, m)
     with np.errstate(over="ignore"):  # np.where evaluates both forms, used or not
-        D = np.where(lam == 1, m + E, -(p * p) / (E + m))
+        D = np.where(lam * m < 0.0, lam * (p * p / (E + np.abs(m))), m + lam * E)
     massless = np.asarray(m) == 0.0
     N = np.where(massless, 1.0 / np.sqrt(2.0), np.sqrt(D / (2.0 * lam * E)))
     c = np.where(massless, lam * np.sign(p), p / D)
     return E, D, N, c
+
+
+def _layout_derivative(N, c, dlnN, dc, s) -> np.ndarray:
+    """Derivative of the layout N (eta_s ; c sigma_1 eta_s) from d ln N and dc."""
+    out = dlnN[..., None] * _spinor_layout(N, c, s)
+    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
+    return out
 
 
 def energy_spinor_values(m, p, lam, s) -> np.ndarray:
@@ -146,63 +157,38 @@ def energy_spinor_values(m, p, lam, s) -> np.ndarray:
     Broadcasts over m, p, lam and s; returns their broadcast shape + (4,).
     Unit norm and H(p) phi = lam E_p phi hold identically.
     """
+    if np.any(np.asarray(m) < 0.0):
+        raise ValueError("mass must be >= 0")
     _, _, N, c = _branch_factors(m, p, lam)
     return _spinor_layout(N, c, s)
 
 
 def energy_spinor_derivative(m, p, lam, s) -> np.ndarray:
     """Analytic d/dp of the energy spinor (zero for m = 0 on each half-line)."""
+    if np.any(np.asarray(m) < 0.0):
+        raise ValueError("mass must be >= 0")
     p = np.asarray(p, dtype=float)
     E, D, N, c = _branch_factors(m, p, lam)
-    dlnN = -m * p / (2.0 * E * E * D)
-    dc = lam * m / (E * D)
-    out = dlnN[..., None] * _spinor_layout(N, c, s)
-    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
-    return out
-
-
-def _event_factors(x: float, tau, b: int):
-    """Stable prefactors of the event spinor: t_x, Ntilde, ctilde and the
-    tau-derivative ingredients.  Mirrors ``_branch_factors`` under the
-    substitution p -> x, m -> tau, lam E_p -> b t_x."""
-    if not np.all(np.abs(b) == 1):
-        raise ValueError(f"sign b must be +1 or -1, got {b}")
-    tau = np.asarray(tau, dtype=float)
-    t_x = np.hypot(x, tau)
-    if np.any(t_x == 0.0):
-        raise ValueError("degenerate event: t_x = 0")
-    # D = tau + b t_x, with the cancellation-free form when signs oppose
-    direct = tau + b * t_x
-    stable = b * (x * x) / (t_x + np.abs(tau))
-    D = np.where(b * tau >= 0.0, direct, stable)
-    N = np.sqrt(D / (2.0 * b * t_x))
-    c = x / D
-    return t_x, D, N, c
+    return _layout_derivative(N, c, -m * p / (2.0 * E * E * D), lam * m / (E * D), s)
 
 
 def event_spinor_values(x: float, tau, b: int, s: float) -> np.ndarray:
     """xi_{b s}(x) = sqrt((tau + b t_x)/(2 b t_x)) (eta_s ; sigma_1 x/(tau + b t_x) eta_s).
 
-    Broadcasts over x, tau, b and s (the proper-time label may vary node to
-    node).
+    The energy spinor at the dual labels p = x, m = tau, lam = b, with a
+    signed tau.  Broadcasts over x, tau, b and s (the proper-time label may
+    vary node to node); x = 0 is rejected.
     """
-    _, _, N, c = _event_factors(x, tau, b)
+    _, _, N, c = _branch_factors(tau, x, b)
     return _spinor_layout(N, c, s)
 
 
 def event_spinor_tau_derivative(x: float, tau, b: int, s: float) -> np.ndarray:
     """Analytic d/dtau of the event spinor at fixed x."""
-    tau = np.asarray(tau, dtype=float)
-    t_x, D, N, c = _event_factors(x, tau, b)
-    # b t_x - tau, cancellation-free when b and tau share a sign
-    direct = b * t_x - tau
-    stable = b * (x * x) / (t_x + np.abs(tau))
-    bt_minus_tau = np.where(b * tau <= 0.0, direct, stable)
-    dlnN = bt_minus_tau / (2.0 * t_x * t_x)
-    dc = -x * b / (t_x * D)
-    out = dlnN[..., None] * _spinor_layout(N, c, s)
-    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
-    return out
+    t_x, D, N, c = _branch_factors(tau, x, b)
+    # b t_x - tau is -D at the opposite sign, cancellation-free where b tau > 0
+    bt_minus_tau = -_branch_factors(tau, x, -b)[1]
+    return _layout_derivative(N, c, bt_minus_tau / (2.0 * t_x * t_x), -x * b / (t_x * D), s)
 
 
 def w_spinor_values(m, p, s) -> np.ndarray:

@@ -134,7 +134,8 @@ class ArrivalDistribution:
 def _gaussian_amplitude(p, p0: float, sigma_p: float) -> np.ndarray:
     """(2 pi sigma_p^2)^{-1/4} e^{-z^2}, z = (p - p0)/(2 sigma_p), with no sigma_p^2 to over/underflow."""
     z = (p - p0) / (2.0 * sigma_p)
-    return np.exp(-z * z) / np.sqrt(np.sqrt(2.0 * np.pi) * sigma_p)
+    with np.errstate(over="ignore"):  # z z = inf gives e^{-inf} = 0, the exact value
+        return np.exp(-z * z) / np.sqrt(np.sqrt(2.0 * np.pi) * sigma_p)
 
 
 def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:

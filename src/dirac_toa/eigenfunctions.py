@@ -214,10 +214,10 @@ class ToaEigenfunction:
             )
         x, b, s = L["x"], L["b"], L["s"]
         tau = x * m / p
-        t_x = np.hypot(x, tau)
-        table = (np.sqrt(np.abs(x) / t_x), event_spinor_values(x, tau, b, s), phase)
+        table = (weight_factor(tau, x), event_spinor_values(x, tau, b, s), phase)
         if not derivative:
             return table
+        t_x = np.hypot(x, tau)
         dtau = -x * m / (p * p)
         return table + (
             -tau / (2.0 * t_x * t_x) * dtau,

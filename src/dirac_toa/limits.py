@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import energy_spinor_values, event_spinor_values, nr_limit_spinor, w_spinor_values
+from .algebra import (
+    energy_spinor_values, event_spinor_values, nr_limit_spinor, w_spinor_values, weight_factor,
+)
 from .eigenfunctions import _SQRT2PI, time_eigenfunction
 from .grids import build_grid
 
@@ -170,7 +172,7 @@ class DualSolution:
         E = np.asarray(E, dtype=float)
         p = np.asarray(p, dtype=float)
         phase = np.exp(1j * (self.t * E - self.x * p)) / _SQRT2PI
-        weight = float(np.sqrt(abs(self.x) / self.t_x))
+        weight = float(weight_factor(self.tau, self.x))
         return weight * phase[..., None] * event_spinor_values(self.x, self.tau, self.b, self.s)
 
     def dvalue_dE(self, E, p) -> np.ndarray:

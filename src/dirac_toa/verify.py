@@ -131,7 +131,13 @@ def check_w_relation(rng) -> float:
 def check_duality_bijection(seed: int) -> float:
     """Defect of (x, tau, b t_x) <-> (p, m, lam E_p) on 100 random labels of their
     own seed: the event spinor at x = p, tau = m, b = lam must equal the energy
-    spinor, and t = b t_x of ``limits.dual_solution`` must give t^2 - x^2 = tau^2."""
+    spinor, and t = b t_x of ``limits.dual_solution`` must give t^2 - x^2 = tau^2.
+
+    Both spinors come from the one factor rule of ``algebra``, so the spinor
+    half is an identity of the code and reads 0; the t^2 - x^2 = tau^2 half
+    carries the residual.  The duality's independent evidence is the
+    event/position relabeling (``check_family_consistency`` and its property
+    test)."""
     ms, ps, lams, ss = _random_lattice(np.random.default_rng(seed), 100, massless=False)
     phi = algebra.energy_spinor_values(ms, ps, lams, ss)
     xi = algebra.event_spinor_values(ps, ms, lams, ss)

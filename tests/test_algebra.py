@@ -5,6 +5,7 @@ triples: with (m, p, E) = (3, 4, 5) the positive-branch prefactor is
 (m + E)/(2E) = 4/5 and the lower-block factor is p/(m + E) = 1/2, giving
 components sqrt(0.4) and sqrt(0.1).
 """
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,11 +123,22 @@ def test_event_spinor_massless_dual():
         e = algebra.helicity_spinor(0.5)
         expect = np.concatenate([e, np.sign(x) * (algebra.SIGMA1 @ e)]) / np.sqrt(2.0)
         assert np.max(np.abs(xi - expect)) <= 1e-15
+    # and it is the massless energy spinor at p = x, lam = b, bit for bit
+    x = np.array([2.0, -2.0, 0.3, -7.5, 1e-300, -1e300])
+    b = np.array([1, 1, -1, -1, 1, -1])
+    for tau in (0.0, -0.0):
+        for s in (0.5, -0.5):
+            xi = algebra.event_spinor_values(x, np.full_like(x, tau), b, s)
+            assert np.array_equal(xi, algebra.energy_spinor_values(0.0, x, b, s))
 
 
 def test_event_spinor_degenerate():
     with pytest.raises(ValueError):
         algebra.event_spinor_values(0.0, np.array([0.0]), 1, 0.5)
+    # x = 0 is rejected at every tau, not only where t_x = 0
+    for b in (1, -1):
+        with pytest.raises(ValueError, match="p = 0"):
+            algebra.event_spinor_values(0.0, np.array([1.0]), b, 0.5)
 
 
 def test_event_spinor_norm_random():
@@ -239,6 +251,84 @@ def test_massless_branch_factors_are_exact():
         expect = np.concatenate([e, lam[i] * np.sign(p[i]) * e[::-1]]) / np.sqrt(2.0)
         assert np.array_equal(phi[i], expect)
     assert not np.any(algebra.energy_spinor_derivative(m, p, lam, 0.5)[[0, 2]])
+
+
+# The shared factor rule against a 50-digit oracle, on both sides of the
+# duality: energy labels (m >= 0, p, lam) and event labels (tau, x, b), whose
+# proper time tau = x m / p may be negative.  1e308 is not in the ranges the
+# oracle must hold; it is there to show the m + lam E overflow.
+_FACTOR_MASSES = {
+    "energy": (0.0, 1e-300, 1.0, 1e100, 1e300, 1e308),
+    "event": (0.0, 1e-300, 1.0, 1e100, 1e300, 1e308, -1e-300, -1.0, -1e100),
+}
+
+
+def _factor_labels(masses):
+    """(m, p, lam) at p/|m| = 10^k, k = -150, -145, ..., 150 (p = 10^k,
+    |k| <= 300, at m = 0) wherever p is a finite normal double; both signs of
+    p and both lam."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    for m in masses:
+        for k in range(-300, 301, 5) if m == 0.0 else range(-150, 151, 5):
+            p = float(mpmath.mpf(abs(m) or 1.0) * mpmath.mpf(10) ** k)
+            if tiny <= p <= huge:
+                for sign in (1.0, -1.0):
+                    for lam in (1, -1):
+                        yield m, sign * p, lam
+
+
+def _factor_overflow(m, p, lam):
+    """The intermediate of ``_branch_factors`` that leaves the double range at
+    this label (ROADMAP item 2), or None."""
+    with np.errstate(over="ignore", under="ignore"):
+        if lam * m < 0.0 and p * p == np.inf:
+            return "p*p-overflows"
+        if lam * m < 0.0 and p * p < np.finfo(float).tiny:
+            return "p*p-underflows"
+        if abs(m) + np.hypot(p, m) == np.inf:
+            return "m+lamE-overflows"
+    return None
+
+
+def _factor_oracle(m, p, lam):
+    """N = sqrt(D/(2 lam E)) and c = p/D with D = m + lam E to 50 digits: the
+    direct sum, carried with the digits it cancels (about 2 log10|m/p|)."""
+    extra = max(0, 2 * int(mpmath.log10(abs(m) / abs(p)))) if m else 0
+    with mpmath.workdps(50 + extra + 10):
+        m, p = mpmath.mpf(m), mpmath.mpf(p)
+        E = mpmath.sqrt(p * p + m * m)
+        D = m + lam * E
+        return mpmath.sqrt(D / (2 * lam * E)), p / D
+
+
+_FACTOR_CASES = {}
+for _side, _masses in _FACTOR_MASSES.items():
+    for _label in _factor_labels(_masses):
+        _FACTOR_CASES.setdefault((_side, _factor_overflow(*_label)), []).append(_label)
+
+_ITEM_2 = "ROADMAP item 2: an intermediate of algebra._branch_factors leaves the double range"
+
+
+@pytest.mark.parametrize(
+    "side, overflow",
+    [
+        pytest.param(
+            side, overflow, id=f"{side}-{overflow or 'in-range'}",
+            marks=pytest.mark.xfail(strict=True, reason=_ITEM_2) if overflow else (),
+        )
+        for side, overflow in _FACTOR_CASES
+    ],
+)
+def test_branch_factors_match_a_50_digit_oracle(side, overflow):
+    # measured: at most 1.0 eps relative on every in-range label
+    m, p, lam = (np.array(col) for col in zip(*_FACTOR_CASES[side, overflow]))
+    with np.errstate(all="ignore"):  # the overflowing labels are the xfail cases
+        _, _, N, c = algebra._branch_factors(m, p, lam)
+    eps = np.finfo(float).eps
+    for i, label in enumerate(zip(m, p, lam)):
+        N_ref, c_ref = _factor_oracle(*label)
+        for got, ref in ((N[i], N_ref), (c[i], c_ref)):
+            assert np.isfinite(got) and abs((mpmath.mpf(got) - ref) / ref) <= 2 * eps, label
 
 
 def test_helicity_spinor_broadcasts_over_s():

@@ -89,12 +89,18 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
         ("verify", {"mass": 1e6, "grid.n_points": 256}, "config.grid.p_min"),
         ("verify", {"limits.ratios": [0.1, 0.1]}, "config.limits.ratios"),
         ("arrival", {"packet.sigma_p": 1e-300}, "config.packet: the packet has no weight"),
-        (
+        # the next two overflow in algebra._branch_factors (the open FOUND line on
+        # its p * p and m + lam E) and warn until that is mended
+        pytest.param(
             "arrival",
             {"packet.sigma_p": 1e197, "packet.p0": 1e199, "grid.p_max": 1e200},
             "arrival.csv",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
         ),
-        ("eigen", {"mass": 1e308}, "eigen_00.csv"),
+        pytest.param(
+            "eigen", {"mass": 1e308}, "eigen_00.csv",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
         ("limits", {"limits.ratios": [1.0, 1.0]}, "config.limits.ratios"),
         ("limits", {"mass": 1e10, "limits.e_max_factor": 1e300}, "config.limits.e_max_factor"),
         # the eigenfunction distance is finite at unit mass; 10 m overflows
@@ -128,9 +134,13 @@ def _nan_eigenfunction_scan(monkeypatch):
     "command, overrides, patch, first",
     [
         # an open defect logged as FOUND in CHANGES.md; a fix of it must give
-        # this case another non-finite input.  At m = 1e308, m + E_p overflows
-        # in algebra._branch_factors: every curve is NaN
-        pytest.param("arrival", {"mass": 1e308}, None, "arrival.csv", id="arrival-arrival.csv"),
+        # this case another non-finite input, and drop its RuntimeWarning mark.
+        # At m = 1e308, m + E_p overflows in algebra._branch_factors: every
+        # curve is NaN
+        pytest.param(
+            "arrival", {"mass": 1e308}, None, "arrival.csv", id="arrival-arrival.csv",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
         pytest.param(
             "limits", {}, _nan_eigenfunction_scan, "limits_eigfun.csv",
             id="limits-limits_eigfun.csv",

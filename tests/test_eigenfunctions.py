@@ -168,6 +168,34 @@ def test_event_family_consistency_with_position(grid256):
                     assert np.max(np.abs(ev[half] - po)) <= 1e-12
 
 
+_MAGNITUDE = st.floats(1e-3, 1e3)
+_SIGN = st.sampled_from([1.0, -1.0])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    x=st.tuples(_MAGNITUDE, _SIGN),
+    b=st.sampled_from([1, -1]),
+    s=st.sampled_from([0.5, -0.5]),
+    m=st.one_of(st.just(0.0), _MAGNITUDE),
+    p=st.lists(st.tuples(_MAGNITUDE, _SIGN), min_size=16, max_size=16),
+)
+def test_event_family_is_the_position_family_relabeled(x, b, s, m, p):
+    """The duality as a relabeling: at each node, the event member (x, b)
+    equals the position member (x, lam) with lam = b sign(x) sign(p).  The
+    event spinor goes through tau = x m / p and t_x = |x/p| E_p, the position
+    spinor through E_p, so this compares two routes to the same closed form."""
+    x = x[0] * x[1]
+    p = np.array([mag * sign for mag, sign in p])
+    ev = event_eigenfunction(x, b, s, m).value(p)
+    lam = b * np.sign(x) * np.sign(p)
+    for branch in (1, -1):
+        half = lam == branch
+        if np.any(half):
+            po = position_eigenfunction(x, branch, s, m).value(p[half])
+            assert np.max(np.abs(ev[half] - po)) <= 1e-15
+
+
 def test_event_family_rejects_x_zero():
     with pytest.raises(ValueError):
         event_eigenfunction(0.0, 1, 0.5, 3.0)
