@@ -16,9 +16,11 @@ Spinor families provided:
 * ``w_spinor_values``      -- the conventional antiparticle spinor w.
 * ``nr_limit_spinor``      -- the nonrelativistic limits zeta_{+-s}.
 
-The energy and event spinors share one layout, N (eta_s ; c sigma_1 eta_s),
-and one factor rule for N and c: the event spinor is the energy spinor at the
-dual labels (p, m, lambda) = (x, tau, b), with a mass that may be negative.
+The energy and event spinors share one layout, (N eta_s ; N c sigma_1 eta_s),
+and one rule for (N, N c): a half-angle rotation in the (lambda m, |p|) plane,
+so each derivative is the layout of the quarter-turned pair.  The event spinor
+is the energy spinor at the dual labels (p, m, lambda) = (x, tau, b), with a
+mass that may be negative.
 ``weight_factor`` is the eigenfunction weight W(p) = [p^2/(p^2 + m^2)]^{1/4},
 and the event weight [x^2/(x^2 + tau^2)]^{1/4} at the same labels.  All
 functions are pure and broadcast over every argument (mass or x, momentum or
@@ -110,24 +112,24 @@ def helicity_spinor(s) -> np.ndarray:
     return np.stack([np.ones_like(spin), 2.0 * spin], axis=-1).astype(complex) / np.sqrt(2.0)
 
 
-def _spinor_layout(N, c, s) -> np.ndarray:
-    """(N eta_s ; N c sigma_1 eta_s), broadcast over N, c and s; shape (..., 4).
+def _spinor_layout(N, Nc, s) -> np.ndarray:
+    """(N eta_s ; N c sigma_1 eta_s), broadcast over N, N c and s; shape (..., 4).
 
-    The one layout of the energy and event spinors.
+    The one layout of the energy and event spinors, linear in (N, N c).
     """
     e = helicity_spinor(s)
     # sigma_1 swaps the two components of eta_s
-    return np.concatenate([N[..., None] * e, (N * c)[..., None] * e[..., ::-1]], axis=-1)
+    return np.concatenate([N[..., None] * e, Nc[..., None] * e[..., ::-1]], axis=-1)
 
 
 def _branch_factors(m, p, lam):
-    """Stable prefactors of the layout, broadcast over m, p and lam.
+    """Half-angle prefactors of the layout, broadcast over m, p and lam.
 
-    Returns (E, D, N, c) with E = sqrt(p^2 + m^2), D = m + lam E,
-    N = sqrt(D/(2 lam E)) and c = p/D.  The mass m is signed: the event
-    spinor passes its proper time, which is negative when x p < 0.  Wherever
-    lam m < 0, D is evaluated as lam p^2/(E + |m|), free of the cancellation
-    for |p| << |m|.  At m = 0, N = 1/sqrt(2) and c = lam sign(p) exactly.
+    Returns (E, N, N c) with E = sqrt(p^2 + m^2): with r = |m|/E,
+    A = sqrt(1/2 + r/2) and B = (|p|/E) A/(1 + r), (N, N c) is
+    (A, lam sign(p) B) where lam m >= 0 and (B, lam sign(p) A) where lam m < 0,
+    from ratios that stay finite wherever E is (B = A at m = 0).  The mass m is
+    signed: the event spinor passes its proper time, negative when x p < 0.
     p = 0 and signs other than +-1 are rejected.
     """
     p = np.asarray(p, dtype=float)
@@ -136,19 +138,11 @@ def _branch_factors(m, p, lam):
     if not np.all(np.abs(lam) == 1):
         raise ValueError(f"sign must be +1 or -1, got {lam}")
     E = np.hypot(p, m)
-    with np.errstate(over="ignore"):  # np.where evaluates both forms, used or not
-        D = np.where(lam * m < 0.0, lam * (p * p / (E + np.abs(m))), m + lam * E)
-    massless = np.asarray(m) == 0.0
-    N = np.where(massless, 1.0 / np.sqrt(2.0), np.sqrt(D / (2.0 * lam * E)))
-    c = np.where(massless, lam * np.sign(p), p / D)
-    return E, D, N, c
-
-
-def _layout_derivative(N, c, dlnN, dc, s) -> np.ndarray:
-    """Derivative of the layout N (eta_s ; c sigma_1 eta_s) from d ln N and dc."""
-    out = dlnN[..., None] * _spinor_layout(N, c, s)
-    out[..., 2:] += (N * dc)[..., None] * helicity_spinor(s)[..., ::-1]
-    return out
+    r = np.abs(m) / E
+    A = np.sqrt(0.5 + 0.5 * r)
+    B = np.abs(p) / E * A / (1.0 + r)
+    same = lam * m >= 0.0
+    return E, np.where(same, A, B), lam * np.sign(p) * np.where(same, B, A)
 
 
 def energy_spinor_values(m, p, lam, s) -> np.ndarray:
@@ -159,17 +153,17 @@ def energy_spinor_values(m, p, lam, s) -> np.ndarray:
     """
     if np.any(np.asarray(m) < 0.0):
         raise ValueError("mass must be >= 0")
-    _, _, N, c = _branch_factors(m, p, lam)
-    return _spinor_layout(N, c, s)
+    _, N, Nc = _branch_factors(m, p, lam)
+    return _spinor_layout(N, Nc, s)
 
 
 def energy_spinor_derivative(m, p, lam, s) -> np.ndarray:
-    """Analytic d/dp of the energy spinor (zero for m = 0 on each half-line)."""
+    """Analytic d/dp of the energy spinor, (m/E)/(2E) layout(-N c, N): the half
+    angle turns at rate m/(2 E^2) in p, and not at all for m = 0."""
     if np.any(np.asarray(m) < 0.0):
         raise ValueError("mass must be >= 0")
-    p = np.asarray(p, dtype=float)
-    E, D, N, c = _branch_factors(m, p, lam)
-    return _layout_derivative(N, c, -m * p / (2.0 * E * E * D), lam * m / (E * D), s)
+    E, N, Nc = _branch_factors(m, p, lam)
+    return (m / E / E / 2.0)[..., None] * _spinor_layout(-Nc, N, s)
 
 
 def event_spinor_values(x: float, tau, b: int, s: float) -> np.ndarray:
@@ -179,16 +173,15 @@ def event_spinor_values(x: float, tau, b: int, s: float) -> np.ndarray:
     signed tau.  Broadcasts over x, tau, b and s (the proper-time label may
     vary node to node); x = 0 is rejected.
     """
-    _, _, N, c = _branch_factors(tau, x, b)
-    return _spinor_layout(N, c, s)
+    _, N, Nc = _branch_factors(tau, x, b)
+    return _spinor_layout(N, Nc, s)
 
 
 def event_spinor_tau_derivative(x: float, tau, b: int, s: float) -> np.ndarray:
-    """Analytic d/dtau of the event spinor at fixed x."""
-    t_x, D, N, c = _branch_factors(tau, x, b)
-    # b t_x - tau is -D at the opposite sign, cancellation-free where b tau > 0
-    bt_minus_tau = -_branch_factors(tau, x, -b)[1]
-    return _layout_derivative(N, c, bt_minus_tau / (2.0 * t_x * t_x), -x * b / (t_x * D), s)
+    """Analytic d/dtau of the event spinor at fixed x, (x/t_x)/(2 t_x) layout(N c, -N):
+    the half angle turns at rate -x/(2 t_x^2) in tau."""
+    t_x, N, Nc = _branch_factors(tau, x, b)
+    return (x / t_x / t_x / 2.0)[..., None] * _spinor_layout(Nc, -N, s)
 
 
 def w_spinor_values(m, p, s) -> np.ndarray:

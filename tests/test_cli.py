@@ -89,14 +89,10 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
         ("verify", {"mass": 1e6, "grid.n_points": 256}, "config.grid.p_min"),
         ("verify", {"limits.ratios": [0.1, 0.1]}, "config.limits.ratios"),
         ("arrival", {"packet.sigma_p": 1e-300}, "config.packet: the packet has no weight"),
-        # the next two overflow in algebra._branch_factors (the open FOUND line on
-        # its p * p and m + lam E) and warn until that is mended
-        pytest.param(
-            "arrival",
-            {"packet.sigma_p": 1e197, "packet.p0": 1e199, "grid.p_max": 1e200},
-            "arrival.csv",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
+        # the eigenfunction-limit phase m t (q c)^2 / 2 overflows at ratio 1e160
+        ("limits", {"limits.ratios": [1.0, 1e160]}, "config.limits.ratios"),
+        # the time phase lam E_p t overflows at m = 1e308 (ROADMAP item 2's K
+        # phases) and warns until that is mended
         pytest.param(
             "eigen", {"mass": 1e308}, "eigen_00.csv",
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
@@ -105,8 +101,6 @@ def test_invalid_config_exit_2(tmp_path, capsys, overrides, where):
         ("limits", {"mass": 1e10, "limits.e_max_factor": 1e300}, "config.limits.e_max_factor"),
         # the eigenfunction distance is finite at unit mass; 10 m overflows
         ("limits", {"mass": 1e308}, "config.limits.e_max_factor"),
-        # the eigenfunction-limit phase m t (q c)^2 / 2 overflows at ratio 1e160
-        ("limits", {"limits.ratios": [1.0, 1e160]}, "config.limits.ratios"),
     ],
 )
 def test_validated_config_that_the_library_rejects_exit_2(
@@ -117,6 +111,41 @@ def test_validated_config_that_the_library_rejects_exit_2(
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
     assert_finite_outputs(out)
+
+
+@pytest.mark.parametrize(
+    "overrides, capture",
+    [
+        # p^2 overflows at |p| >~ 1.3e154; the spinor factors never form it
+        pytest.param(
+            {"packet.sigma_p": 1e197, "packet.p0": 1e199, "grid.p_max": 1e200},
+            "time window holds",
+            id="p0-1e199",
+        ),
+        # and underflows at |p| <~ 1.5e-154
+        pytest.param(
+            {
+                "grid.p_min": 1e-170, "grid.p_max": 1e-160, "packet.p0": 5e-161,
+                "packet.sigma_p": 5e-162, "packet.x0": 0.0, "time.t_min": -1.0,
+                "time.t_max": 1.0, "time.n_t": 11,
+            },
+            "time window captures only",
+            id="p0-5e-161",
+        ),
+    ],
+)
+def test_arrival_at_extreme_momenta_writes_finite_files(
+    tmp_path, assert_finite_outputs, overrides, capture
+):
+    cfg = write_config(tmp_path, **{"grid.n_points": 64, **overrides})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["arrival", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "arrival.csv").exists()
+    assert_finite_outputs(out)
+    notes = json.loads((out / "arrival.json").read_text(encoding="utf-8"))["warnings"]
+    assert any(note.startswith(capture) for note in notes), notes
 
 
 def _nan_eigenfunction_scan(monkeypatch):
@@ -135,8 +164,8 @@ def _nan_eigenfunction_scan(monkeypatch):
     [
         # an open defect logged as FOUND in CHANGES.md; a fix of it must give
         # this case another non-finite input, and drop its RuntimeWarning mark.
-        # At m = 1e308, m + E_p overflows in algebra._branch_factors: every
-        # curve is NaN
+        # At m = 1e308, the time phase lam E_p t overflows in the lattice tables
+        # (ROADMAP item 2's K phases): every curve is NaN
         pytest.param(
             "arrival", {"mass": 1e308}, None, "arrival.csv", id="arrival-arrival.csv",
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
