@@ -24,8 +24,12 @@ in place of E_j.  The samples form the uniform lattice np.linspace(t0, t1,
 n_t), whose one window rule is ``eigenfunctions._window_rule``, shared with
 ``resynthesize_time_family``.  The phases factor into two
 sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
-conjugate tables carry lam = -1.  The kernels build those tables for 128
-nodes at a time and contract each block with one matrix product per
+conjugate tables carry lam = -1.  E_p and p^2 / 2m are even in p and the
+grid's nodes are exact mirrors, so the arrival, flux and nonrelativistic
+sums add the coefficients of -p to those of p and run on the n = N / 2
+positive nodes: two sqrt(n_t) x n tables and n_t n multiply-adds per
+column; psi(t, x), odd in p, sums all N.  The kernels build those tables
+for 128 nodes at a time and contract each block with one matrix product per
 coefficient column, adding into the output, so the working memory beside the
 coefficients and the output is a few 128 x sqrt(n_t) tables, whatever N.  No
 n_t x N array and no N x sqrt(n_t) table is formed, for t or for x.  Per
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import _SQRT2PI, _lattice_overlaps, _time_lattice
+from .eigenfunctions import _SQRT2PI, _folded_overlaps, _lattice_overlaps, _time_lattice
 from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
@@ -226,7 +230,7 @@ def arrival_distribution(
     b = f.grid.weights * W * c / _SQRT2PI
     full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
     # A_{lam s}(t), one column per spin s
-    return _normalized(ts, *_lattice_overlaps(E, *lattice, b[:2].T, b[2:].T), full)
+    return _normalized(ts, *_folded_overlaps(f.grid, E, *lattice, b[:2].T, b[2:].T), full)
 
 
 def arrival_distribution_nonrel(
@@ -252,7 +256,8 @@ def arrival_distribution_nonrel(
     b = (f.grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     # the upper components, on which beta is +1
     full = _full_line_mass(f.grid.weights, f.values[:, :2], _BETA_DIAG[:2])
-    return _normalized(ts, *_lattice_overlaps(p * p / (2.0 * m), *lattice, b, np.zeros_like(b)), full)
+    E = p * p / (2.0 * m)
+    return _normalized(ts, *_folded_overlaps(f.grid, E, *lattice, b, np.zeros_like(b)), full)
 
 
 def flux_at_origin(
@@ -270,7 +275,7 @@ def flux_at_origin(
     E, _, phi, c = _spectral_data(f, m)
     # w sum_s c_{lam s} phi_{lam s} / sqrt(2 pi): the lam-branch part of psi
     b = f.grid.weights[:, None] * c[:, :, None] * phi / _SQRT2PI
-    psi_pos, psi_neg = _lattice_overlaps(E, *lattice, b[0] + b[1], b[2] + b[3])
+    psi_pos, psi_neg = _folded_overlaps(f.grid, E, *lattice, b[0] + b[1], b[2] + b[3])
     psi0 = np.add(psi_pos, psi_neg, out=psi_pos)  # the kernel's output is ours to reuse
     J = 2.0 * np.real(
         np.conj(psi0[:, 0]) * psi0[:, 3] + np.conj(psi0[:, 1]) * psi0[:, 2]

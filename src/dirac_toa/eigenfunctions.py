@@ -73,12 +73,14 @@ def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
 
     With K = ceil(sqrt(n_t)), e^{-i E_j t_i} = Q[r, j] S[j, k] for
     Q = e^{-i E (t0 + r dt)} (K x N) and S = e^{-i E k K dt}
-    (N x ceil(n_t / K)): about 2 sqrt(n_t) N exps in place of n_t N.  Both
-    energy branches share E_p, so the lam = -1 phases e^{+i E t} are the
-    conjugates and the same tables serve both.  The factorization is exact
-    up to the rounding of E t: each sum over L terms of coefficients b
-    differs from the direct sum by at most 16 eps (max|t| max|E| + L) sum|b|
-    (``tests/test_eigenfunctions.py`` checks it against long double).
+    (N x ceil(n_t / K)): about 2 sqrt(n_t) N exps in place of n_t N, where
+    N is the n positive nodes of the grid for a phase even in p
+    (``_folded_overlaps``).  Both energy branches share E_p, so the lam = -1
+    phases e^{+i E t} are the conjugates and the same tables serve both.
+    The factorization is exact up to the rounding of E t: each sum over L
+    terms of coefficients b differs from the direct sum by at most
+    16 eps (max|t| max|E| + L) sum|b| (``tests/test_eigenfunctions.py``
+    checks it against long double).
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
     Q = np.outer(t0 + dt * np.arange(K), -1j * E)
@@ -109,7 +111,9 @@ def _lattice_overlaps(
     K rows of every lattice block; the lam = -1 columns are conjugated back in
     place.  Beside the coefficients and the output the working memory is three
     block-sized tables and one product of a column's size, whatever N and the
-    column count.
+    column count.  The cost is about 2 sqrt(n_t) N exps and c n_t N complex
+    multiply-adds for c live columns; the arrival sums, whose phases are even
+    in p, call it through ``_folded_overlaps`` with N the n positive nodes.
 
     Skip and flush: per block, the subnormal real and imaginary parts of the
     coefficients are set to 0, and only the columns that then hold a value
@@ -142,6 +146,25 @@ def _lattice_overlaps(
     np.conjugate(R[c:], out=R[c:])
     R = R.reshape(len(R), -1)[:, :n_t].T
     return R[:, :c], R[:, c:]
+
+
+def _folded_overlaps(
+    grid: MomentumGrid, E: np.ndarray, t0: float, dt: float, n_t: int,
+    plus: np.ndarray, minus: np.ndarray,
+):
+    """``_lattice_overlaps`` of node energies even in p, on the n positive nodes.
+
+    ``build_grid`` mirrors the nodes and weights bit for bit, so E_p (and
+    p^2 / 2m) is equal at p and -p and the two nodes share every phase: the
+    coefficients of -p are added to those of p, and the kernel runs on
+    E[positive], with half the exp tables and half the products.  The one
+    added rounding per coefficient is within the kernel's bound for the full
+    node count.
+    """
+    pos, neg = grid.positive, grid.negative
+    return _lattice_overlaps(
+        E[pos], t0, dt, n_t, plus[pos] + plus[neg][::-1], minus[pos] + minus[neg][::-1]
+    )
 
 
 def _lattice_adjoint(
@@ -316,15 +339,18 @@ def resynthesize_time_family(f: GridSpinorField, m: float, t_window: tuple, n_t:
     that double counting; states even under beta P are then reproduced
     exactly, while for a general state twice the output equals
     psi + beta P psi (a one-sided packet comes back at half amplitude on
-    its own half-line plus a half-amplitude beta-reflected mirror).
+    its own half-line plus a half-amplitude beta-reflected mirror).  The
+    same degeneracy lets both sums run on the positive nodes alone: the
+    overlaps fold p and -p (``_folded_overlaps``), and the resum, equal at
+    p and -p, is mirrored back.
     """
     _, lattice = _time_lattice(t_window, n_t)
     grid = f.grid
     E, W, phi, c = _spectral_data(f, m)
     b = grid.weights * W * c / _SQRT2PI
-    amp_pos, amp_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)  # <phi_t|psi>
+    amp_pos, amp_neg = _folded_overlaps(grid, E, *lattice, b[:2].T, b[2:].T)  # <phi_t|psi>
     # the resum is the adjoint contraction on the same lattice
-    up_pos, up_neg = _lattice_adjoint(E, *lattice, amp_pos, amp_neg)
-    coeff = lattice[1] * np.concatenate([up_pos, up_neg], axis=1).T
+    up = np.concatenate(_lattice_adjoint(E[grid.positive], *lattice, amp_pos, amp_neg), axis=1)
+    coeff = lattice[1] * np.concatenate([up[::-1], up]).T
     rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
     return GridSpinorField(grid, rec)

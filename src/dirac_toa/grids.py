@@ -118,7 +118,11 @@ class MomentumGrid:
 
     nodes are strictly increasing, none in (-p_min, p_min); weights are
     composite Gauss-Legendre on max(1, min(8, n_per_side // 4)) equal panels
-    per side, so one side sums to p_max - p_min exactly.  ``deriv_order``
+    per side, so one side sums to p_max - p_min exactly.  The halves are
+    exact mirrors, nodes[negative] == -nodes[positive][::-1] and
+    weights[negative] == weights[positive][::-1] bit for bit, so a function
+    of |p| such as E_p takes equal values at p and -p (the arrival sums fold
+    on it: ``eigenfunctions._folded_overlaps``).  ``deriv_order``
     (2 or 4) is the order of the finite-difference d/dp; a field that
     carries ``deriv_values`` bypasses it.
     """

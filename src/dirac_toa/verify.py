@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -314,6 +313,8 @@ def check_family_consistency() -> float:
 
 def check_rational_crosscheck() -> float:
     """-x E / p == -b t_x on exact Pythagorean labels, in Fraction arithmetic."""
+    from fractions import Fraction  # imported here: no other check needs it
+
     triples = [(3, 4, 5), (6, 8, 10), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
     xs = [Fraction(3), Fraction(-2), Fraction(9, 4), Fraction(7, 2)]
     for m_i, p_i, e_i in triples:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dirac_toa import algebra, eigenfunctions, grids
 from dirac_toa.eigenfunctions import (
     _NODE_BLOCK,
+    _folded_overlaps,
     _lattice_adjoint,
     _lattice_overlaps,
     event_eigenfunction,
@@ -407,7 +408,10 @@ def test_lattice_sums_match_extended_precision(
     tables and of dt; the second bounds the rounding of the products and sums.
     The overlap coefficients may hold an exactly-zero node block, an
     exactly-zero column and subnormal parts; the overlaps flush those parts to
-    0, which adds 2 N tiny to their bound.
+    0, which adds 2 N tiny to their bound.  The overlaps are also taken
+    through ``_folded_overlaps`` on the mirrored nodes (-p, p), with E_p = |p|
+    as at m = 0 and the coefficients above on p: the same bound, with L and N
+    the full node count 2n.
     """
     assume(t0 != t1)
     rng = np.random.default_rng(seed)
@@ -432,27 +436,40 @@ def test_lattice_sums_match_extended_precision(
             scatter = rng.random(parts.shape) < 0.3
             parts[scatter] = tiny * rng.uniform(-1.0, 1.0, np.count_nonzero(scatter))
 
+    order = np.argsort(E)
+    p = E[order]
+    nodes = np.concatenate([-p[::-1], p])
+    grid = grids.MomentumGrid(p[0], p[-1], n_nodes, 4, nodes, np.ones(2 * n_nodes))
+    plus2 = np.concatenate([cplx(n_nodes, 2), plus[order]])
+    minus2 = np.concatenate([cplx(n_nodes, 3), minus[order]])
+    E2 = np.abs(grid.nodes)
+
     ld = np.longdouble
     t = ld(t0) + np.arange(n_t).astype(ld) * ((ld(t1) - ld(t0)) / ld(n_t - 1))
     P = np.exp(np.outer(t, E.astype(ld)) * np.clongdouble(-1j))
+    P2 = np.exp(np.outer(t, E2.astype(ld)) * np.clongdouble(-1j))
     exact = {
         "overlap+": P @ plus.astype(np.clongdouble),
         "overlap-": np.conj(P) @ minus.astype(np.clongdouble),
         "adjoint+": np.conj(P).T @ x_plus.astype(np.clongdouble),
         "adjoint-": P.T @ x_minus.astype(np.clongdouble),
+        "folded+": P2 @ plus2.astype(np.clongdouble),
+        "folded-": np.conj(P2) @ minus2.astype(np.clongdouble),
     }
     got = dict(zip(("overlap+", "overlap-"), _lattice_overlaps(E, t0, dt, n_t, plus, minus)))
     got.update(zip(("adjoint+", "adjoint-"), _lattice_adjoint(E, t0, dt, n_t, x_plus, x_minus)))
+    got.update(zip(("folded+", "folded-"), _folded_overlaps(grid, E2, t0, dt, n_t, plus2, minus2)))
     eps, scale = np.finfo(float).eps, max(abs(t0), abs(t1)) * np.max(E)
     for key, coeff, terms in (
         ("overlap+", plus, n_nodes), ("overlap-", minus, n_nodes),
         ("adjoint+", x_plus, n_t), ("adjoint-", x_minus, n_t),
+        ("folded+", plus2, 2 * n_nodes), ("folded-", minus2, 2 * n_nodes),
     ):
         assert got[key].shape == exact[key].shape, key
         err = np.max(np.abs(got[key] - exact[key]), axis=0).astype(float)
         bound = 16.0 * eps * (scale + terms) * np.sum(np.abs(coeff), axis=0)
-        if key.startswith("overlap"):
-            bound += 2.0 * n_nodes * tiny
+        if not key.startswith("adjoint"):
+            bound += 2.0 * terms * tiny
         assert np.all(err <= bound), (key, err / bound)
 
 

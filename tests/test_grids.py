@@ -33,6 +33,23 @@ def test_build_grid_contract(grid256):
     assert abs(np.sum(g.weights[g.negative]) - span) <= 1e-12 * span
 
 
+@pytest.mark.parametrize("p_range", [(1e-3, 10.0), (1e-12, 1.0), (1.0, 1e200)])
+@pytest.mark.parametrize("n_points", [8, 9, 37, 256, 1024])  # 9 and 37 split their panels unevenly
+def test_build_grid_halves_are_exact_mirrors(n_points, p_range):
+    # the arrival sums fold p and -p on this (eigenfunctions._folded_overlaps)
+    g = grids.build_grid(*p_range, n_points)
+    pos, neg = g.positive, g.negative
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    assert np.array_equal(bits(g.nodes[neg]), bits(-g.nodes[pos][::-1]))
+    assert np.array_equal(bits(g.weights[neg]), bits(g.weights[pos][::-1]))
+    for m in (0.0, 1.0, 1e300):
+        E = np.hypot(g.nodes, m)
+        assert np.array_equal(bits(E[neg]), bits(E[pos][::-1])), m
+
+
 def test_build_grid_validation():
     with pytest.raises(ValueError):
         grids.build_grid(0.0, 10.0, 256)
