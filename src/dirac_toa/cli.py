@@ -24,6 +24,18 @@ rules live in the library; a command only names the config path.  Every
 artifact of a command is checked before the first file is written, and a
 failed write removes the files it wrote, so a run that exits 2 leaves no
 file; CSV text is rendered and written in blocks of rows.
+
+Each CSV cell is the bytes of ``'%.16e' % v``, rendered for a whole block by
+array operations: with e = floor(log10|v|), |v| 10^(16 - e) is formed to
+within 2^-41 (Dekker's exact product with 10^(16 - e) held as hi + lo
+doubles) and rounded to the nearest integer D, e moving by one where the
+scaled value lies outside [10^16, 10^17) (log10 one off) or D carries to
+10^17.  '%' rounds correctly too, and breaks ties to even; a double lies
+halfway between two 17-digit decimals only as |v| = m 2^(e - 17) with m odd,
+which needs -8 <= e <= 15 (for e >= 16 m exceeds 2^53, for e <= -9 it is
+below 1), as 1 + 2^-17 does.  So '%' alone renders a cell whose fraction
+lies within 2^-30 of 1/2, and a nonzero cell outside
+1e-280 <= |v| <= 1e280, subnormals among them.
 """
 from __future__ import annotations
 
@@ -46,6 +58,19 @@ from .verify import run_all_checks
 # file's whole text is held in memory
 _CSV_ROWS = 1024
 
+# The fast path renders 0 and the finite |x| in [1e-280, 1e280], whose decimal
+# exponents e lie in [-_E, _E] once corrected by one; _TENS[:, e + _E] holds
+# 10^(16 - e) as the double nearest it and the double nearest the rest, NaN
+# until a block needs that e.  _QUADS[i] is the uint32 whose four bytes are the
+# ASCII digits of i, zero-padded, for i < 10^4; built on first use.  Both
+# cache constants: what they hold never changes a result.
+_E = 281
+_TENS = np.full((2, 2 * _E + 1), np.nan)
+_QUADS = None
+# |fraction - 1/2| below which a rounding is left to '%': far above the
+# 2^-41 error of the scaled fraction, so it catches every exact tie
+_TIE_MARGIN = 2.0**-30
+
 
 def _csv(path: str, header: str, columns) -> tuple:
     """(path, blocks of text) of a CSV with one %.16e cell per value; refuses
@@ -57,12 +82,116 @@ def _csv(path: str, header: str, columns) -> tuple:
 
 def _csv_blocks(header: str, columns):
     """The header, then the rows ``_CSV_ROWS`` at a time, each block rendered
-    by one % over a flat tuple of its cells."""
+    by ``_csv_text``."""
     yield header
-    row = "\n" + ",".join(["%.16e"] * len(columns))
     for i in range(0, len(columns[0]), _CSV_ROWS):
-        block = np.column_stack([c[i : i + _CSV_ROWS] for c in columns])
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        yield _csv_text(np.column_stack([c[i : i + _CSV_ROWS] for c in columns]))
+
+
+def _tens(e: np.ndarray) -> tuple:
+    """(hi, lo) with hi + lo = 10^(16 - e) to about 2^-106 relative, per cell;
+    fills the missing ``_TENS`` columns with correctly rounded int divisions."""
+    k = e + _E
+    hi = _TENS[0].take(k)
+    missing = np.isnan(hi)
+    if missing.any():
+        for j in set(e[missing].tolist()):
+            num, den = (10 ** (16 - j), 1) if j <= 16 else (1, 10 ** (j - 16))
+            top = num / den
+            a, b = top.as_integer_ratio()
+            _TENS[:, j + _E] = top, (num * b - a * den) / (den * b)
+        hi = _TENS[0].take(k)
+    return hi, _TENS[1].take(k)
+
+
+def _split(x: np.ndarray) -> tuple:
+    """Veltkamp's split of x into a 26-bit head and the exact rest."""
+    c = 134217729.0 * x  # 2^27 + 1
+    head = c - (c - x)
+    return head, x - head
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
+    """(floor, fraction) of a * 10^(16 - e) for |a| in the fast range: Dekker's
+    exact product a * hi = p + err, then the lo term, to within 2^-45."""
+    hi, lo = _tens(e)
+    p = a * hi
+    ah, al = _split(a)
+    hh, hl = _split(hi)
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    whole = np.floor(p)
+    r = (p - whole) + (err + a * lo)
+    low = np.floor(r)
+    return whole.astype(np.int64) + low.astype(np.int64), r - low
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """(D, e, fast) of a flat float array: where ``fast``, x rounds to
+    +-D * 10^(e - 16) at 17 significant digits exactly as ``'%.16e' % x``
+    does, with 10^16 <= D < 10^17 (D = e = 0 at x = 0).  Elsewhere D and e
+    mean nothing: the cell is out of range, or too near a tie to certify."""
+    a = np.abs(x)
+    live = (a >= 1e-280) & (a <= 1e280)
+    a[~live] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    D, f = _scaled(a, e)
+    reached = (D >= 10**15) & (D < 10**18)
+    # log10 can put e one off near a power of ten: move those cells a digit,
+    # D + f to (D + f) / 10 or 10 (D + f), with no new rounding of D
+    up = D >= 10**17
+    D[up], r = np.divmod(D[up], 10)
+    f[up] = (r + f[up]) / 10
+    e[up] += 1
+    down = D < 10**16
+    f10 = 10 * f[down]
+    D[down] = 10 * D[down] + np.floor(f10).astype(np.int64)
+    f[down] = f10 - np.floor(f10)
+    e[down] -= 1
+    fast = np.where(live, reached & (np.abs(f - 0.5) > _TIE_MARGIN), x == 0)
+    D += f > 0.5
+    carry = D == 10**17
+    D[carry] = 10**16
+    e[carry] += 1
+    D[~live] = 0
+    e[~live] = 0
+    return D, e, fast
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """The rows of a 2-d block as lines, each led by '\\n', of ','-separated
+    %.16e cells; the cells ``_decimal`` cannot certify are rendered by '%'.
+
+    Each cell is laid out in 25 bytes: separator, sign, digit, '.', 16
+    digits, 'e', exponent sign, 3 exponent digits.  A positive sign and the
+    hundreds digit of a 2-digit exponent are 0 bytes, which one mask drops."""
+    x = np.asarray(block, dtype=float).ravel()
+    global _QUADS
+    if _QUADS is None:
+        d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+        _QUADS = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).view(np.uint32).ravel()
+    D, e, fast = _decimal(x)
+    cells = np.empty((len(x), 25), dtype=np.uint8)
+    sep = cells.reshape(len(block), -1, 25)[:, :, 0]
+    sep[:] = ord(",")
+    sep[:, 0] = ord("\n")
+    cells[:, 1] = np.signbit(x) * ord("-")
+    lead, rest = np.divmod(D, 10**16)
+    cells[:, 2] = lead + ord("0")
+    cells[:, 3] = ord(".")
+    high, low = np.divmod(rest, 10**8)
+    quads = np.empty((len(x), 4), dtype=np.int64)
+    quads[:, 0], quads[:, 1] = np.divmod(high, 10**4)
+    quads[:, 2], quads[:, 3] = np.divmod(low, 10**4)
+    cells[:, 4:20] = _QUADS.take(quads).view(np.uint8)
+    cells[:, 20] = ord("e")
+    exponent = np.abs(e)
+    cells[:, 21:25] = _QUADS.take(exponent)[:, None].view(np.uint8)
+    cells[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 22] *= exponent >= 100
+    for i in np.flatnonzero(~fast).tolist():
+        cells[i, 1:] = np.frombuffer(("%.16e" % x[i]).encode().ljust(24, b"\0"), np.uint8)
+    cells = cells.ravel()
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def _json(path: str, obj) -> tuple:

@@ -107,9 +107,10 @@ def _lattice_overlaps(
 
     The nodes are taken in blocks of ``_NODE_BLOCK``: per block, the two exp
     tables of its energies and, per column b of [plus | conj(minus)], one
-    product Q @ (S b) of K x block by block x blocks, added into that column's
-    K rows of every lattice block; the lam = -1 columns are conjugated back in
-    place.  Beside the coefficients and the output the working memory is three
+    product Q @ (S b) of K x block by block x blocks, added whole into that
+    column's contiguous K x blocks accumulator; each accumulator is transposed
+    to t order in place at the end, and the lam = -1 columns are conjugated
+    back.  Beside the coefficients and the output the working memory is three
     block-sized tables and one product of a column's size, whatever N and the
     column count.  The cost is about 2 sqrt(n_t) N exps and c n_t N complex
     multiply-adds for c live columns; the arrival sums, whose phases are even
@@ -125,7 +126,7 @@ def _lattice_overlaps(
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
     n_b, c = -(-n_t // K), plus.shape[1]
-    R = np.zeros((c + minus.shape[1], n_b, K), dtype=complex)
+    R = np.zeros((c + minus.shape[1], K, n_b), dtype=complex)
     Z = np.empty((K, n_b), dtype=complex)
     tiny = np.finfo(float).tiny
     for blk in _node_blocks(len(E)):
@@ -141,8 +142,11 @@ def _lattice_overlaps(
         Q, S = _lattice_phases(E[blk], t0, dt, n_t)
         Y = np.empty_like(S)
         for col in live:
-            R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z).T
+            R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z)
         del Q, S, Y  # the next block's tables are built after these are freed
+    for acc in R:  # each column to t order in place, through Z
+        np.copyto(Z, acc)
+        acc.reshape(n_b, K)[...] = Z.T
     np.conjugate(R[c:], out=R[c:])
     R = R.reshape(len(R), -1)[:, :n_t].T
     return R[:, :c], R[:, c:]
