@@ -16,7 +16,15 @@ branch terms are reported as Pi_pos / Pi_neg and the cross term as
 Pi_interf.  The operator itself never singles out a measurement rule, so
 this spectral-overlap construction is a modeling choice, cross-checked
 against the probability current at the origin (``flux_at_origin``), which is
-an independent arrival-time oracle.
+an independent arrival-time oracle.  In 1D alpha_1 commutes with the
+helicity Sigma_1, so the current is diagonal in s: with
+psi(t, 0) = sum_s (U_s eta_s ; L_s sigma_1 eta_s),
+
+    J(t) = psi^dag alpha_1 psi = 2 sum_s Re(conj(U_s) L_s),
+
+where U_s and L_s are the node sums of c_{lam s} times the upper and lower
+half-angle factors (N, N c) of each branch.  A packet of one helicity has
+exact zero projections c_{lam, -s}, so half of J's columns are zero.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``; psi(t, x) is the lam = -1 sum with p_j
@@ -50,7 +58,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import _BETA_DIAG, energy_spinor_values, helicity_spinor, nr_limit_spinor
+from .algebra import _BETA_DIAG, _branch_factors, energy_spinor_values, helicity_spinor, nr_limit_spinor
 from .eigenfunctions import _SQRT2PI, _folded_overlaps, _lattice_overlaps, _time_lattice
 from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
@@ -63,6 +71,7 @@ __all__ = [
     "arrival_distribution",
     "arrival_distribution_nonrel",
     "flux_at_origin",
+    "flux_peak_time",
     "l1_distance",
     "peak_location",
 ]
@@ -270,17 +279,30 @@ def flux_at_origin(
 
     Returns (t samples, J samples).  For a packet that fully crosses the
     origin once, J integrates to +-1 (sign = direction of crossing).
+
+    J = 2 sum_s Re(conj(U_s) L_s) in the helicity basis: U_s and L_s are
+    the lattice sums of w c_{lam s} N / sqrt(2 pi) and w c_{lam s} N c /
+    sqrt(2 pi), with (N, N c) the half-angle factors of ``_branch_factors``,
+    in the columns [U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch.  A
+    ``build_packet`` packet has one helicity s, so the -s columns are exact
+    zeros, which the kernel skips; no spinor-sized coefficient array is formed.
     """
     ts, lattice = _time_lattice(t_window, n_t)
-    E, _, phi, c = _spectral_data(f, m)
-    # w sum_s c_{lam s} phi_{lam s} / sqrt(2 pi): the lam-branch part of psi
-    b = f.grid.weights[:, None] * c[:, :, None] * phi / _SQRT2PI
-    psi_pos, psi_neg = _folded_overlaps(f.grid, E, *lattice, b[0] + b[1], b[2] + b[3])
-    psi0 = np.add(psi_pos, psi_neg, out=psi_pos)  # the kernel's output is ours to reuse
-    J = 2.0 * np.real(
-        np.conj(psi0[:, 0]) * psi0[:, 3] + np.conj(psi0[:, 1]) * psi0[:, 2]
-    )
-    return ts, J
+    E, _, _, c = _spectral_data(f, m)
+    _, N, Nc = _branch_factors(m, f.grid.nodes, np.array([[1], [-1]]))
+    a = (f.grid.weights * c / _SQRT2PI).reshape(2, 2, -1)  # (lam, s, node)
+    cols = np.concatenate([a * N[:, None], a * Nc[:, None]], axis=1)
+    UL_pos, UL_neg = _folded_overlaps(f.grid, E, *lattice, cols[0].T, cols[1].T)
+    UL = np.add(UL_pos, UL_neg, out=UL_pos)  # the kernel's output is ours to reuse
+    return ts, 2.0 * np.vecdot(UL[:, :2], UL[:, 2:]).real  # vecdot conjugates U_s
+
+
+def flux_peak_time(ts: np.ndarray, J: np.ndarray) -> float:
+    """Time of the flux peak in the crossing direction, by ``peak_location``:
+    the peak of J, or of -J when max J is below half of max|J|.  A packet
+    that crosses leftward (J <= 0) peaks where it crosses; one that crosses
+    both ways with comparable peaks keeps its forward (J > 0) one."""
+    return peak_location(ts, J if 2.0 * np.max(J) >= np.max(np.abs(J)) else -J)
 
 
 def l1_distance(a: ArrivalDistribution, b: ArrivalDistribution) -> float:

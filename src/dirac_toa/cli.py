@@ -256,7 +256,7 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     )
     sidecar = {
         "peak_time": dist.peak_time,
-        "flux_peak_time": arrival.peak_location(ts, J),
+        "flux_peak_time": arrival.flux_peak_time(ts, J),
         "captured_mass": dist.captured_mass,
         "normalization": dist.normalization,
         "warnings": list(dist.warnings),

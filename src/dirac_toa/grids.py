@@ -278,7 +278,8 @@ def _spectral_data(f: GridSpinorField, m: float):
     p = f.grid.nodes
     lam, s = np.array(_CHANNELS).T[:, :, None]
     phi = energy_spinor_values(m, p, lam, s)
-    c = np.einsum("kjc,jc->kj", np.conj(phi), f.values)
+    # conj(phi^T conj(psi)): no conjugated copy of the four spinor tables
+    c = np.einsum("kjc,jc->kj", phi, np.conj(f.values)).conj()
     return np.hypot(p, m), weight_factor(m, p), phi, c
 
 

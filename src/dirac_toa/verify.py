@@ -402,8 +402,9 @@ def check_interference_zero(grid, m) -> float:
 
 def check_arrival_benchmark(dist, ts, J) -> float:
     """Largest offset among the distribution peak, the flux peak and the
-    classical arrival time of the benchmark packet, peaks by ``arrival.peak_location``."""
-    flux_peak = arrival.peak_location(ts, J)
+    classical arrival time of the benchmark packet, peaks by ``arrival.peak_location``
+    and ``arrival.flux_peak_time``."""
+    flux_peak = arrival.flux_peak_time(ts, J)
     return float(max(
         abs(dist.peak_time - _BENCH_ARRIVAL),
         abs(flux_peak - _BENCH_ARRIVAL),

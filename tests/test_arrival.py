@@ -273,13 +273,31 @@ def test_time_kernels_share_one_window_rule(benchmark_packet, kernel, window, n_
 def test_flux_oracle_agreement(grid512, benchmark_packet):
     dist = arrival.arrival_distribution(benchmark_packet, 1.0, WINDOW, N_T)
     ts, J = arrival.flux_at_origin(benchmark_packet, 1.0, WINDOW, N_T)
-    flux_peak = arrival.peak_location(ts, J)
+    flux_peak = arrival.flux_peak_time(ts, J)
+    # a forward packet keeps the peak of J itself, bit for bit
+    assert flux_peak == arrival.peak_location(ts, J)
     assert abs(flux_peak - CLASSICAL_PEAK) <= 0.5
     assert abs(flux_peak - dist.peak_time) <= 0.5
     assert abs(float(np.trapezoid(J, ts)) - 1.0) <= 1e-2
     # single positive hump for a forward packet
     assert J.max() > 0.0
     assert J.min() >= -1e-6 * J.max()
+
+
+@pytest.mark.parametrize(
+    "humps, peak",
+    [
+        ([(10.0, 1.0)], 10.0),
+        ([(10.0, -1.0)], 10.0),
+        ([(10.0, -1.0), (30.0, 1e-3)], 10.0),  # backflow-sized forward current
+        ([(-10.0, -1.0), (10.0, 0.99)], 10.0),  # both ways: the forward peak
+        ([(-10.0, -1.0), (10.0, 0.4)], -10.0),
+    ],
+)
+def test_flux_peak_time_follows_the_crossing_direction(humps, peak):
+    ts = np.linspace(-20.0, 40.0, 601)
+    J = sum(a * np.exp(-((ts - t) ** 2)) for t, a in humps)
+    assert arrival.flux_peak_time(ts, J) == pytest.approx(peak, abs=1e-3)
 
 
 def test_flux_noncrossing_packet(grid512):
@@ -339,12 +357,99 @@ def test_time_kernels_hold_no_n_t_by_n_array():
         assert peak < limit, (name, peak, limit)
 
 
-def test_flux_matches_position_profile_current(two_branch_packet):
-    # independent path: evolve + spatial synthesis at x = 0, no phase matrix in t
-    f, m = two_branch_packet, 1.0
-    ts, J = arrival.flux_at_origin(f, m, (0.0, 2.0 * CLASSICAL_PEAK), 5)
+def test_flux_kernel_holds_under_two_megabytes():
+    # the arrival_broad benchmark config: the columns are (N, 4) per branch
+    # and no (4, N, 4) spinor-sized coefficient array is formed (2.43 MB with
+    # one, 1.58 MB measured without)
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=0.5**0.5, c_minus=0.5**0.5)
+    f = arrival.build_packet(spec, grids.build_grid(1e-3, 20.0, 1024, 4))
+    tracemalloc.start()
+    try:
+        arrival.flux_at_origin(f, 1.0, (-45.0, 45.0), 2501)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6, peak
+
+
+@pytest.mark.parametrize("s", [0.5, -0.5])
+def test_one_helicity_flux_passes_zero_columns(monkeypatch, grid512, s):
+    # a build_packet packet has one helicity, so the U and L columns of the
+    # other are exact zeros, which the lattice kernel skips
+    c = 0.5**0.5
+    spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.3, c_plus=c, c_minus=1j * c, s=s)
+    f = arrival.build_packet(spec, grid512)
+    seen = []
+
+    def spy(grid, E, t0, dt, n_t, plus, minus):
+        seen.append((plus, minus))
+        return _folded_overlaps(grid, E, t0, dt, n_t, plus, minus)
+
+    monkeypatch.setattr(arrival, "_folded_overlaps", spy)
+    arrival.flux_at_origin(f, 1.0, WINDOW, 101)
+    (plus, minus), = seen
+    # columns [U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch
+    live, dead = ([0, 2], [1, 3]) if s == 0.5 else ([1, 3], [0, 2])
+    for cols in (plus, minus):
+        assert cols.shape == (grid512.n_nodes, 4)
+        assert np.all(cols[:, dead] == 0.0)
+        assert np.all(np.any(cols[:, live] != 0.0, axis=0))
+
+
+def _spinor_flux(f, m, window, n_t):
+    """Reference: psi(t, 0) component by component from the same folded
+    lattice sums, and J = psi^dag alpha_1 psi of all four components."""
+    _, lattice = eigenfunctions._time_lattice(window, n_t)
+    E, _, phi, c = _spectral_data(f, m)
+    b = f.grid.weights[:, None] * c[:, :, None] * phi / SQRT2PI
+    psi_pos, psi_neg = _folded_overlaps(f.grid, E, *lattice, b[0] + b[1], b[2] + b[3])
+    return _current(psi_pos + psi_neg)
+
+
+def _random_field(grid, seed):
+    """Random node values: both helicities on both branches."""
+    rng = np.random.default_rng(seed)
+    return grids.GridSpinorField(grid, rng.normal(size=(grid.n_nodes, 4)) + 1j * rng.normal(size=(grid.n_nodes, 4)))
+
+
+@pytest.mark.parametrize(
+    "grid_args, packet, window, n_t",
+    [
+        # the arrival_dense and arrival_broad benchmark configs
+        ((1e-3, 10.0, 256, 4), dict(x0=-10.0, p0=2.0, sigma_p=0.1), (-20.0, 43.0), 12001),
+        (
+            (1e-3, 20.0, 1024, 4),
+            dict(x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=0.5**0.5, c_minus=1j * 0.5**0.5),
+            (-45.0, 45.0),
+            2501,
+        ),
+    ],
+    ids=["dense", "broad"],
+)
+def test_helicity_flux_moves_the_benchmark_flux_by_rounding(grid_args, packet, window, n_t):
+    # against the four-component current on the same lattice sums, J moved by
+    # at most 5.3 eps of max|J| and the flux peak by 3.2e-13
+    f = arrival.build_packet(arrival.PacketSpec(m=1.0, **packet), grids.build_grid(*grid_args))
+    ts, J = arrival.flux_at_origin(f, 1.0, window, n_t)
+    ref = _spinor_flux(f, 1.0, window, n_t)
+    assert np.max(np.abs(J - ref)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert abs(arrival.flux_peak_time(ts, J) - arrival.flux_peak_time(ts, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("field, m", [("two_branch", 1.0), ("random", 0.0), ("random", 1.0), ("random", 50.0)])
+def test_flux_matches_position_profile_current(two_branch_packet, grid512, field, m):
+    # independent path: evolve + spatial synthesis at x = 0, no phase matrix in
+    # t; it rounds E t otherwise, by up to 1.6e3 eps of max|J| at m = 50
+    f = two_branch_packet if field == "two_branch" else _random_field(grid512, 7)
+    window = (0.0, 2.0 * CLASSICAL_PEAK)
+    ts, J = arrival.flux_at_origin(f, m, window, 5)
     ref = np.array([_current(_dense_profile(f, m, t, [0.0])[0]) for t in ts])
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the helicity cross terms of the four-component current cancel to
+    # rounding: against it on the same lattice sums, random fields (40 seeds
+    # per mass) moved J by 4.7 eps of max|J| in the median and 15 eps at most
+    spinor_ref = _spinor_flux(f, m, window, 5)
+    assert np.max(np.abs(J - spinor_ref)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(spinor_ref))
 
 
 @pytest.mark.parametrize(

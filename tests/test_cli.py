@@ -432,9 +432,25 @@ def test_arrival_outputs_and_determinism(tmp_path):
     assert sidecar["config"]["packet"]["p0"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "packet",
+    [{"packet.x0": 10.0, "packet.p0": -2.0}, {"packet.c_plus": [0.0, 0.0], "packet.c_minus": [1.0, 0.0]}],
+    ids=["leftward", "negative-branch"],
+)
+def test_flux_peak_time_of_a_leftward_crossing(tmp_path, packet):
+    # J < 0 where the packet crosses leftward: the flux peak is the peak of
+    # -J, not the end of the window or the far tail of J
+    out = tmp_path / "out"
+    assert cli.main(["arrival", "--config", write_config(tmp_path, **packet), "--out", str(out)]) == 0
+    sidecar = json.loads((out / "arrival.json").read_text())
+    assert abs(abs(sidecar["peak_time"]) - 10.0 * np.sqrt(5.0) / 2.0) <= 0.5
+    assert abs(sidecar["flux_peak_time"] - sidecar["peak_time"]) <= 0.5
+
+
 def test_verify_peak_residual_matches_arrival_sidecar(tmp_path):
     # the default packet and window are verify's benchmark: both commands
-    # locate the two peaks by the one rule, arrival.peak_location
+    # locate the two peaks by the same rules, arrival.peak_location and
+    # arrival.flux_peak_time
     from dirac_toa.verify import run_all_checks
 
     assert cli.main(["arrival", "--out", str(tmp_path)]) == 0
