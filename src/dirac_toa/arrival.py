@@ -108,7 +108,8 @@ class PacketSpec:
             raise ValueError("mass must be >= 0")
         if self.sigma_p <= 0.0:
             raise ValueError("sigma_p must be > 0")
-        total = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
+        a, b = abs(self.c_plus), abs(self.c_minus)
+        total = a * a + b * b  # inf past the float range, where ** 2 raises
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"|c+|^2 + |c-|^2 must be 1, got {total}")
         helicity_spinor(self.s)
@@ -235,7 +236,8 @@ def arrival_distribution(
     recorded when the window captures less than 99% or more than 101% of it.
     """
     ts, lattice = _time_lattice(t_window, n_t)
-    E, W, _, c = _spectral_data(f, m)
+    E, W, phi, c = _spectral_data(f, m)
+    del phi  # the (4, N, 4) spinor table: not held through the kernel
     b = f.grid.weights * W * c / _SQRT2PI
     full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
     # A_{lam s}(t), one column per spin s

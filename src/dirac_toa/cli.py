@@ -1,29 +1,29 @@
 """Command-line interface: verify / arrival / eigen / limits.
 
-    dirac-toa {verify,arrival,eigen,limits} [--config FILE] [--out DIR] [--seed N]
+    dirac-toa {verify,arrival,eigen,limits} [--config FILE] [--out DIR]
 
-All commands read a JSON config (a built-in default is used when --config is
-omitted) and write deterministic artifacts: CSV curves with 17-significant-
-digit scientific notation and JSON sidecars with sorted keys, whose
-``config`` is ``config_to_dict`` of the run's config.
+All commands read a JSON config, the run's one input (a built-in default is
+used when --config is omitted), and write deterministic artifacts: CSV
+curves with 17-significant-digit scientific notation and JSON sidecars with
+sorted keys, whose ``config`` is ``config_to_dict`` of the run's config.
 
 Exit status: 0 success, 1 a ``verify`` check failed, 2 invalid input,
 reported on stderr as ``config error: WHERE: WHY``; never a traceback.
 Status 2 covers a config that ``config_from_dict`` rejects (bad JSON, shape
-or type, a non-finite number, an unknown key, a seed < 0, also from
-``--seed``, a library domain rule, the grid and window rules among them); a
-config that loads but that the library rejects for the command, with WHERE
-the config section or field (a packet off the grid or without weight on its
-nodes, a window without arrival mass, an eigen label past the grid
-resolution by ``ToaEigenfunction.check_resolved``, ratios that admit no
-order fit, an overflowing deficiency axis, and for ``verify`` a grid that
-cannot hold its fixed packets or whose energies collapse onto m); and a
-non-finite result, which the writers refuse with WHERE the file; and an
-``--out`` that cannot hold the files, with WHERE ``--out DIR``.  The domain
-rules live in the library; a command only names the config path.  Every
-artifact of a command is checked before the first file is written, and a
-failed write removes the files it wrote, so a run that exits 2 leaves no
-file; CSV text is rendered and written in blocks of rows.
+or type, a non-finite number, an unknown key, a seed < 0, a library domain
+rule, the grid and window rules among them); a config that loads but that
+the library rejects for the command, with WHERE the config section or field
+(a grid or time lattice too large to allocate, a packet off the grid or
+without weight on its nodes, a window without arrival mass, an eigen label
+past the grid resolution by ``ToaEigenfunction.check_resolved``, ratios
+that admit no order fit, an overflowing deficiency axis, and for ``verify``
+a grid that cannot hold its fixed packets or whose energies collapse onto
+m); a non-finite result, which the writers refuse with WHERE the file; and
+an ``--out`` that cannot hold the files, with WHERE ``--out DIR``.  The
+domain rules live in the library; a command only names the config path.
+Every artifact of a command is checked before the first file is written,
+and a failed write removes the files it wrote, so a run that exits 2 leaves
+no file; CSV text is rendered and written in blocks of rows.
 
 Each CSV cell is the bytes of ``'%.16e' % v``, rendered for a whole block by
 array operations: with e = floor(log10|v|), |v| 10^(16 - e) is formed to
@@ -43,7 +43,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -242,7 +242,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None) -> int:
 
 def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
-    grid = grids.build_grid(**asdict(cfg.grid))
+    with at_path("config.grid"):
+        grid = grids.build_grid(**asdict(cfg.grid))
     with at_path("config.packet"):
         psi = arrival.build_packet(cfg.packet, grid)
     window = (cfg.time.t_min, cfg.time.t_max)
@@ -268,7 +269,8 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
 
 def cmd_eigen(cfg: RunConfig, out_dir: str | None) -> int:
     out_dir = out_dir or "."
-    grid = grids.build_grid(**asdict(cfg.grid))
+    with at_path("config.grid"):
+        grid = grids.build_grid(**asdict(cfg.grid))
     files, index = [], []
     for i, func in enumerate(cfg.eigen):
         with at_path(f"config.eigen[{i}]"):
@@ -345,12 +347,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config path (built-in default if omitted)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else config_from_dict(DEFAULT_CONFIG)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         return _COMMANDS[args.command][0](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

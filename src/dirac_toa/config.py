@@ -1,18 +1,21 @@
 """Run configuration: JSON in, the library's own objects out.
 
-``config_from_dict`` is the one place where outside input becomes library
-objects.  This module parses JSON shapes and types (objects, required
-fields, finite numbers, integers, [re, im] pairs), rejects unknown keys and
-checks the fields that no library rule covers (mass sign, limit scan).
-``RunConfig`` rejects a seed < 0, which numpy's rng refuses, also when the
-CLI's ``--seed`` replaces it.  The library states the domain rules:
-``PacketSpec``, the eigenfunction constructors, and the rules of
-``build_grid`` and ``_time_lattice``, called here without building anything.
-``at_path`` re-raises their ``ValueError`` as a ``ConfigError`` that starts
-with the JSON path; the CLI reports it with exit status 2.
-``config_to_dict`` is the inverse of ``config_from_dict`` and the config
-echo of every sidecar.  Loading does no numerical work, but ``PacketSpec``
-raises its |p0| <= 3 sigma_p warning here.
+The config file is a run's one input, and ``config_from_dict`` the one place
+where it becomes library objects.  Each JSON object is parsed by its field
+table, name -> parser of one field kind (``_number``, ``_integer``,
+``_complex_pair``, ``_ratios``, ``_family``), through ``_fields``, which
+first rejects a non-object, an unknown key and a missing required field.
+An omitted optional field takes its ``DEFAULT_CONFIG`` value (an eigen
+item's sign label 1 and spin 0.5).  This module checks mass >= 0, seed >= 0
+(numpy's rng refuses a negative one) and the limit scan; the library states
+the domain rules: ``PacketSpec``, the eigenfunction constructors, and the
+rules of ``build_grid`` and ``_time_lattice``, called here without building
+anything.  ``at_path`` re-raises their ``ValueError`` as a ``ConfigError``
+that starts with the JSON path, which the CLI reports with exit status 2; so
+too a ``MemoryError`` or ``OverflowError``, since a size the rules accept can
+still be too large to build.  ``config_to_dict`` inverts ``config_from_dict``
+and is every sidecar's config echo.  Loading does no numerical work, but
+``PacketSpec`` raises its |p0| <= 3 sigma_p warning.
 """
 from __future__ import annotations
 
@@ -37,13 +40,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def at_path(where: str):
-    """Re-raise a library ``ValueError`` as a ``ConfigError`` at JSON path ``where``."""
+    """Re-raise a library ``ValueError``, ``MemoryError`` or ``OverflowError``
+    as a ``ConfigError`` at JSON path ``where``."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {str(exc) or 'out of memory'}") from exc
 
 
 DEFAULT_CONFIG = {
@@ -109,21 +113,24 @@ class RunConfig:
     eigen: tuple  # of ToaEigenfunction
     limits: LimitsConfig
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"config.seed: must be >= 0, got {self.seed}")
 
-
-def _object(d, path: str, required, optional=()) -> dict:
+def _object(d, path: str, fields, defaults: dict) -> dict:
+    """The object ``d`` at ``path`` over ``fields``, its omitted ``defaults`` filled in."""
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in d:
-        if key not in required + optional:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown field")
-    for key in required:
-        if key not in d:
+    for key in fields:
+        if key not in d and key not in defaults:
             raise ConfigError(f"{path}.{key}: missing required field")
-    return d
+    return {**defaults, **d}
+
+
+def _fields(d, path: str, kinds: dict, defaults: dict) -> list:
+    """The fields of object ``d``, each parsed by its kind in the table ``kinds``, in order."""
+    d = _object(d, path, kinds, defaults)
+    return [parse(d[key], f"{path}.{key}") for key, parse in kinds.items()]
 
 
 def _number(value, path: str) -> float:
@@ -150,37 +157,27 @@ def _complex_pair(value, path: str) -> complex:
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _grid_from(d, path: str) -> GridConfig:
-    d = _object(d, path, ("p_min", "p_max", "n_points", "deriv_order"))
-    p_min = _number(d["p_min"], f"{path}.p_min")
-    p_max = _number(d["p_max"], f"{path}.p_max")
-    n_points = _integer(d["n_points"], f"{path}.n_points")
-    order = _integer(d["deriv_order"], f"{path}.deriv_order")
-    with at_path(path):
-        _grid_rule(p_min, p_max, n_points, order)
-    return GridConfig(p_min, p_max, n_points, order)
+def _ratios(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) < 2:
+        raise ConfigError(f"{path}: expected a list of at least two ratios")
+    ratios = tuple(_number(r, f"{path}[{i}]") for i, r in enumerate(value))
+    if any(r <= 0.0 for r in ratios):
+        raise ConfigError(f"{path}: all ratios must be > 0")
+    return ratios
 
 
-def _packet_from(d, path: str, mass: float) -> PacketSpec:
-    d = _object(d, path, ("x0", "p0", "sigma_p"), ("c_plus", "c_minus", "s"))
-    x0 = _number(d["x0"], f"{path}.x0")
-    p0 = _number(d["p0"], f"{path}.p0")
-    sigma_p = _number(d["sigma_p"], f"{path}.sigma_p")
-    c_plus = _complex_pair(d.get("c_plus", [1.0, 0.0]), f"{path}.c_plus")
-    c_minus = _complex_pair(d.get("c_minus", [0.0, 0.0]), f"{path}.c_minus")
-    s = _number(d.get("s", 0.5), f"{path}.s")
-    with at_path(path):
-        return PacketSpec(mass, x0, p0, sigma_p, c_plus, c_minus, s)
+def _family(value, path: str) -> str:
+    if not isinstance(value, str) or value not in _FAMILIES:
+        raise ConfigError(f"{path}: must be 'time', 'position' or 'event', got {value!r}")
+    return value
 
 
-def _time_from(d, path: str) -> TimeConfig:
-    d = _object(d, path, ("t_min", "t_max", "n_t"))
-    t_min = _number(d["t_min"], f"{path}.t_min")
-    t_max = _number(d["t_max"], f"{path}.t_max")
-    n_t = _integer(d["n_t"], f"{path}.n_t")
-    with at_path(path):
-        _window_rule(t_min, t_max, n_t)
-    return TimeConfig(t_min, t_max, n_t)
+# the field tables of the sections, in the order of the dataclass fields
+_GRID = {"p_min": _number, "p_max": _number, "n_points": _integer, "deriv_order": _integer}
+_PACKET = {"x0": _number, "p0": _number, "sigma_p": _number, "c_plus": _complex_pair,
+           "c_minus": _complex_pair, "s": _number}
+_TIME = {"t_min": _number, "t_max": _number, "n_t": _integer}
+_LIMITS = {"ratios": _ratios, "e_max_factor": _number}
 
 
 def _eigen_from(items, path: str, mass: float) -> tuple:
@@ -191,51 +188,38 @@ def _eigen_from(items, path: str, mass: float) -> tuple:
         here = f"{path}[{i}]"
         if not isinstance(d, dict):
             raise ConfigError(f"{here}: expected an object")
-        family = d.get("family")
-        if family not in _FAMILIES:
-            raise ConfigError(
-                f"{here}.family: must be 'time', 'position' or 'event', got {family!r}"
-            )
-        build, key, sign = _FAMILIES[family]
-        _object(d, here, ("family", key), (sign, "s"))
-        label = _number(d[key], f"{here}.{key}")
-        sign_value = _integer(d.get(sign, 1), f"{here}.{sign}")
-        s = _number(d.get("s", 0.5), f"{here}.s")
+        build, key, sign = _FAMILIES[_family(d.get("family"), f"{here}.family")]
+        kinds = {"family": _family, key: _number, sign: _integer, "s": _number}
+        _, *labels = _fields(d, here, kinds, {sign: 1, "s": 0.5})
         with at_path(here):
-            out.append(build(label, sign_value, s, mass))
+            out.append(build(*labels, mass))
     return tuple(out)
-
-
-def _limits_from(d, path: str) -> LimitsConfig:
-    d = {**DEFAULT_CONFIG["limits"], **_object(d, path, (), ("ratios", "e_max_factor"))}
-    ratios = d["ratios"]
-    if not isinstance(ratios, list) or len(ratios) < 2:
-        raise ConfigError(f"{path}.ratios: expected a list of at least two ratios")
-    vals = tuple(_number(r, f"{path}.ratios[{i}]") for i, r in enumerate(ratios))
-    if any(r <= 0.0 for r in vals):
-        raise ConfigError(f"{path}.ratios: all ratios must be > 0")
-    factor = _number(d["e_max_factor"], f"{path}.e_max_factor")
-    if factor <= 1.0:
-        raise ConfigError(f"{path}.e_max_factor: must be > 1")
-    return LimitsConfig(vals, factor)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Parse a JSON-shaped dict; raises ``ConfigError`` with the field's path."""
-    data = _object(data, "config", ("mass", "grid", "packet", "time"), ("seed", "eigen", "limits"))
+    optional = {k: DEFAULT_CONFIG[k] for k in ("seed", "eigen", "limits")}
+    data = _object(data, "config", DEFAULT_CONFIG, optional)
     mass = _number(data["mass"], "config.mass")
     if mass < 0.0:
         raise ConfigError(f"config.mass: must be >= 0, got {mass}")
-    grid = _grid_from(data["grid"], "config.grid")
-    packet = _packet_from(data["packet"], "config.packet", mass)
-    time = _time_from(data["time"], "config.time")
-    seed = _integer(data.get("seed", DEFAULT_CONFIG["seed"]), "config.seed")
-    eigen = _eigen_from(data.get("eigen", DEFAULT_CONFIG["eigen"]), "config.eigen", mass)
-    limits = _limits_from(data.get("limits", DEFAULT_CONFIG["limits"]), "config.limits")
-    return RunConfig(
-        mass=mass, grid=grid, packet=packet, time=time,
-        seed=seed, eigen=eigen, limits=limits,
-    )
+    grid = GridConfig(*_fields(data["grid"], "config.grid", _GRID, {}))
+    with at_path("config.grid"):
+        _grid_rule(**asdict(grid))
+    optional = {k: DEFAULT_CONFIG["packet"][k] for k in ("c_plus", "c_minus", "s")}
+    with at_path("config.packet"):
+        packet = PacketSpec(mass, *_fields(data["packet"], "config.packet", _PACKET, optional))
+    time = TimeConfig(*_fields(data["time"], "config.time", _TIME, {}))
+    with at_path("config.time"):
+        _window_rule(time.t_min, time.t_max, time.n_t)
+    seed = _integer(data["seed"], "config.seed")
+    eigen = _eigen_from(data["eigen"], "config.eigen", mass)
+    limits = LimitsConfig(*_fields(data["limits"], "config.limits", _LIMITS, DEFAULT_CONFIG["limits"]))
+    if limits.e_max_factor <= 1.0:
+        raise ConfigError("config.limits.e_max_factor: must be > 1")
+    if seed < 0:
+        raise ConfigError(f"config.seed: must be >= 0, got {seed}")
+    return RunConfig(mass, grid, packet, time, seed, eigen, limits)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -3,11 +3,13 @@
 The grid is a symmetric pair of intervals [-p_max, -p_min] u [p_min, p_max]
 built from composite Gauss-Legendre panels, so the neighborhood of p = 0 is
 excluded by construction (the time-of-arrival operator is singular there).
-Derivatives are polynomial finite differences of order 2 or 4 on the actual
-(non-uniform) nodes, evaluated per half-line; near each interval end the
-stencils become one-sided at the same order.  The weights are barycentric,
-one ``fd_weights`` call per half-line table.  Fields may carry closed-form
-derivative samples, in which case the operators use those instead.
+Every command's fields carry closed-form derivative samples, which the
+operators use.  The one exception is the ``commutator_order_{deriv_order}``
+check of ``verify``: its fields carry none, so d/dp is a polynomial finite
+difference of order 2 or 4 on the actual (non-uniform) nodes, evaluated per
+half-line; near each interval end the stencils become one-sided at the same
+order.  The weights are barycentric, one ``fd_weights`` call per half-line
+table.
 
 Operators:
 
@@ -123,8 +125,9 @@ class MomentumGrid:
     weights[negative] == weights[positive][::-1] bit for bit, so a function
     of |p| such as E_p takes equal values at p and -p (the arrival sums fold
     on it: ``eigenfunctions._folded_overlaps``).  ``deriv_order``
-    (2 or 4) is the order of the finite-difference d/dp; a field that
-    carries ``deriv_values`` bypasses it.
+    (2 or 4) is the order of the finite-difference d/dp, ``derivative``; a
+    field that carries ``deriv_values`` bypasses it, so only
+    ``verify.check_commutator_order`` reaches it.
     """
 
     p_min: float

@@ -538,8 +538,8 @@ class _Run:
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "_Run":
-        grid = grids.build_grid(**asdict(cfg.grid))
         with at_path("config.grid"):
+            grid = grids.build_grid(**asdict(cfg.grid))
             # _GROUP_SPEC reaches furthest of the fixed packets put on this grid
             group = arrival.build_packet(_GROUP_SPEC, grid)
         with at_path("config.packet"):

@@ -574,25 +574,34 @@ def test_verify_order2_commutator_larger():
     assert all(a > b for a, b in zip(res2, res4))
 
 
-def test_seed_flag_overrides(tmp_path, capsys):
-    cfg = small_arrival_config(tmp_path)
-    out = tmp_path / "o"
-    assert cli.main(["arrival", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-    sidecar = json.loads((out / "arrival.json").read_text())
-    assert sidecar["config"]["seed"] == 7
-
-
 @pytest.mark.parametrize("command", ["verify", "arrival", "eigen", "limits"])
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, command, how):
+@pytest.mark.parametrize("seed", [pytest.param(-5, id="config")])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, command, seed):
     # np.random.default_rng raised a traceback on a negative seed (exit 1)
-    if how == "flag":
-        args = ["--config", write_config(tmp_path), "--seed", "-1"]
-    else:
-        args = ["--config", write_config(tmp_path, seed=-5)]
     out = tmp_path / "out"
-    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert cli.main([command, "--config", write_config(tmp_path, seed=seed), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: config.seed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, field, size",
+    [
+        pytest.param(command, "grid.n_points", n, id=f"{command}-n_points-{label}")
+        for command in ("arrival", "eigen", "verify")
+        for n, label in ((2**50, "2^50"), (2**100, "2^100"))
+    ]
+    + [pytest.param("arrival", "time.n_t", 10**15, id="arrival-n_t-1e15")],
+)
+def test_oversized_lattice_exits_2_and_writes_nothing(tmp_path, capsys, command, field, size):
+    # each first allocation is past the 47-bit address space (2^50 nodes,
+    # 1e15 samples) or past an index (2^100), so none takes real memory; a
+    # MemoryError or OverflowError ended these runs in a traceback (exit 1)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, **{field: size}), "--out", str(out)]) == 2
+    # the message names the cause: a bare MemoryError has none of its own
+    section = field.partition(".")[0]
+    assert re.match(rf"config error: config\.{section}: \S", capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -617,10 +626,10 @@ def test_verify_over_masses_and_seeds(mass, seed):
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "cfg.json"), os.path.join(work, "out")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({**DEFAULT_CONFIG, "mass": mass}, fh)
+            json.dump({**DEFAULT_CONFIG, "mass": mass, "seed": seed}, fh)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            status = cli.main(["verify", "--config", path, "--seed", str(seed), "--out", out])
+            status = cli.main(["verify", "--config", path, "--out", out])
         if seed < 0:
             assert status == 2
             assert err.getvalue().startswith("config error: config.seed")

@@ -213,6 +213,33 @@ def test_library_rules_are_reported_with_their_path(path, value, message):
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # |c|**2 raised an OverflowError, a traceback through the CLI
+        pytest.param(
+            "packet.c_minus", [0.0, -1e308], "config.packet: |c+|^2 + |c-|^2 must be 1, got inf",
+            id="c_minus-1e308",
+        ),
+        # an unhashable family raised a TypeError
+        pytest.param(
+            "eigen.0.family", ["time"],
+            "config.eigen[0].family: must be 'time', 'position' or 'event', got ['time']",
+            id="family-list",
+        ),
+        pytest.param(
+            "eigen.2.family", {},
+            "config.eigen[2].family: must be 'time', 'position' or 'event', got {}",
+            id="family-object",
+        ),
+    ],
+)
+def test_a_value_that_breaks_a_rule_is_reported_by_the_rule(path, value, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(with_field(path, value))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "path, where",
     [
         ("cminus", "config.cminus"),

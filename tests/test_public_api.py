@@ -23,10 +23,18 @@ The package surface is stated once: ``__init__`` star-imports each library
 module, so the ``dirac_toa`` namespace is the union of their ``__all__``
 lists, no name is exported by two modules, and ``__init__`` imports no name
 explicitly.
+
+The config file is a run's one input: every subcommand of the parser that
+``cli.main`` builds takes exactly the options ``--config`` and ``--out``.
 """
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from dirac_toa import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dirac_toa"
 
@@ -265,3 +273,21 @@ def test_rule_flags_a_second_export_list():
     assert surface_faults(init, exports) == [
         "explicit import from c: h", "c is not star-imported", "g is exported by a and b",
     ]
+
+
+def test_every_command_takes_only_config_and_out(monkeypatch):
+    built = []
+
+    def stop(parser, args=None, namespace=None):
+        built.append(parser)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    with pytest.raises(SystemExit):
+        cli.main([])
+    (parser,) = built
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli._COMMANDS)
+    for name, sub in commands.choices.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == {"--config", "--out"}, name
