@@ -4,10 +4,13 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,7 +306,7 @@ def test_out_that_cannot_be_a_directory_exits_2(monkeypatch, tmp_path, capsys, c
     from dirac_toa.verify import CheckResult
 
     # the checks do not matter here: verify.json is written like every other file
-    monkeypatch.setattr(cli, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
+    monkeypatch.setattr(cli.verify, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
     cfg = small_arrival_config(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("kept", encoding="utf-8")
@@ -386,7 +389,7 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
     from dirac_toa.verify import CheckResult
 
     monkeypatch.setattr(
-        cli, "run_all_checks", lambda cfg: [CheckResult("stub", 1.0, 0.5)]
+        cli.verify, "run_all_checks", lambda cfg: [CheckResult("stub", 1.0, 0.5)]
     )
     assert cli.main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -397,7 +400,7 @@ def test_verify_out_round_trips_json(monkeypatch, tmp_path):
 
     # a numpy residual makes `passed` a numpy.bool_, which json cannot encode
     monkeypatch.setattr(
-        cli, "run_all_checks", lambda cfg: [CheckResult("stub", np.float64(1e-3), 1e-2)]
+        cli.verify, "run_all_checks", lambda cfg: [CheckResult("stub", np.float64(1e-3), 1e-2)]
     )
     assert cli.main(["verify", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
@@ -653,7 +656,7 @@ def test_verify_over_masses_and_seeds(mass, seed):
 def test_every_sidecar_echoes_config_to_dict(monkeypatch, tmp_path, command, sidecar):
     from dirac_toa.verify import CheckResult
 
-    monkeypatch.setattr(cli, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
+    monkeypatch.setattr(cli.verify, "run_all_checks", lambda cfg: [CheckResult("stub", 0.0, 1.0)])
     cfg = small_arrival_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
@@ -661,3 +664,30 @@ def test_every_sidecar_echoes_config_to_dict(monkeypatch, tmp_path, command, sid
     assert echo == config_to_dict(load_config(cfg))
     assert echo["eigen"] == DEFAULT_CONFIG["eigen"]
     assert echo["limits"] == DEFAULT_CONFIG["limits"]
+
+
+@pytest.mark.parametrize(
+    "command, executed",
+    [
+        ("arrival", []),
+        ("eigen", []),
+        ("limits", ["dirac_toa.limits"]),
+        ("verify", ["dirac_toa.limits", "dirac_toa.verify"]),
+    ],
+    ids=["arrival", "eigen", "limits", "verify"],
+)
+def test_a_command_runs_only_the_modules_it_calls(tmp_path, command, executed):
+    # both modules are in sys.modules from the package import on; one that
+    # has not run is still the lazy loader's module subclass
+    code = (
+        "import sys, types\n"
+        "from dirac_toa import cli\n"
+        f"status = cli.main([{command!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(status, [n for n in ('dirac_toa.limits', 'dirac_toa.verify')"
+        " if type(sys.modules[n]) is types.ModuleType])\n"
+    )
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[-1] == f"0 {executed}"
