@@ -86,16 +86,17 @@ def fd_weights(stencils, at) -> np.ndarray:
 
 def _gauss_legendre_panels(a: float, b: float, n: int, panels: int):
     """Composite Gauss-Legendre rule with n nodes split over equal panels;
-    the panels share one rule per distinct panel size."""
+    the first n % panels panels take one node more, and the panels of each
+    size share one rule, mapped onto all of them at once."""
     base, rem = divmod(n, panels)
-    sizes = [base + (1 if i < rem else 0) for i in range(panels)]
-    rules = {q: np.polynomial.legendre.leggauss(q) for q in set(sizes)}
     edges = np.linspace(a, b, panels + 1)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     xs, ws = [], []
-    for lo, hi, q in zip(edges[:-1], edges[1:], sizes):
-        x0, w0 = rules[q]
-        xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * w0)
+    for q, at in ((base + 1, slice(0, rem)), (base, slice(rem, panels))):
+        if at.stop > at.start:
+            x0, w0 = np.polynomial.legendre.leggauss(q)
+            xs.append((half[at, None] * x0 + mid[at, None]).ravel())
+            ws.append((half[at, None] * w0).ravel())
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -119,8 +120,8 @@ class MomentumGrid:
     """Symmetric quadrature grid on [-p_max, -p_min] u [p_min, p_max].
 
     nodes are strictly increasing, none in (-p_min, p_min); weights are
-    composite Gauss-Legendre on max(1, min(8, n_per_side // 4)) equal panels
-    per side, so one side sums to p_max - p_min exactly.  The halves are
+    composite Gauss-Legendre on equal panels of at most 128 nodes (see
+    ``build_grid``), so one side sums to p_max - p_min exactly.  The halves are
     exact mirrors, nodes[negative] == -nodes[positive][::-1] and
     weights[negative] == weights[positive][::-1] bit for bit, so a function
     of |p| such as E_p takes equal values at p and -p (the arrival sums fold
@@ -186,10 +187,12 @@ def _grid_rule(p_min: float, p_max: float, n_points: int, deriv_order: int) -> N
 def build_grid(p_min: float, p_max: float, n_points: int, deriv_order: int = 4) -> MomentumGrid:
     """Build a symmetric composite Gauss-Legendre grid, n_points per side.
 
-    Each side is split into max(1, min(8, n_points // 4)) equal panels.
+    Each side is split into max(1, min(8, n_points // 4), ceil(n_points / 128))
+    equal panels, so a panel holds at most 128 nodes.
     """
     _grid_rule(p_min, p_max, n_points, deriv_order)
-    pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, max(1, min(8, n_points // 4)))
+    panels = max(1, min(8, n_points // 4), -(-n_points // 128))
+    pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, panels)
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
     return MomentumGrid(

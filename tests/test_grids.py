@@ -1,5 +1,6 @@
 """Grid construction, finite differences, and discretized-operator tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,3 +398,16 @@ def test_gauss_legendre_panels_match_per_panel_rules(a, b, n, panels):
     ref_nodes, ref_weights = _per_panel_gauss_legendre(a, b, n, panels)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(weights, ref_weights)
+
+
+def test_large_grid_builds_in_bounded_memory():
+    # panels hold at most 128 nodes, so each leggauss companion matrix is at
+    # most 128 x 128; with 8 panels of 2048 nodes the build peaked near 34 MB
+    tracemalloc.start()
+    try:
+        grid = grids.build_grid(1e-3, 10.0, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.n_nodes == 32768
+    assert peak < 4e6
