@@ -402,7 +402,7 @@ def test_gauss_legendre_panels_match_per_panel_rules(a, b, n, panels):
 
 def test_large_grid_builds_in_bounded_memory():
     # panels hold at most 128 nodes, so each leggauss companion matrix is at
-    # most 128 x 128; with 8 panels of 2048 nodes the build peaked near 34 MB
+    # most 128 x 128; 8 panels of 2048 nodes would take about 34 MB
     tracemalloc.start()
     try:
         grid = grids.build_grid(1e-3, 10.0, 16384)
