@@ -8,8 +8,9 @@ functions of (E, p) treated as independent variables that satisfy
 -i d/dE phi = T phi with T acting as multiplication by t = b sqrt(x^2 + tau^2).
 
 ``deficiency_diagnostic`` solves -i dphi/dE = +-i phi on the two spectral
-branches (-inf, -m) and (m, +inf), with the integrals of |phi|^2 in closed
-form: each sign has a normalizable solution on exactly one branch, so the
+branches (-inf, -m) and (m, +inf) and classifies each branch by the limit of
+the closed-form integral of |phi|^2 as the cutoff goes to infinity: each sign
+has a normalizable solution on exactly one branch at every m > 0, so the
 deficiency indices come out equal, (1, 1), and self-adjoint extensions
 exist.  Whether the extension is unique is left undetermined.
 """
@@ -39,11 +40,6 @@ __all__ = [
     "DeficiencyReport",
     "deficiency_diagnostic",
 ]
-
-# deficiency classification thresholds on ln(I(4 e_max) / I(e_max))
-_LOG_STABLE = (np.log1p(-1e-2), np.log1p(1e-2))
-_LOG_BLOWUP = np.log(1e3)
-
 
 @dataclass(frozen=True)
 class LimitReport:
@@ -201,8 +197,11 @@ def dual_residual(ds: DualSolution) -> float:
 class DeficiencyReport:
     """Normalizability of the deficiency solutions e^{-+E} per branch.
 
-    ``log_integrals`` holds ln of each truncated integral, so that e^{+-2E}
-    neither overflows nor underflows at large m; ``equal`` is None unless all are classified.
+    ``classifications`` come from the closed-form integral's limit at an
+    infinite cutoff.  ``log_integrals`` holds ln of the integral truncated at
+    each of ``e_max_values`` (e_max, 2 e_max, 4 e_max) as numerical evidence,
+    in logs so that e^{+-2E} neither overflows nor underflows at large m.
+    ``equal`` is a bool.
     """
 
     m: float
@@ -213,9 +212,7 @@ class DeficiencyReport:
     n_minus: int
 
     @property
-    def equal(self) -> bool | None:
-        if "inconclusive" in self.classifications.values():
-            return None
+    def equal(self) -> bool:
         return self.n_plus == self.n_minus
 
     def to_dict(self) -> dict:
@@ -228,6 +225,7 @@ def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int) -
     With u = |E| - m the integrand is e^{2 k m} e^{2 k u}, k = sign_exp *
     branch = +-1, so with span = e_max - m, ln I = 2 k m + max(2 k span, 0)
     + ln(-expm1(-2 span) / 2), which neither overflows nor cancels at any m.
+    At e_max = inf it is +inf for k = +1 and -2 m - ln 2 for k = -1.
     """
     k = sign_exp * branch
     span = e_max - m
@@ -237,11 +235,11 @@ def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int) -
 def deficiency_diagnostic(m: float, e_max: float) -> DeficiencyReport:
     """Count normalizable solutions of -i dphi/dE = +-i phi per branch.
 
-    The candidate solutions are phi = e^{-+E}.  Each truncated integral is
-    evaluated at e_max, 2 e_max and 4 e_max; a branch is classified
-    convergent when the sequence stabilizes (total relative change < 1%)
-    and divergent when it blows up by orders of magnitude (more than 1e3).
-    Both rules are applied to log differences.  n_plus / n_minus count the
+    The candidate solutions are phi = e^{-+E}.  A branch is convergent when
+    the closed-form integral stays finite as the cutoff goes to infinity,
+    which holds exactly on the branch where e^{-+E} decays, at every m > 0;
+    it is divergent otherwise.  The integrals truncated at e_max, 2 e_max
+    and 4 e_max are reported alongside.  n_plus / n_minus count the
     branches that carry a normalizable solution for the +i / -i equation.
     """
     if m <= 0.0:
@@ -258,18 +256,13 @@ def deficiency_diagnostic(m: float, e_max: float) -> DeficiencyReport:
     # T^dag phi = +i phi  ->  phi = e^{-E};  T^dag phi = -i phi  ->  phi = e^{+E}
     for label, sign_exp in (("+i", -1.0), ("-i", 1.0)):
         for branch in (1, -1):
-            seq = tuple(_log_branch_integral(m, e, sign_exp, branch) for e in e_values)
             key = f"{label}/branch{branch:+d}"
-            log_integrals[key] = seq
-            growth = seq[2] - seq[0]
-            # |I_2 - I_0| < 1e-2 I_0  <=>  ln(0.99) < ln(I_2 / I_0) < ln(1.01)
-            if _LOG_STABLE[0] < growth < _LOG_STABLE[1]:
+            log_integrals[key] = tuple(_log_branch_integral(m, e, sign_exp, branch) for e in e_values)
+            if _log_branch_integral(m, math.inf, sign_exp, branch) < math.inf:
                 classifications[key] = "convergent"
                 counts[label] += 1
-            elif growth > _LOG_BLOWUP:
-                classifications[key] = "divergent"
             else:
-                classifications[key] = "inconclusive"
+                classifications[key] = "divergent"
     return DeficiencyReport(
         m=m,
         e_max_values=e_values,

@@ -476,7 +476,7 @@ def check_nr_spinor_leading() -> float:
 def check_nr_eigenvalue_gap() -> float:
     worst = 0.0
     for x in (3.0, -1.5):
-        for r in (0.01, 0.3, 2.0):
+        for r in (0.01, 0.3, 2.0, -0.01, -0.3, -2.0):
             t_rel, t_non, gap = limits.nr_eigen_limit_check(x, r, 1.0)
             worst = max(worst, abs(gap / abs(t_non) - (np.hypot(1.0, r) - 1.0)))
     return worst

@@ -237,15 +237,16 @@ _BRANCHES = ("+i/branch+1", "+i/branch-1", "-i/branch+1", "-i/branch-1")
 @pytest.mark.parametrize(
     "mass, headline, counts, classes",
     [
-        (0.01, None, 0, ("inconclusive",) * 4),
-        (0.1, None, 0, ("inconclusive",) * 4),
+        (0.01, True, 1, ("convergent", "divergent", "divergent", "convergent")),
+        (0.1, True, 1, ("convergent", "divergent", "divergent", "convergent")),
         (1.0, True, 1, ("convergent", "divergent", "divergent", "convergent")),
         (1e5, True, 1, ("convergent", "divergent", "divergent", "convergent")),
+        (1e-6, True, 1, ("convergent", "divergent", "divergent", "convergent")),
     ],
 )
 def test_deficiency_headline_needs_every_branch_classified(tmp_path, mass, headline, counts, classes):
-    # at m <= 0.1 the default axis reaches no decay length: 0 == 0 over four
-    # inconclusive branches used to read "equal": true
+    # at m <= 0.1 the default axis e_max = 10 m reaches no decay length; the
+    # closed form's limit at an infinite cutoff still classifies every branch
     cfg = write_config(tmp_path, mass=mass, **{"grid.n_points": 64})
     out = tmp_path / "lim"
     assert cli.main(["limits", "--config", cfg, "--out", str(out)]) == 0

@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_toa import limits, verify
 from dirac_toa.algebra import energy_spinor_values, event_spinor_values
@@ -242,6 +244,18 @@ def test_deficiency_indices_equal_and_stable():
     for e_max in (10.0, 20.0, 40.0):
         rep = limits.deficiency_diagnostic(1.0, e_max)
         assert (rep.n_plus, rep.n_minus) == (base.n_plus, base.n_minus)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(log_m=st.floats(-300.0, 300.0))
+def test_deficiency_indices_equal_over_the_float_range(log_m):
+    # the closed form's limit at an infinite cutoff classifies every branch,
+    # including where e_max = 10 m reaches no decay length (m << 1)
+    m = 10.0**log_m
+    rep = limits.deficiency_diagnostic(m, 10.0 * m)
+    assert rep.n_plus == rep.n_minus == 1 and rep.equal is True
+    convergent = {k for k, c in rep.classifications.items() if c == "convergent"}
+    assert convergent == {"+i/branch+1", "-i/branch-1"}
 
 
 def _log_integral_mpmath(m, e_max, k):
