@@ -27,29 +27,28 @@ half-angle factors (N, N c) of each branch.  A packet of one helicity has
 exact zero projections c_{lam, -s}, so half of J's columns are zero.
 
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
-over the spectral core of ``grids``; psi(t, x) is the lam = -1 sum with p_j
-in place of E_j.  The samples form the uniform lattice np.linspace(t0, t1,
-n_t), whose one window rule is ``eigenfunctions._window_rule``, shared with
-``resynthesize_time_family``.  The phases factor into two
-sqrt(n_t) x N exp tables, e^{-i E t_i} = Q[r] S[k] for i = k K + r, and the
-conjugate tables carry lam = -1.  E_p and p^2 / 2m are even in p and the
-grid's nodes are exact mirrors, so the arrival, flux and nonrelativistic
-sums add the coefficients of -p to those of p and run on the n = N / 2
-positive nodes: two sqrt(n_t) x n tables and n_t n multiply-adds per
-column; psi(t, x), odd in p, sums all N.  The kernels build those tables
-for 128 nodes at a time and contract each block with one matrix product per
-coefficient column, adding into the output, so the working memory beside the
-coefficients and the output is a few 128 x sqrt(n_t) tables, whatever N.  No
-n_t x N array and no N x sqrt(n_t) table is formed, for t or for x.  Per
-block, subnormal coefficient parts are flushed to 0 and only the columns that
-still hold a value != 0 (NaN and inf included) are multiplied; a block with
-none builds no tables.  That skips a one-helicity packet's spin-flipped
-columns and the blocks where its Gaussian has underflowed, and moves each
-sample by at most 2 N tiny (tiny = np.finfo(float).tiny).
-``evolve`` needs only the core's per-node spinors and projections.  The
-nonrelativistic overlaps are the lam = +1 sums on the energies p^2 / 2m beside
-a zero lam = -1 block, which the kernel skips; ``_normalized`` forms every
-distribution's curves from its two branch amplitudes.
+over the spectral core of ``grids``, and ``arrival_distribution`` takes both
+in one pass: one ``_spectral_data`` call, the six coefficient columns
+[A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch and
+one kernel call, whose exp tables serve Pi and J; ``flux_at_origin`` reads
+its J.  psi(t, x) is the lam = -1 sum with p_j in place of E_j.  The samples
+form the uniform lattice np.linspace(t0, t1, n_t), whose one window rule is
+``eigenfunctions._window_rule``, shared with ``resynthesize_time_family``.
+The phases factor into two sqrt(n_t) x N exp tables, e^{-i E t_i} =
+Q[r] S[k] for i = k K + r, and the conjugate tables carry lam = -1.  E_p and
+p^2 / 2m are even in p and the grid's nodes are exact mirrors, so the
+arrival and nonrelativistic sums add the coefficients of -p to those of p
+(``eigenfunctions._fold``) and run on the n = N / 2 positive nodes: two
+sqrt(n_t) x n tables and n_t n multiply-adds per column; psi(t, x), odd in
+p, sums all N.  The kernel, ``eigenfunctions._lattice_overlaps``, builds
+those tables for 128 nodes at a time, so no n_t x N array and no
+N x sqrt(n_t) table is formed, for t or for x, and it skips the exact-zero
+columns of a one-helicity packet and the node blocks where its Gaussian has
+underflowed.  ``evolve`` needs only the core's per-node spinors and
+projections.  The nonrelativistic overlaps are the lam = +1 sums on the
+energies p^2 / 2m beside a zero lam = -1 block, which the kernel skips;
+``_normalized`` forms every distribution's curves from its two branch
+amplitudes.
 """
 from __future__ import annotations
 
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, _branch_factors, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import _SQRT2PI, _folded_overlaps, _lattice_overlaps, _time_lattice
+from .eigenfunctions import _SQRT2PI, _fold, _folded_overlaps, _lattice_overlaps, _time_lattice
 from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "position_profile",
     "arrival_distribution",
     "arrival_distribution_nonrel",
-    "flux_at_origin",
     "flux_peak_time",
     "l1_distance",
     "peak_location",
@@ -127,7 +125,9 @@ class ArrivalDistribution:
 
     Pi_total = Pi_pos + Pi_neg + Pi_interf pointwise; the total integrates
     to 1 over the window after normalization.  ``captured_mass`` is the raw
-    window integral relative to the full-line value.
+    window integral relative to the full-line value.  ``J`` is the raw current
+    at the origin on the same samples (``flux_at_origin``), or None for the
+    nonrelativistic distribution, which has no current.
     """
 
     t: np.ndarray
@@ -138,6 +138,7 @@ class ArrivalDistribution:
     normalization: float
     captured_mass: float
     warnings: list = dc_field(default_factory=list)
+    J: np.ndarray | None = None
 
     @property
     def peak_time(self) -> float:
@@ -196,12 +197,13 @@ def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -
     return float(np.real(direct + mirror))
 
 
-def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: float) -> ArrivalDistribution:
+def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: float, J=None) -> ArrivalDistribution:
     """(Pi_total, Pi_pos, Pi_neg, Pi_interf): sum_s |a_pos + a_neg|^2 of the
     (n_t, spin) branch amplitudes and its three parts, divided by the window
     integral of Pi_total, with a warning when it is off its full-line value
-    ``full`` by over 1%.  Above 1 the node sums, almost periodic in t, repeat
-    the arrival inside a window that the momentum grid does not resolve."""
+    ``full`` by over 1%, and the current ``J`` as it is.  Above 1 the node
+    sums, almost periodic in t, repeat the arrival inside a window that the
+    momentum grid does not resolve."""
     pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
     pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
     pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
@@ -219,7 +221,7 @@ def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: floa
             "the momentum grid does not resolve the window"
         )
     return ArrivalDistribution(
-        ts, *(c / raw for c in curves), normalization=raw, captured_mass=captured, warnings=notes
+        ts, *(c / raw for c in curves), normalization=raw, captured_mass=captured, warnings=notes, J=J
     )
 
 
@@ -229,7 +231,8 @@ def arrival_distribution(
     t_window: tuple,
     n_t: int,
 ) -> ArrivalDistribution:
-    """Arrival-time distribution at the origin from time-family overlaps.
+    """Arrival-time distribution at the origin from time-family overlaps, and
+    the current J at the origin on the same samples, in one pass.
 
     The window integral of the raw density is compared against the full-line
     value <psi|(I + beta P)|psi> (P the momentum reflection); a warning is
@@ -238,10 +241,18 @@ def arrival_distribution(
     ts, lattice = _time_lattice(t_window, n_t)
     E, W, phi, c = _spectral_data(f, m)
     del phi  # the (4, N, 4) spinor table: not held through the kernel
-    b = f.grid.weights * W * c / _SQRT2PI
+    _, N, Nc = _branch_factors(m, f.grid.nodes, np.array([[1], [-1]]))
+    b = (f.grid.weights * W * c / _SQRT2PI).reshape(2, 2, -1)  # (lam, s, node)
+    a = (f.grid.weights * c / _SQRT2PI).reshape(2, 2, -1)
+    cols = np.concatenate([b, a * N[:, None], a * Nc[:, None]], axis=1)
+    del W, c, N, Nc, b, a  # only the columns are held into the fold,
+    E, plus, minus = _fold(f.grid, E, cols[0].T, cols[1].T)
+    del cols  # and only the folded ones through the kernel
     full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
-    # A_{lam s}(t), one column per spin s
-    return _normalized(ts, *_folded_overlaps(f.grid, E, *lattice, b[:2].T, b[2:].T), full)
+    pos, neg = _lattice_overlaps(E, *lattice, plus, minus)
+    UL = np.add(pos[:, 2:], neg[:, 2:], out=pos[:, 2:])  # the kernel's output is ours to reuse
+    J = 2.0 * np.vecdot(UL[:, :2], UL[:, 2:]).real  # vecdot conjugates U_s
+    return _normalized(ts, pos[:, :2], neg[:, :2], full, J)
 
 
 def arrival_distribution_nonrel(
@@ -277,26 +288,13 @@ def flux_at_origin(
     t_window: tuple,
     n_t: int,
 ):
-    """Probability current J(t) = psi^dag(t, 0) alpha_1 psi(t, 0).
-
-    Returns (t samples, J samples).  For a packet that fully crosses the
-    origin once, J integrates to +-1 (sign = direction of crossing).
-
-    J = 2 sum_s Re(conj(U_s) L_s) in the helicity basis: U_s and L_s are
-    the lattice sums of w c_{lam s} N / sqrt(2 pi) and w c_{lam s} N c /
-    sqrt(2 pi), with (N, N c) the half-angle factors of ``_branch_factors``,
-    in the columns [U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch.  A
-    ``build_packet`` packet has one helicity s, so the -s columns are exact
-    zeros, which the kernel skips; no spinor-sized coefficient array is formed.
-    """
-    ts, lattice = _time_lattice(t_window, n_t)
-    E, _, _, c = _spectral_data(f, m)
-    _, N, Nc = _branch_factors(m, f.grid.nodes, np.array([[1], [-1]]))
-    a = (f.grid.weights * c / _SQRT2PI).reshape(2, 2, -1)  # (lam, s, node)
-    cols = np.concatenate([a * N[:, None], a * Nc[:, None]], axis=1)
-    UL_pos, UL_neg = _folded_overlaps(f.grid, E, *lattice, cols[0].T, cols[1].T)
-    UL = np.add(UL_pos, UL_neg, out=UL_pos)  # the kernel's output is ours to reuse
-    return ts, 2.0 * np.vecdot(UL[:, :2], UL[:, 2:]).real  # vecdot conjugates U_s
+    """Probability current J(t) = psi^dag(t, 0) alpha_1 psi(t, 0) as (t samples,
+    J samples): ``arrival_distribution``'s J, so a window with no arrival mass
+    inside raises its ValueError here too.  For a packet that fully crosses the
+    origin once, J integrates to +-1 (sign = direction of crossing).  No command
+    calls it, so it is not in ``__all__``; it is reached by module name."""
+    d = arrival_distribution(f, m, t_window, n_t)
+    return d.t, d.J
 
 
 def flux_peak_time(ts: np.ndarray, J: np.ndarray) -> float:

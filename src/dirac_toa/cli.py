@@ -250,7 +250,6 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     window = (cfg.time.t_min, cfg.time.t_max)
     with at_path("config.time"):
         dist = arrival.arrival_distribution(psi, cfg.mass, window, cfg.time.n_t)
-    ts, J = arrival.flux_at_origin(psi, cfg.mass, window, cfg.time.n_t)
     table = _csv(
         os.path.join(out_dir, "arrival.csv"),
         "t,Pi_total,Pi_pos,Pi_neg,Pi_interf",
@@ -258,7 +257,7 @@ def cmd_arrival(cfg: RunConfig, out_dir: str | None) -> int:
     )
     sidecar = {
         "peak_time": dist.peak_time,
-        "flux_peak_time": arrival.flux_peak_time(ts, J),
+        "flux_peak_time": arrival.flux_peak_time(dist.t, dist.J),
         "captured_mass": dist.captured_mass,
         "normalization": dist.normalization,
         "warnings": list(dist.warnings),

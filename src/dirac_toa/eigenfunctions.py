@@ -75,7 +75,7 @@ def _lattice_phases(E: np.ndarray, t0: float, dt: float, n_t: int):
     Q = e^{-i E (t0 + r dt)} (K x N) and S = e^{-i E k K dt}
     (N x ceil(n_t / K)): about 2 sqrt(n_t) N exps in place of n_t N, where
     N is the n positive nodes of the grid for a phase even in p
-    (``_folded_overlaps``).  Both energy branches share E_p, so the lam = -1
+    (``_fold``).  Both energy branches share E_p, so the lam = -1
     phases e^{+i E t} are the conjugates and the same tables serve both.
     The factorization is exact up to the rounding of E t: each sum over L
     terms of coefficients b differs from the direct sum by at most
@@ -114,7 +114,7 @@ def _lattice_overlaps(
     block-sized tables and one product of a column's size, whatever N and the
     column count.  The cost is about 2 sqrt(n_t) N exps and c n_t N complex
     multiply-adds for c live columns; the arrival sums, whose phases are even
-    in p, call it through ``_folded_overlaps`` with N the n positive nodes.
+    in p, call it on the n positive nodes that ``_fold`` returns.
 
     Skip and flush: per block, the subnormal real and imaginary parts of the
     coefficients are set to 0, and only the columns that then hold a value
@@ -152,23 +152,25 @@ def _lattice_overlaps(
     return R[:, :c], R[:, c:]
 
 
-def _folded_overlaps(
-    grid: MomentumGrid, E: np.ndarray, t0: float, dt: float, n_t: int,
-    plus: np.ndarray, minus: np.ndarray,
-):
-    """``_lattice_overlaps`` of node energies even in p, on the n positive nodes.
+def _fold(grid: MomentumGrid, E: np.ndarray, *cols: np.ndarray):
+    """(E[positive], *cols folded): ``_lattice_overlaps``'s energies and
+    columns on the n positive nodes, for node energies even in p.
 
     ``build_grid`` mirrors the nodes and weights bit for bit, so E_p (and
     p^2 / 2m) is equal at p and -p and the two nodes share every phase: the
-    coefficients of -p are added to those of p, and the kernel runs on
-    E[positive], with half the exp tables and half the products.  The one
-    added rounding per coefficient is within the kernel's bound for the full
-    node count.
+    coefficients of -p are added to those of p, which halves the kernel's exp
+    tables and products.  The one added rounding per coefficient is within
+    the kernel's bound for the full node count.  A caller that drops the
+    unfolded columns before the kernel call does not hold them through it.
     """
     pos, neg = grid.positive, grid.negative
-    return _lattice_overlaps(
-        E[pos], t0, dt, n_t, plus[pos] + plus[neg][::-1], minus[pos] + minus[neg][::-1]
-    )
+    return (E[pos], *(b[pos] + b[neg][::-1] for b in cols))
+
+
+def _folded_overlaps(grid: MomentumGrid, E: np.ndarray, t0: float, dt: float, n_t: int, plus, minus):
+    """``_lattice_overlaps`` of node energies even in p, through ``_fold``."""
+    E, plus, minus = _fold(grid, E, plus, minus)
+    return _lattice_overlaps(E, t0, dt, n_t, plus, minus)
 
 
 def _lattice_adjoint(

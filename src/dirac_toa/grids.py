@@ -125,7 +125,7 @@ class MomentumGrid:
     exact mirrors, nodes[negative] == -nodes[positive][::-1] and
     weights[negative] == weights[positive][::-1] bit for bit, so a function
     of |p| such as E_p takes equal values at p and -p (the arrival sums fold
-    on it: ``eigenfunctions._folded_overlaps``).  ``deriv_order``
+    on it: ``eigenfunctions._fold``).  ``deriv_order``
     (2 or 4) is the order of the finite-difference d/dp, ``derivative``; a
     field that carries ``deriv_values`` bypasses it, so only
     ``verify.check_commutator_order`` reaches it.

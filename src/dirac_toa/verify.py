@@ -312,26 +312,27 @@ def check_family_consistency() -> float:
 
 
 def check_rational_crosscheck() -> float:
-    """-x E / p == -b t_x on exact Pythagorean labels, in Fraction arithmetic."""
+    """The library's position and event eigenvalues against float(Fraction)
+    of -x lam E / p and -b t_x on exact Pythagorean labels, where
+    t_x^2 = x^2 + tau^2 and -x lam E / p = -b t_x hold in Fraction arithmetic."""
     from fractions import Fraction  # imported here: no other check needs it
+    from itertools import product
 
     triples = [(3, 4, 5), (6, 8, 10), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
     xs = [Fraction(3), Fraction(-2), Fraction(9, 4), Fraction(7, 2)]
-    for m_i, p_i, e_i in triples:
-        for sp in (1, -1):
-            m, p, E_p = Fraction(m_i), Fraction(sp * p_i), Fraction(e_i)
-            for lam in (1, -1):
-                for x in xs:
-                    t_position = -x * (lam * E_p) / p
-                    # event labels: tau = x m / p, t_x = |x| E_p / |p|
-                    t_x = abs(x) * E_p / abs(p)
-                    tau = x * m / p
-                    if t_x * t_x != x * x + tau * tau:
-                        return 1.0
-                    b = lam * (1 if x > 0 else -1) * (1 if p > 0 else -1)
-                    if t_position != -b * t_x:
-                        return 1.0
-    return 0.0
+    gaps = []
+    for (m_i, p_i, e_i), sp, lam, x in product(triples, (1, -1), (1, -1), xs):
+        m, p, E_p = Fraction(m_i), Fraction(sp * p_i), Fraction(e_i)
+        t_position = -x * (lam * E_p) / p
+        # event labels: tau = x m / p, t_x = |x| E_p / |p|
+        t_x, tau = abs(x) * E_p / abs(p), x * m / p
+        b = lam * (1 if x > 0 else -1) * (1 if p > 0 else -1)
+        if t_x * t_x != x * x + tau * tau or t_position != -b * t_x:
+            return 1.0
+        for member in (eigenfunctions.position_eigenfunction(x, lam, 0.5, m_i),
+                       eigenfunctions.event_eigenfunction(x, b, 0.5, m_i)):
+            gaps.append(member.eigenvalue(float(p)) - float(t_position))  # = -b t_x
+    return float(np.max(np.abs(gaps)))  # NaN propagates and fails
 
 
 def check_overlap_orthogonality() -> float:
@@ -403,11 +404,11 @@ def check_interference_zero(grid, m, dist) -> float:
     return float(np.max(np.abs(dist.Pi_interf)))
 
 
-def check_arrival_benchmark(dist, ts, J) -> float:
+def check_arrival_benchmark(dist) -> float:
     """Largest offset among the distribution peak, the flux peak and the
     classical arrival time of the benchmark packet, peaks by ``arrival.peak_location``
     and ``arrival.flux_peak_time``."""
-    flux_peak = arrival.flux_peak_time(ts, J)
+    flux_peak = arrival.flux_peak_time(dist.t, dist.J)
     return float(max(
         abs(dist.peak_time - _BENCH_ARRIVAL),
         abs(flux_peak - _BENCH_ARRIVAL),
@@ -415,8 +416,8 @@ def check_arrival_benchmark(dist, ts, J) -> float:
     ))
 
 
-def check_flux_unit_crossing(ts, J) -> float:
-    return abs(float(np.trapezoid(J, ts)) - 1.0)
+def check_flux_unit_crossing(dist) -> float:
+    return abs(float(np.trapezoid(dist.J, dist.t)) - 1.0)
 
 
 def check_mirror_symmetry(grid, dist) -> float:
@@ -536,8 +537,6 @@ class _Run:
     group: grids.GridSpinorField
     nr_spinor: tuple
     dist: arrival.ArrivalDistribution
-    ts: np.ndarray
-    J: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "_Run":
@@ -553,9 +552,8 @@ class _Run:
             energy = grids.to_energy_rep(psi, cfg.mass) if cfg.mass > 0.0 else None
         bench = arrival.build_packet(_BENCH_SPEC, grid)
         dist = arrival.arrival_distribution(bench, _BENCH_SPEC.m, _BENCH_WINDOW, _BENCH_NT)
-        ts, J = arrival.flux_at_origin(bench, _BENCH_SPEC.m, _BENCH_WINDOW, _BENCH_NT)
         rng = np.random.default_rng(cfg.seed)
-        return cls(cfg, cfg.mass, max(cfg.mass, 0.5), rng, grid, psi, energy, group, nr_spinor, dist, ts, J)
+        return cls(cfg, cfg.mass, max(cfg.mass, 0.5), rng, grid, psi, energy, group, nr_spinor, dist)
 
 
 # (name, residual of a _Run, tolerance), in report order.  The lambdas look
@@ -592,8 +590,8 @@ CHECKS = (
     ("time_family_resynthesis", lambda r: check_resynthesis(), 1e-6),
     ("evolution_norm_drift", lambda r: check_norm_drift(r.psi, r.m), 1e-12),
     ("interference_single_branch", lambda r: check_interference_zero(r.grid, r.m_clamped, r.dist), 1e-12),
-    ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist, r.ts, r.J), 0.5),
-    ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.ts, r.J), 1e-2),
+    ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist), 0.5),
+    ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.dist), 1e-2),
     ("mirror_symmetry", lambda r: check_mirror_symmetry(r.grid, r.dist), 1e-12),
     ("group_velocity", lambda r: check_group_velocity(r.group), 1e-2),
     ("antiparticle_reversed_peak", lambda r: check_antiparticle_peak(r.grid), 0.5),

@@ -1,6 +1,7 @@
 """Wave-packet construction, evolution, arrival distributions, flux oracle."""
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -261,6 +262,60 @@ def test_full_line_mass_mirror_term_at_zero_mass():
     assert abs(dist.normalization / dist.captured_mass - 1.0 - np.exp(-1.0)) <= 1e-6
 
 
+def _massless_oracle(spec, ts):
+    """(A_+, A_-, J) at the samples ts of a ``build_packet`` packet at m = 0,
+    in closed form at 20 digits.  W = 1 and the spinors are constant on each
+    half-line, so A_lam(t) = c_lam [I_+(x0 + lam t) + I_-(x0 - lam t)] / sqrt(2 pi)
+    on the packet's helicity, with the half-line integrals of G e^{-i p a}:
+    I_+(a) = (2 pi sigma^2)^{-1/4} sigma sqrt(pi) e^{-i p0 a - sigma^2 a^2} erfc(z),
+    z = -p0 / (2 sigma) + i sigma a, and I_- the same with 2 - erfc(z).  U and
+    L take the half-angle factors 1/sqrt(2) and lam sign(p)/sqrt(2) on the two
+    half-lines, and J = 2 Re(conj(U) L)."""
+    with mpmath.workdps(20):
+        sig, p0, x0 = (mpmath.mpf(v) for v in (spec.sigma_p, spec.p0, spec.x0))
+        scale = (2 * mpmath.pi * sig**2) ** mpmath.mpf(-0.25) * sig * mpmath.sqrt(mpmath.pi)
+
+        def half_line(a, right):
+            z = -p0 / (2 * sig) + 1j * sig * a
+            erfc = mpmath.erfc(z) if right else 2 - mpmath.erfc(z)
+            return scale * mpmath.exp(-1j * p0 * a - sig**2 * a**2) * erfc
+
+        rows = []
+        for t in map(mpmath.mpf, ts):
+            A, U, L = [], 0, 0
+            for lam, c in ((1, spec.c_plus), (-1, spec.c_minus)):
+                c = mpmath.mpc(c) / mpmath.sqrt(2 * mpmath.pi)
+                right, left = half_line(x0 + lam * t, True), half_line(x0 - lam * t, False)
+                A.append(c * (right + left))
+                U += c * (right + left) / mpmath.sqrt(2)
+                L += c * lam * (right - left) / mpmath.sqrt(2)
+            rows.append((complex(A[0]), complex(A[1]), float(2 * mpmath.re(mpmath.conj(U) * L))))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def test_massless_arrival_matches_the_closed_form():
+    # the arrival_broad packet at m = 0, where Pi_interf reaches 1.6% of the
+    # peak, at 33 strided samples and the peak: the raw Pi_pos, Pi_neg and
+    # Pi_interf within 1e-7 of the raw peak (measured 1.8e-9, 4.5e-8 and
+    # 2.0e-9; the gap (-p_min, p_min) costs an error first order in p_min),
+    # and J within 5e-8 of max|J| (measured 2.3e-8)
+    h = 0.5**0.5
+    spec = arrival.PacketSpec(m=0.0, x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=h, c_minus=1j * h)
+    f = arrival.build_packet(spec, grids.build_grid(1e-6, 20.0, 1024))
+    dist = arrival.arrival_distribution(f, 0.0, (-45.0, 45.0), 2501)
+    idx = sorted(set(range(0, 2501, 78)) | {int(np.argmax(dist.Pi_total))})
+    a_pos, a_neg, J = _massless_oracle(spec, dist.t[idx])
+    exact = {
+        "Pi_pos": np.abs(a_pos) ** 2,
+        "Pi_neg": np.abs(a_neg) ** 2,
+        "Pi_interf": 2.0 * np.real(np.conj(a_pos) * a_neg),
+    }
+    peak = np.max(sum(exact.values()))
+    for name, ref in exact.items():
+        assert np.max(np.abs(getattr(dist, name)[idx] * dist.normalization - ref)) <= 1e-7 * peak, name
+    assert np.max(np.abs(dist.J[idx] - J)) <= 5e-8 * np.max(np.abs(J))
+
+
 @pytest.mark.parametrize("center", [3.37, 7.71])
 def test_peak_location_refines_between_samples(center):
     # the parabola through the three samples around the maximum: 4.8e-5 off
@@ -357,8 +412,9 @@ def test_spectral_core_matches_per_channel_loop(two_branch_packet):
 def test_time_kernels_hold_no_n_t_by_n_array():
     # the arrival_dense benchmark size, n_t = 12001 on N = 512 nodes: the
     # phases are two sqrt(n_t) x N tables, and a single n_t x N complex array
-    # would be 4 times the limit; the position profile takes the same sums
-    # over an x lattice of the same size
+    # would be 4 times the limit; the one arrival pass, which flux_at_origin
+    # reads, peaks at 3.5 MB, mostly its 12 output columns; the position
+    # profile takes the same sums over an x lattice of the same size
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
     f, n_t = arrival.build_packet(spec, grids.build_grid(1e-3, 10.0, 256, 4)), 12001
     limit = n_t * f.grid.n_nodes * 16 / 4
@@ -378,10 +434,11 @@ def test_time_kernels_hold_no_n_t_by_n_array():
 
 
 def test_flux_kernel_holds_under_two_megabytes():
-    # the arrival_broad benchmark config: the flux columns are (N, 4) per
-    # branch and no (4, N, 4) spinor-sized coefficient array is formed (2.43
-    # MB with one, 1.58 MB measured without); the arrival distribution drops
-    # the (4, N, 4) spinor table before the kernel (1.54 MB held, 1.22 MB not)
+    # the arrival_broad benchmark config: the one pass, which flux_at_origin
+    # reads, drops the (4, N, 4) spinor table and folds its six columns per
+    # branch before the kernel call, so neither is held through the kernel:
+    # 1.23 MB measured for both; the unfolded columns held through the call
+    # gave 1.62 MB, and the separate Pi and J passes 1.22 and 1.58 MB
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=0.5**0.5, c_minus=0.5**0.5)
     f = arrival.build_packet(spec, grids.build_grid(1e-3, 20.0, 1024, 4))
     for kernel, limit in [(arrival.flux_at_origin, 2.0e6), (arrival.arrival_distribution, 1.35e6)]:
@@ -396,24 +453,24 @@ def test_flux_kernel_holds_under_two_megabytes():
 
 @pytest.mark.parametrize("s", [0.5, -0.5])
 def test_one_helicity_flux_passes_zero_columns(monkeypatch, grid512, s):
-    # a build_packet packet has one helicity, so the U and L columns of the
+    # a build_packet packet has one helicity, so the A, U and L columns of the
     # other are exact zeros, which the lattice kernel skips
     c = 0.5**0.5
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.3, c_plus=c, c_minus=1j * c, s=s)
     f = arrival.build_packet(spec, grid512)
     seen = []
 
-    def spy(grid, E, t0, dt, n_t, plus, minus):
+    def spy(E, t0, dt, n_t, plus, minus):
         seen.append((plus, minus))
-        return _folded_overlaps(grid, E, t0, dt, n_t, plus, minus)
+        return _lattice_overlaps(E, t0, dt, n_t, plus, minus)
 
-    monkeypatch.setattr(arrival, "_folded_overlaps", spy)
+    monkeypatch.setattr(arrival, "_lattice_overlaps", spy)
     arrival.flux_at_origin(f, 1.0, WINDOW, 101)
-    (plus, minus), = seen
-    # columns [U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch
-    live, dead = ([0, 2], [1, 3]) if s == 0.5 else ([1, 3], [0, 2])
+    (plus, minus), = seen  # the pass's one kernel call, on the folded positive nodes
+    # columns [A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch
+    live, dead = ([0, 2, 4], [1, 3, 5]) if s == 0.5 else ([1, 3, 5], [0, 2, 4])
     for cols in (plus, minus):
-        assert cols.shape == (grid512.n_nodes, 4)
+        assert cols.shape == (grid512.n_nodes // 2, 6)
         assert np.all(cols[:, dead] == 0.0)
         assert np.all(np.any(cols[:, live] != 0.0, axis=0))
 
@@ -616,9 +673,17 @@ def test_per_column_contraction_matches_single_gemm(monkeypatch, grid_args, pack
     f = arrival.build_packet(arrival.PacketSpec(m=1.0, **packet), grids.build_grid(*grid_args))
     dist = arrival.arrival_distribution(f, 1.0, window, n_t)
     _, J = arrival.flux_at_origin(f, 1.0, window, n_t)
-    monkeypatch.setattr(eigenfunctions, "_lattice_overlaps", _single_gemm_overlaps)
+    calls = []
+
+    def single_gemm(*args):
+        calls.append(args)
+        return _single_gemm_overlaps(*args)
+
+    # the name the one pass looks up: a patch that misses it compares the code with itself
+    monkeypatch.setattr(arrival, "_lattice_overlaps", single_gemm)
     ref = arrival.arrival_distribution(f, 1.0, window, n_t)
-    _, ref_J = arrival.flux_at_origin(f, 1.0, window, n_t)
+    ref_J = ref.J
+    assert len(calls) == 1
     scale = np.max(ref.Pi_total)
     for name in ("Pi_total", "Pi_pos", "Pi_neg", "Pi_interf"):
         assert np.max(np.abs(getattr(dist, name) - getattr(ref, name))) <= 1e-15 * scale, name
@@ -668,10 +733,24 @@ def test_folded_sums_match_the_sums_over_every_node(monkeypatch, grid_args, pack
     _, J = arrival.flux_at_origin(f, 1.0, window, n_t)
     nonrel = arrival.arrival_distribution_nonrel(f, 1.0, window, n_t)
     rec = eigenfunctions.resynthesize_time_family(f, 1.0, window, n_t).values
-    monkeypatch.setattr(arrival, "_folded_overlaps", lambda grid, E, *args: _lattice_overlaps(E, *args))
+    calls = []
+
+    def unfolded(grid, E, *cols):
+        calls.append("fold")
+        return (E, *cols)
+
+    def unfolded_overlaps(grid, E, *args):
+        calls.append("folded_overlaps")
+        return _lattice_overlaps(E, *args)
+
+    # the names the one pass and the nonrelativistic sums look up; a patch
+    # that misses them would compare the code with itself
+    monkeypatch.setattr(arrival, "_fold", unfolded)
+    monkeypatch.setattr(arrival, "_folded_overlaps", unfolded_overlaps)
     ref = arrival.arrival_distribution(f, 1.0, window, n_t)
-    _, ref_J = arrival.flux_at_origin(f, 1.0, window, n_t)
+    ref_J = ref.J
     ref_nonrel = arrival.arrival_distribution_nonrel(f, 1.0, window, n_t)
+    assert calls == ["fold", "folded_overlaps"]
     ref_rec = _unfolded_resynthesis(f, 1.0, window, n_t)
     eps, peak = np.finfo(float).eps, np.max(ref.Pi_total)
     for name in ("Pi_total", "Pi_pos", "Pi_neg", "Pi_interf"):

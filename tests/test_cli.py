@@ -436,6 +436,39 @@ def test_arrival_outputs_and_determinism(tmp_path):
     assert sidecar["config"]["packet"]["p0"] == 2.0
 
 
+def test_arrival_takes_pi_and_j_from_one_pass(monkeypatch, tmp_path):
+    # one spectral build and one kernel call serve Pi and J: one _spectral_data
+    # call, and the exp tables of each live block of positive nodes built
+    # once; the arrival_broad packet on 256 nodes per side keeps both blocks
+    # of 128 live
+    from dirac_toa import arrival, eigenfunctions, grids
+
+    spectral, tables = [], []
+    spectral_data, lattice_phases = grids._spectral_data, eigenfunctions._lattice_phases
+
+    def counted_spectral(*args):
+        spectral.append(args)
+        return spectral_data(*args)
+
+    def counted_tables(E, *args):
+        tables.append(float(E[0]))
+        return lattice_phases(E, *args)
+
+    for module in (grids, arrival, eigenfunctions):
+        monkeypatch.setattr(module, "_spectral_data", counted_spectral)
+    monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted_tables)
+    h = 0.7071067811865476
+    cfg = write_config(
+        tmp_path,
+        **{"grid.p_max": 20.0, "grid.n_points": 256, "packet.p0": 5.0, "packet.sigma_p": 1.5,
+           "packet.c_plus": [h, 0.0], "packet.c_minus": [0.0, h],
+           "time.t_min": -45.0, "time.t_max": 45.0, "time.n_t": 201},
+    )
+    assert cli.main(["arrival", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(spectral) == 1
+    assert len(tables) == 2 and len(set(tables)) == 2
+
+
 @pytest.mark.parametrize(
     "packet",
     [{"packet.x0": 10.0, "packet.p0": -2.0}, {"packet.c_plus": [0.0, 0.0], "packet.c_minus": [1.0, 0.0]}],
