@@ -58,7 +58,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import _BETA_DIAG, _branch_factors, energy_spinor_values, helicity_spinor, nr_limit_spinor
-from .eigenfunctions import _SQRT2PI, _fold, _folded_overlaps, _lattice_overlaps, _time_lattice
+from .eigenfunctions import _SQRT2PI, _fold, _lattice_overlaps, _time_lattice
 from .grids import _CHANNELS, GridSpinorField, MomentumGrid, _spectral_data
 
 __all__ = [
@@ -173,12 +173,13 @@ def build_packet(spec: PacketSpec, grid: MomentumGrid) -> GridSpinorField:
     return f.normalized()
 
 
-def evolve(f: GridSpinorField, m: float, t: float) -> GridSpinorField:
-    """Free evolution: each branch projection picks up e^{-i lam E_p t}."""
+def evolve(f: GridSpinorField, m: float, t) -> GridSpinorField:
+    """Free evolution: each branch projection picks up e^{-i lam E_p t}; an
+    array of t gives the stack of evolved fields, one member per t."""
     E, _, phi, c = _spectral_data(f, m)
     lam = np.array(_CHANNELS)[:, :1]
-    phase = np.exp(-1j * lam * E * t)
-    return GridSpinorField(f.grid, np.einsum("kj,kjc->jc", c * phase, phi))
+    phase = np.exp(-1j * lam * E * np.asarray(t)[..., None, None])
+    return GridSpinorField(f.grid, np.einsum("...kj,kjc->...jc", c * phase, phi))
 
 
 def position_profile(f: GridSpinorField, m: float, t: float, x_window: tuple, n_x: int):
@@ -278,8 +279,8 @@ def arrival_distribution_nonrel(
     b = (f.grid.weights * Wn / _SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     # the upper components, on which beta is +1
     full = _full_line_mass(f.grid.weights, f.values[:, :2], _BETA_DIAG[:2])
-    E = p * p / (2.0 * m)
-    return _normalized(ts, *_folded_overlaps(f.grid, E, *lattice, b, np.zeros_like(b)), full)
+    E, b = _fold(f.grid, p * p / (2.0 * m), b)
+    return _normalized(ts, *_lattice_overlaps(E, *lattice, b, np.zeros_like(b)), full)
 
 
 def flux_at_origin(

@@ -167,12 +167,6 @@ def _fold(grid: MomentumGrid, E: np.ndarray, *cols: np.ndarray):
     return (E[pos], *(b[pos] + b[neg][::-1] for b in cols))
 
 
-def _folded_overlaps(grid: MomentumGrid, E: np.ndarray, t0: float, dt: float, n_t: int, plus, minus):
-    """``_lattice_overlaps`` of node energies even in p, through ``_fold``."""
-    E, plus, minus = _fold(grid, E, plus, minus)
-    return _lattice_overlaps(E, t0, dt, n_t, plus, minus)
-
-
 def _lattice_adjoint(
     E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
 ):
@@ -212,7 +206,9 @@ class ToaEigenfunction:
     ``value`` is the vectorized closed form; ``eigenvalue`` returns the
     (possibly p-dependent) local factor the operator multiplies by,
     ``check_resolved`` states whether a grid resolves the label, and
-    ``on_grid`` samples value and analytic derivative onto a grid.
+    ``on_grid`` samples value and analytic derivative onto a grid.  The
+    labels and m may be arrays that broadcast against p: labels of shape
+    (L, 1) make a stack of L members, ``on_grid`` of shape (L, N, 4).
     """
 
     family: str  # "time" | "position" | "event"
@@ -271,7 +267,7 @@ class ToaEigenfunction:
         p = np.asarray(p, dtype=float)
         L = self.labels
         if self.family == "time":
-            return np.broadcast_to(float(L["t"]), p.shape)
+            return np.broadcast_arrays(np.asarray(L["t"], dtype=float), p)[0]
         E = np.hypot(p, self.m)
         if self.family == "position":
             return -L["x"] * L["lam"] * E / p
@@ -347,16 +343,17 @@ def resynthesize_time_family(f: GridSpinorField, m: float, t_window: tuple, n_t:
     psi + beta P psi (a one-sided packet comes back at half amplitude on
     its own half-line plus a half-amplitude beta-reflected mirror).  The
     same degeneracy lets both sums run on the positive nodes alone: the
-    overlaps fold p and -p (``_folded_overlaps``), and the resum, equal at
-    p and -p, is mirrored back.
+    overlaps fold p and -p (``_fold``), and the resum, equal at p and -p,
+    is mirrored back.
     """
     _, lattice = _time_lattice(t_window, n_t)
     grid = f.grid
     E, W, phi, c = _spectral_data(f, m)
     b = grid.weights * W * c / _SQRT2PI
-    amp_pos, amp_neg = _folded_overlaps(grid, E, *lattice, b[:2].T, b[2:].T)  # <phi_t|psi>
+    E, plus, minus = _fold(grid, E, b[:2].T, b[2:].T)
+    amp_pos, amp_neg = _lattice_overlaps(E, *lattice, plus, minus)  # <phi_t|psi>
     # the resum is the adjoint contraction on the same lattice
-    up = np.concatenate(_lattice_adjoint(E[grid.positive], *lattice, amp_pos, amp_neg), axis=1)
+    up = np.concatenate(_lattice_adjoint(E, *lattice, amp_pos, amp_neg), axis=1)
     coeff = lattice[1] * np.concatenate([up[::-1], up]).T
     rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
     return GridSpinorField(grid, rec)

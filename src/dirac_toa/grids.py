@@ -3,13 +3,14 @@
 The grid is a symmetric pair of intervals [-p_max, -p_min] u [p_min, p_max]
 built from composite Gauss-Legendre panels, so the neighborhood of p = 0 is
 excluded by construction (the time-of-arrival operator is singular there).
-Every command's fields carry closed-form derivative samples, which the
-operators use.  The one exception is the ``commutator_order_{deriv_order}``
-check of ``verify``: its fields carry none, so d/dp is a polynomial finite
-difference of order 2 or 4 on the actual (non-uniform) nodes, evaluated per
-half-line; near each interval end the stencils become one-sided at the same
-order.  The weights are barycentric, one ``fd_weights`` call per half-line
-table.
+A field may be a stack of fields, which the momentum-space operators act
+on per member.  Every command's fields carry closed-form derivative
+samples, which the operators use.  The one exception is the
+``commutator_order_{deriv_order}`` check of ``verify``: its fields carry
+none, so d/dp is a polynomial finite difference of order 2 or 4 on the
+actual (non-uniform) nodes, evaluated per half-line; near each interval end
+the stencils become one-sided at the same order.  The weights are
+barycentric, one ``fd_weights`` call per half-line table.
 
 Operators:
 
@@ -160,18 +161,18 @@ class MomentumGrid:
         )
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        """Finite-difference d/dp per half-line; values shape (n_nodes, ...)."""
+        """Finite-difference d/dp per half-line; values shape (..., n_nodes, 4)."""
         idx_n, w_n, idx_p, w_p = self._stencils
         n = self.n_per_side
         out = np.empty_like(np.asarray(values, dtype=complex))
-        out[:n] = np.einsum("ik,ik...->i...", w_n, values[:n][idx_n])
-        out[n:] = np.einsum("ik,ik...->i...", w_p, values[n:][idx_p])
+        out[..., :n, :] = np.einsum("ik,...ikc->...ic", w_n, values[..., :n, :][..., idx_n, :])
+        out[..., n:, :] = np.einsum("ik,...ikc->...ic", w_p, values[..., n:, :][..., idx_p, :])
         return out
 
-    def norm(self, values: np.ndarray) -> float:
-        """Quadrature L2 norm of a spinor-valued sample set."""
-        dens = np.sum(np.abs(values) ** 2, axis=tuple(range(1, values.ndim)))
-        return float(np.sqrt(np.sum(self.weights * dens)))
+    def norm(self, values: np.ndarray):
+        """Quadrature L2 norm of samples (..., n_nodes, 4), one per leading index."""
+        norm = np.sqrt(np.sum(self.weights * np.sum(np.abs(values) ** 2, axis=-1), axis=-1))
+        return norm if norm.ndim else float(norm)
 
 
 def _grid_rule(p_min: float, p_max: float, n_points: int, deriv_order: int) -> None:
@@ -207,7 +208,8 @@ def build_grid(p_min: float, p_max: float, n_points: int, deriv_order: int = 4) 
 
 @dataclass(eq=False)
 class GridSpinorField:
-    """A 4-spinor-valued function sampled on a MomentumGrid.
+    """A 4-spinor-valued function sampled on a MomentumGrid, or a stack of
+    them: ``values`` has shape (..., n_nodes, 4), acted on per member.
 
     ``deriv_values``, when present, holds closed-form d/dp samples and makes
     every derivative-based operator exact at quadrature level.
@@ -219,9 +221,9 @@ class GridSpinorField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n_nodes, 4):
+        if self.values.shape[-2:] != (self.grid.n_nodes, 4):
             raise ValueError(
-                f"values must have shape ({self.grid.n_nodes}, 4), "
+                f"values must have shape (..., {self.grid.n_nodes}, 4), "
                 f"got {self.values.shape}"
             )
         if self.deriv_values is not None:
@@ -229,12 +231,12 @@ class GridSpinorField:
             if self.deriv_values.shape != self.values.shape:
                 raise ValueError("deriv_values shape must match values")
 
-    def norm(self) -> float:
+    def norm(self):
         return self.grid.norm(self.values)
 
     def normalized(self) -> "GridSpinorField":
-        n = self.norm()
-        if n == 0.0:
+        n = np.asarray(self.norm())[..., None, None]
+        if np.any(n == 0.0):
             raise ValueError("cannot normalize the zero field")
         dv = None if self.deriv_values is None else self.deriv_values / n
         return GridSpinorField(self.grid, self.values / n, dv)
@@ -247,7 +249,7 @@ def apply_hamiltonian(f: GridSpinorField, m: float) -> GridSpinorField:
     dvals = None
     if f.deriv_values is not None:
         # d/dp (H f) = alpha_1 f + H f'
-        dvals = f.values[:, ::-1] + apply_h_values(m, p, f.deriv_values)
+        dvals = f.values[..., ::-1] + apply_h_values(m, p, f.deriv_values)
     return GridSpinorField(f.grid, vals, dvals)
 
 
@@ -263,10 +265,10 @@ def apply_toa(f: GridSpinorField, m: float) -> GridSpinorField:
     return GridSpinorField(f.grid, out)
 
 
-def commutator_residual(f: GridSpinorField, m: float) -> float:
-    """|| (T H - H T) f + i f || / || f || under the quadrature norm."""
+def commutator_residual(f: GridSpinorField, m: float):
+    """|| (T H - H T) f + i f || / || f || under the quadrature norm, per member."""
     norm_f = f.norm()
-    if norm_f == 0.0:
+    if np.any(norm_f == 0.0):
         raise ValueError("commutator residual is undefined for the zero field")
     th = apply_toa(apply_hamiltonian(f, m), m)
     ht = apply_hamiltonian(apply_toa(f, m), m)

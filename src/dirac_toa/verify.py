@@ -4,7 +4,8 @@ Each check computes one scalar residual and compares it against a fixed
 tolerance.  Convergence-order checks report |fitted slope - nominal order|
 against a band: 0.5 for the finite-difference commutator, 0.05 for the
 nonrelativistic spinor slope; boolean gates report 0.0 / 1.0 against a 0.0
-tolerance.  The random-lattice checks make one broadcast spinor call each.
+tolerance.  The random-lattice checks make one broadcast spinor call each,
+and the eigenfunction-family checks one stack of members per family and mass.
 
 ``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
 ``run_all_checks`` and the acceptance tests read it.  Each residual takes
@@ -247,68 +248,56 @@ def check_massless_reduction() -> float:
 # eigenfunction checks
 # ---------------------------------------------------------------------------
 
-def _family_grid(m: float):
-    """The eigenfunction checks' grid at mass m: p_min = 1e-3 m (1e-3 at m = 0)."""
-    return grids.build_grid(1e-3 * m if m > 0 else 1e-3, 10.0, 256, 4)
+def _family_on_grid(family: str, m: float, **labels):
+    """(grid, member, f, T f) for the stack of ``family`` members at mass m over
+    every combination of the label values, each label an (L, 1) array, on the
+    family checks' grid: p_min = 1e-3 m (1e-3 at m = 0)."""
+    grid = grids.build_grid(1e-3 * m if m > 0 else 1e-3, 10.0, 256, 4)
+    mesh = np.meshgrid(*labels.values(), indexing="ij")
+    member = eigenfunctions.ToaEigenfunction(family, m, {k: v.reshape(-1, 1) for k, v in zip(labels, mesh)})
+    f = member.on_grid(grid)
+    return grid, member, f, grids.apply_toa(f, m)
 
 
 def check_time_family_residual() -> float:
-    worst = 0.0
+    labels = dict(t=(-5.0, -2.0, 0.0, 1.0, 5.0), lam=(1, -1), s=(0.5, -0.5))
+    worst = []
     for m in (0.0, 0.5, 1.0, 3.0):
-        grid = _family_grid(m)
-        for t in (-5.0, -2.0, 0.0, 1.0, 5.0):
-            for lam in (1, -1):
-                for s in (0.5, -0.5):
-                    f = eigenfunctions.time_eigenfunction(t, lam, s, m).on_grid(grid)
-                    tv = grids.apply_toa(f, m)
-                    worst = max(
-                        worst, grid.norm(tv.values - t * f.values) / f.norm()
-                    )
-    return worst
+        grid, member, f, tv = _family_on_grid("time", m, **labels)
+        worst.append(np.max(grid.norm(tv.values - member.labels["t"][..., None] * f.values) / f.norm()))
+    return float(np.max(worst))  # NaN propagates and fails
 
 
-def _family_pointwise(build, xs) -> float:
+def _family_pointwise(family: str, sign: str, xs) -> float:
     """max |T phi - local factor * phi| over m in {0, 1, 3}, the labels
-    ``xs`` and both signs of the family that ``build`` constructs."""
-    worst = 0.0
+    ``xs`` and both values of the ``sign`` label of ``family``, at s = 1/2."""
+    worst = []
     for m in (0.0, 1.0, 3.0):
-        grid = _family_grid(m)
-        for x in xs:
-            for sign in (1, -1):
-                func = build(x, sign, 0.5, m)
-                f = func.on_grid(grid)
-                tv = grids.apply_toa(f, m)
-                local = func.eigenvalue(grid.nodes)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(tv.values - local[:, None] * f.values))),
-                )
-    return worst
+        grid, member, f, tv = _family_on_grid(family, m, x=xs, **{sign: (1, -1)}, s=(0.5,))
+        local = member.eigenvalue(grid.nodes)
+        worst.append(np.max(np.abs(tv.values - local[..., None] * f.values)))
+    return float(np.max(worst))
 
 
 def check_position_family_pointwise() -> float:
-    return _family_pointwise(eigenfunctions.position_eigenfunction, (-2.0, 0.5, 3.0))
+    return _family_pointwise("position", "lam", (-2.0, 0.5, 3.0))
 
 
 def check_event_family_pointwise() -> float:
-    return _family_pointwise(eigenfunctions.event_eigenfunction, (-2.0, 3.0))
+    return _family_pointwise("event", "b", (-2.0, 3.0))
 
 
 def check_family_consistency() -> float:
-    """Event family equals the position family under lam = b sign(x) sign(p)."""
-    worst = 0.0
-    grid = grids.build_grid(1e-3, 10.0, 128, 4)
-    p = grid.nodes
-    pos_half = p > 0
+    """Event family equals the position family under lam = b sign(x) sign(p), node by node."""
+    worst = []
+    p = grids.build_grid(1e-3, 10.0, 128, 4).nodes
+    x, b = (a.reshape(-1, 1) for a in np.meshgrid((-2.0, 3.0), (1, -1), indexing="ij"))
     for m in (0.5, 3.0):
-        for x in (-2.0, 3.0):
-            for b in (1, -1):
-                ev = eigenfunctions.event_eigenfunction(x, b, 0.5, m).value(p)
-                for half, sgn in ((pos_half, 1.0), (~pos_half, -1.0)):
-                    lam = int(b * np.sign(x) * sgn)
-                    po = eigenfunctions.position_eigenfunction(x, lam, 0.5, m).value(p[half])
-                    worst = max(worst, float(np.max(np.abs(ev[half] - po))))
-    return worst
+        ev = eigenfunctions.ToaEigenfunction("event", m, {"x": x, "b": b, "s": 0.5})
+        lam = b * np.sign(x) * np.sign(p)
+        po = eigenfunctions.ToaEigenfunction("position", m, {"x": x, "lam": lam, "s": 0.5})
+        worst.append(np.max(np.abs(ev.value(p) - po.value(p))))
+    return float(np.max(worst))
 
 
 def check_rational_crosscheck() -> float:
@@ -320,7 +309,7 @@ def check_rational_crosscheck() -> float:
 
     triples = [(3, 4, 5), (6, 8, 10), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
     xs = [Fraction(3), Fraction(-2), Fraction(9, 4), Fraction(7, 2)]
-    gaps = []
+    rows = []
     for (m_i, p_i, e_i), sp, lam, x in product(triples, (1, -1), (1, -1), xs):
         m, p, E_p = Fraction(m_i), Fraction(sp * p_i), Fraction(e_i)
         t_position = -x * (lam * E_p) / p
@@ -329,9 +318,11 @@ def check_rational_crosscheck() -> float:
         b = lam * (1 if x > 0 else -1) * (1 if p > 0 else -1)
         if t_x * t_x != x * x + tau * tau or t_position != -b * t_x:
             return 1.0
-        for member in (eigenfunctions.position_eigenfunction(x, lam, 0.5, m_i),
-                       eigenfunctions.event_eigenfunction(x, b, 0.5, m_i)):
-            gaps.append(member.eigenvalue(float(p)) - float(t_position))  # = -b t_x
+        rows.append((m_i, sp * p_i, lam, b, x, t_position))
+    m, p, lam, b, x, t = np.array(rows, dtype=float).T
+    position = eigenfunctions.ToaEigenfunction("position", m, {"x": x, "lam": lam, "s": 0.5})
+    event = eigenfunctions.ToaEigenfunction("event", m, {"x": x, "b": b, "s": 0.5})
+    gaps = [position.eigenvalue(p) - t, event.eigenvalue(p) - t]  # t = -b t_x
     return float(np.max(np.abs(gaps)))  # NaN propagates and fails
 
 
@@ -389,10 +380,8 @@ def check_resynthesis() -> float:
 # ---------------------------------------------------------------------------
 
 def check_norm_drift(f, m) -> float:
-    worst = 0.0
-    for t in (0.0, 1.0, 5.0, 20.0):
-        worst = max(worst, abs(arrival.evolve(f, m, t).norm() - f.norm()))
-    return worst
+    evolved = arrival.evolve(f, m, np.array([0.0, 1.0, 5.0, 20.0]))
+    return float(np.max(np.abs(evolved.norm() - f.norm())))
 
 
 def check_interference_zero(grid, m, dist) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dirac_toa import algebra, arrival, eigenfunctions, grids
-from dirac_toa.eigenfunctions import _folded_overlaps, _lattice_overlaps
+from dirac_toa.eigenfunctions import _fold, _lattice_overlaps
 from dirac_toa.grids import _CHANNELS, _spectral_data
 
 CLASSICAL_PEAK = 10.0 * np.sqrt(5.0) / 2.0  # -x0 E0/p0 for m=1, p0=2, x0=-10
@@ -481,7 +481,8 @@ def _spinor_flux(f, m, window, n_t):
     _, lattice = eigenfunctions._time_lattice(window, n_t)
     E, _, phi, c = _spectral_data(f, m)
     b = f.grid.weights[:, None] * c[:, :, None] * phi / SQRT2PI
-    psi_pos, psi_neg = _folded_overlaps(f.grid, E, *lattice, b[0] + b[1], b[2] + b[3])
+    E, plus, minus = _fold(f.grid, E, b[0] + b[1], b[2] + b[3])
+    psi_pos, psi_neg = _lattice_overlaps(E, *lattice, plus, minus)
     return _current(psi_pos + psi_neg)
 
 
@@ -626,7 +627,8 @@ def test_nonrelativistic_arrival_is_the_positive_branch_of_the_shared_assembly()
     zeta = np.stack([algebra.nr_limit_spinor(1, s) for s in (0.5, -0.5)], axis=1)
     b = (w * np.sqrt(np.abs(p) / m) / SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     ts, lattice = eigenfunctions._time_lattice(window, n_t)
-    amp, _ = _folded_overlaps(f.grid, p * p / (2.0 * m), *lattice, b, b[:, :0])
+    E, b = _fold(f.grid, p * p / (2.0 * m), b)
+    amp, _ = _lattice_overlaps(E, *lattice, b, b[:, :0])
     pi = np.sum(np.abs(amp) ** 2, axis=1)
     assert np.array_equal(non.Pi_total, pi / float(np.trapezoid(pi, ts)))
     assert np.array_equal(non.Pi_pos, non.Pi_total)
@@ -739,18 +741,13 @@ def test_folded_sums_match_the_sums_over_every_node(monkeypatch, grid_args, pack
         calls.append("fold")
         return (E, *cols)
 
-    def unfolded_overlaps(grid, E, *args):
-        calls.append("folded_overlaps")
-        return _lattice_overlaps(E, *args)
-
     # the names the one pass and the nonrelativistic sums look up; a patch
     # that misses them would compare the code with itself
     monkeypatch.setattr(arrival, "_fold", unfolded)
-    monkeypatch.setattr(arrival, "_folded_overlaps", unfolded_overlaps)
     ref = arrival.arrival_distribution(f, 1.0, window, n_t)
     ref_J = ref.J
     ref_nonrel = arrival.arrival_distribution_nonrel(f, 1.0, window, n_t)
-    assert calls == ["fold", "folded_overlaps"]
+    assert calls == ["fold", "fold"]
     ref_rec = _unfolded_resynthesis(f, 1.0, window, n_t)
     eps, peak = np.finfo(float).eps, np.max(ref.Pi_total)
     for name in ("Pi_total", "Pi_pos", "Pi_neg", "Pi_interf"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dirac_toa import algebra, eigenfunctions, grids
 from dirac_toa.eigenfunctions import (
     _NODE_BLOCK,
-    _folded_overlaps,
+    _fold,
     _lattice_adjoint,
     _lattice_overlaps,
     event_eigenfunction,
@@ -409,7 +409,7 @@ def test_lattice_sums_match_extended_precision(
     The overlap coefficients may hold an exactly-zero node block, an
     exactly-zero column and subnormal parts; the overlaps flush those parts to
     0, which adds 2 N tiny to their bound.  The overlaps are also taken
-    through ``_folded_overlaps`` on the mirrored nodes (-p, p), with E_p = |p|
+    through ``_fold`` on the mirrored nodes (-p, p), with E_p = |p|
     as at m = 0 and the coefficients above on p: the same bound, with L and N
     the full node count 2n.
     """
@@ -458,7 +458,8 @@ def test_lattice_sums_match_extended_precision(
     }
     got = dict(zip(("overlap+", "overlap-"), _lattice_overlaps(E, t0, dt, n_t, plus, minus)))
     got.update(zip(("adjoint+", "adjoint-"), _lattice_adjoint(E, t0, dt, n_t, x_plus, x_minus)))
-    got.update(zip(("folded+", "folded-"), _folded_overlaps(grid, E2, t0, dt, n_t, plus2, minus2)))
+    E_fold, plus_fold, minus_fold = _fold(grid, E2, plus2, minus2)
+    got.update(zip(("folded+", "folded-"), _lattice_overlaps(E_fold, t0, dt, n_t, plus_fold, minus_fold)))
     eps, scale = np.finfo(float).eps, max(abs(t0), abs(t1)) * np.max(E)
     for key, coeff, terms in (
         ("overlap+", plus, n_nodes), ("overlap-", minus, n_nodes),

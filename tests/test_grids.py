@@ -37,7 +37,7 @@ def test_build_grid_contract(grid256):
 @pytest.mark.parametrize("p_range", [(1e-3, 10.0), (1e-12, 1.0), (1.0, 1e200)])
 @pytest.mark.parametrize("n_points", [8, 9, 37, 256, 1024])  # 9 and 37 split their panels unevenly
 def test_build_grid_halves_are_exact_mirrors(n_points, p_range):
-    # the arrival sums fold p and -p on this (eigenfunctions._folded_overlaps)
+    # the arrival sums fold p and -p on this (eigenfunctions._fold)
     g = grids.build_grid(*p_range, n_points)
     pos, neg = g.positive, g.negative
 
