@@ -23,6 +23,8 @@ a grid that cannot hold its fixed packets or whose energies collapse onto
 m); a non-finite result, which the writers refuse with WHERE the file; and
 an ``--out`` that cannot hold the files, with WHERE ``--out DIR``.  The
 domain rules live in the library; a command only names the config path.
+A ``verify`` check whose residual is not finite has failed: it exits 1, and
+``verify.json`` records that ``max_residual`` as null.
 Every artifact of a command is checked before the first file is written,
 and a failed write removes the files it wrote, so a run that exits 2 leaves
 no file; CSV text is rendered and written in blocks of rows.

@@ -79,14 +79,14 @@ def nr_spinor_limit_scan(ratios) -> tuple:
     return tuple(LimitReport(ratios, e, _fit_order(ratios, e)) for e in nr_spinor_errors(ratios))
 
 
-def nr_eigen_limit_check(x: float, p: float, m: float):
+def nr_eigen_limit_check(x, p, m):
     """(t_rel, t_non, gap) with t_rel = -x E_p / p and t_non = -x m / p.
 
-    The relative gap satisfies gap/|t_non| = E_p/m - 1 identically.
+    The relative gap satisfies gap/|t_non| = E_p/m - 1 identically; x, p and m broadcast.
     """
-    if p == 0.0:
+    if np.any(np.asarray(p) == 0.0):
         raise ValueError("p = 0 is excluded")
-    E = float(np.hypot(p, m))
+    E = np.hypot(p, m)
     t_rel = -x * E / p
     t_non = -x * m / p
     return t_rel, t_non, abs(t_rel - t_non)
@@ -148,7 +148,8 @@ class DualSolution:
     """Event state phi(E, p) = [x^2/(x^2+tau^2)]^{1/4} xi_{b s}(x) e^{i(t E - x p)} / sqrt(2 pi).
 
     E and p are independent variables here; the labels satisfy
-    t = b t_x = b sqrt(x^2 + tau^2), so t^2 - x^2 = tau^2 exactly.
+    t = b t_x = b sqrt(x^2 + tau^2), so t^2 - x^2 = tau^2 exactly.  The labels
+    may be arrays; they broadcast against each other and against E and p.
     """
 
     x: float
@@ -157,40 +158,41 @@ class DualSolution:
     s: float
 
     @property
-    def t_x(self) -> float:
-        return float(np.hypot(self.x, self.tau))
+    def t_x(self):
+        return np.hypot(self.x, self.tau)
 
     @property
-    def t(self) -> float:
+    def t(self):
         return self.b * self.t_x
 
     def value(self, E, p) -> np.ndarray:
         E = np.asarray(E, dtype=float)
         p = np.asarray(p, dtype=float)
         phase = np.exp(1j * (self.t * E - self.x * p)) / _SQRT2PI
-        weight = float(weight_factor(self.tau, self.x))
+        weight = np.asarray(weight_factor(self.tau, self.x))[..., None]
         return weight * phase[..., None] * event_spinor_values(self.x, self.tau, self.b, self.s)
 
     def dvalue_dE(self, E, p) -> np.ndarray:
         """Analytic d/dE: only the phase depends on E."""
-        return 1j * self.t * self.value(E, p)
+        return 1j * np.asarray(self.t)[..., None] * self.value(E, p)
 
 
-def dual_solution(x: float, b: int, s: float, tau: float) -> DualSolution:
-    if b not in (1, -1):
+def dual_solution(x, b, s, tau) -> DualSolution:
+    if not np.all(np.abs(b) == 1):
         raise ValueError("sign b must be +1 or -1")
-    if abs(x) == 0.0:
+    if np.any(np.asarray(x) == 0):
         raise ValueError("x = 0 degenerates the event weight")
     return DualSolution(x=x, tau=tau, b=b, s=s)
 
 
-def dual_residual(ds: DualSolution) -> float:
-    """max | -i d/dE phi - t phi | over the unit-step (E, p) lattice
-    [-5, 5] x [-3, 3]."""
-    EE, PP = np.meshgrid(np.linspace(-5.0, 5.0, 11), np.linspace(-3.0, 3.0, 7), indexing="ij")
+def dual_residual(ds: DualSolution):
+    """max | -i d/dE phi - t phi | per label over the unit-step (E, p)
+    lattice [-5, 5] x [-3, 3], which runs along a new leading axis."""
+    lattice = np.meshgrid(np.linspace(-5.0, 5.0, 11), np.linspace(-3.0, 3.0, 7), indexing="ij")
+    EE, PP = (a.reshape(-1, *[1] * np.ndim(ds.t)) for a in lattice)
     lhs = -1j * ds.dvalue_dE(EE, PP)
-    rhs = ds.t * ds.value(EE, PP)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = np.asarray(ds.t)[..., None] * ds.value(EE, PP)
+    return np.max(np.abs(lhs - rhs), axis=(0, -1))
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,16 @@ def test_verify_out_round_trips_json(monkeypatch, tmp_path):
     assert report["config"]["mass"] == DEFAULT_CONFIG["mass"]
 
 
+def test_verify_with_a_nan_residual_exits_1_and_records_null(monkeypatch, tmp_path, capsys):
+    # a non-finite residual is a failed check, written as null, not a refused write
+    monkeypatch.setattr(cli.verify, "check_clifford", lambda: np.nan)
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.endswith("41/42 checks passed\n")
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert checks[0] == {"name": "clifford_algebra", "max_residual": None, "tolerance": 1e-15, "pass": False}
+    assert all(c["pass"] for c in checks[1:])
+
+
 def test_arrival_outputs_and_determinism(tmp_path):
     cfg = small_arrival_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

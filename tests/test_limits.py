@@ -1,4 +1,5 @@
 """Nonrelativistic limits, dual event states, deficiency diagnostics."""
+import re
 import warnings
 
 import mpmath
@@ -189,6 +190,34 @@ def test_dual_solution_degenerate():
         limits.dual_solution(0.0, 1, 0.5, 1.0)
 
 
+def test_label_helpers_broadcast_like_a_loop_of_scalar_calls():
+    # the label lattices of ``verify.check_nr_eigenvalue_gap`` and ``check_dual_residual``
+    x, p = np.meshgrid((3.0, -1.5), (0.01, 0.3, 2.0, -0.01, -0.3, -2.0), indexing="ij")
+    X, TAU, B = np.meshgrid((3.0, -1.2), (0.0, 2.25, -1.0), (1, -1), indexing="ij")
+    per_label = [limits.nr_eigen_limit_check(*row, 1.0) for row in zip(x.ravel().tolist(), p.ravel().tolist())]
+    for got, want in zip(limits.nr_eigen_limit_check(x, p, 1.0), zip(*per_label)):
+        assert np.array_equal(got, np.reshape(want, x.shape))
+    ds = limits.dual_solution(X, B, 0.5, TAU)
+    rows = [limits.dual_solution(x, b, 0.5, tau) for x, tau, b in zip(*(a.ravel().tolist() for a in (X, TAU, B)))]
+    assert np.array_equal(ds.t, np.reshape([d.t for d in rows], X.shape))
+    assert np.array_equal(limits.dual_residual(ds), np.reshape([limits.dual_residual(d) for d in rows], X.shape))
+    for method in ("value", "dvalue_dE"):
+        want = [getattr(d, method)(0.7, -0.3) for d in rows]
+        assert np.array_equal(getattr(ds, method)(0.7, -0.3), np.reshape(want, X.shape + (4,)))
+
+
+@pytest.mark.parametrize("helper, good, bad", [
+    (lambda a: limits.nr_eigen_limit_check(3.0, a, 1.0), 2.0, 0.0),
+    (lambda a: limits.dual_solution(a, 1, 0.5, 1.0), 3.0, 0.0),
+    (lambda a: limits.dual_solution(3.0, a, 0.5, 1.0), -1, 0),
+], ids=["p=0", "x=0", "b=0"])
+def test_a_bad_label_in_an_array_is_rejected_with_the_scalar_message(helper, good, bad):
+    with pytest.raises(ValueError) as scalar:
+        helper(bad)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        helper(np.array([good, bad, good]))
+
+
 def _duality_reference(n, seed):
     """The duality defect with its own draw of (m, p, lam, s), as
     ``limits.duality_map_max_residual`` computed it; kept as the reference."""
@@ -206,11 +235,11 @@ def _duality_reference(n, seed):
 
 @pytest.mark.parametrize("seed", [0, 123, DEFAULT_CONFIG["seed"]])
 def test_duality_check_matches_reference(seed):
-    assert verify.check_duality_bijection(seed) == _duality_reference(100, seed)
+    assert np.max(verify.check_duality_bijection(seed)) == _duality_reference(100, seed)
 
 
 def test_duality_map_bijection():
-    assert verify.check_duality_bijection(123) <= 1e-12
+    assert np.max(verify.check_duality_bijection(123)) <= 1e-12
 
 
 def test_deficiency_integral_value():

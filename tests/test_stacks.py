@@ -98,12 +98,13 @@ def test_field_rejects_a_wrong_trailing_shape_and_a_zero_member():
         grids.commutator_residual(f, 1.0)
 
 
-# the members each check may construct: one stack per family and mass
+# the members each check may construct: one stack per family and mass, and
+# one per family where the masses are a label
 @pytest.mark.parametrize("check, most", [
     ("check_time_family_residual", 4),
     ("check_position_family_pointwise", 3),
     ("check_event_family_pointwise", 3),
-    ("check_family_consistency", 4),
+    ("check_family_consistency", 2),
     ("check_rational_crosscheck", 2),
 ])
 def test_family_checks_build_one_stack_per_family_and_mass(monkeypatch, check, most):
@@ -129,5 +130,5 @@ def test_norm_drift_evolves_once(monkeypatch):
     monkeypatch.setattr(arrival, "evolve", counting)
     spec = arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1)
     f = arrival.build_packet(spec, grids.build_grid(1e-3, 10.0, 64, 4))
-    assert verify.check_norm_drift(f, 1.0) <= 1e-12
+    assert np.max(verify.check_norm_drift(f, 1.0)) <= 1e-12
     assert len(calls) == 1
