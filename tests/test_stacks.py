@@ -98,16 +98,8 @@ def test_field_rejects_a_wrong_trailing_shape_and_a_zero_member():
         grids.commutator_residual(f, 1.0)
 
 
-# the members each check may construct: one stack per family and mass, and
-# one per family where the masses are a label
-@pytest.mark.parametrize("check, most", [
-    ("check_time_family_residual", 4),
-    ("check_position_family_pointwise", 3),
-    ("check_event_family_pointwise", 3),
-    ("check_family_consistency", 2),
-    ("check_rational_crosscheck", 2),
-])
-def test_family_checks_build_one_stack_per_family_and_mass(monkeypatch, check, most):
+def _constructions(monkeypatch, check):
+    """The ``ToaEigenfunction`` stacks that one call of ``verify.<check>`` builds."""
     real, built = eigenfunctions.ToaEigenfunction, []
 
     def counting(*args, **kwargs):
@@ -117,7 +109,26 @@ def test_family_checks_build_one_stack_per_family_and_mass(monkeypatch, check, m
     # the name every constructor, public or not, looks up at call time
     monkeypatch.setattr(eigenfunctions, "ToaEigenfunction", counting)
     getattr(verify, check)()
-    assert 0 < len(built) <= most
+    return built
+
+
+# the members each check may construct: one stack per family and mass
+@pytest.mark.parametrize("check, most", [
+    ("check_time_family_residual", 4),
+    ("check_position_family_pointwise", 3),
+    ("check_event_family_pointwise", 3),
+    ("check_family_consistency", 4),
+    ("check_rational_crosscheck", 2),
+])
+def test_family_checks_build_one_stack_per_family_and_mass(monkeypatch, check, most):
+    assert 0 < len(_constructions(monkeypatch, check)) <= most
+
+
+def test_family_consistency_takes_its_masses_as_a_label(monkeypatch):
+    # one event and one position stack, each holding both masses
+    built = _constructions(monkeypatch, "check_family_consistency")
+    assert [args[0] for args in built] == ["event", "position"]
+    assert all(set(np.ravel(args[1])) == {0.5, 3.0} for args in built)
 
 
 def test_norm_drift_evolves_once(monkeypatch):
