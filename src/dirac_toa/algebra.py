@@ -28,7 +28,7 @@ proper time, sign, spin), so one call evaluates a whole lattice of labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class DiracBasis:
+class DiracBasis(NamedTuple):
     """Dirac matrices in the standard (Dirac) representation.
 
     gamma^mu gamma^nu + gamma^nu gamma^mu = 2 g^{mu nu} with

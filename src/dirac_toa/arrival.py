@@ -42,18 +42,19 @@ arrival and nonrelativistic sums add the coefficients of -p to those of p
 sqrt(n_t) x n tables and n_t n multiply-adds per column; psi(t, x), odd in
 p, sums all N.  The kernel, ``eigenfunctions._lattice_overlaps``, builds
 those tables for 128 nodes at a time, so no n_t x N array and no
-N x sqrt(n_t) table is formed, for t or for x, and it skips the exact-zero
-columns of a one-helicity packet and the node blocks where its Gaussian has
-underflowed.  ``evolve`` needs only the core's per-node spinors and
-projections.  The nonrelativistic overlaps are the lam = +1 sums on the
-energies p^2 / 2m beside a zero lam = -1 block, which the kernel skips;
-``_normalized`` forms every distribution's curves from its two branch
-amplitudes.
+N x sqrt(n_t) table is formed, for t or for x; it skips the exact-zero columns
+of a one-helicity packet, and a node with no live coefficient, where the
+Gaussian has underflowed, joins no block.  ``evolve`` needs only the core's
+per-node spinors and projections.  The nonrelativistic overlaps are the
+lam = +1 sums on the energies p^2 / 2m beside a zero lam = -1 block, which the
+kernel skips; ``_normalized`` forms every distribution's curves from its two
+branch amplitudes.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class PacketSpec:
             )
 
 
-@dataclass
-class ArrivalDistribution:
+class ArrivalDistribution(NamedTuple):
     """Sampled arrival-time distribution and its branch decomposition.
 
     Pi_total = Pi_pos + Pi_neg + Pi_interf pointwise; the total integrates
@@ -137,7 +137,7 @@ class ArrivalDistribution:
     Pi_interf: np.ndarray
     normalization: float
     captured_mass: float
-    warnings: list = dc_field(default_factory=list)
+    warnings: tuple = ()
     J: np.ndarray | None = None
 
     @property
@@ -221,9 +221,7 @@ def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: floa
             f"time window holds {captured:.4f} of the full-line arrival mass: "
             "the momentum grid does not resolve the window"
         )
-    return ArrivalDistribution(
-        ts, *(c / raw for c in curves), normalization=raw, captured_mass=captured, warnings=notes, J=J
-    )
+    return ArrivalDistribution(ts, *(c / raw for c in curves), raw, captured, tuple(notes), J)
 
 
 def arrival_distribution(

@@ -14,7 +14,8 @@ anything.  ``at_path`` re-raises their ``ValueError`` as a ``ConfigError``
 that starts with the JSON path, which the CLI reports with exit status 2; so
 too a ``MemoryError`` or ``OverflowError``, since a size the rules accept can
 still be too large to build.  ``config_to_dict`` inverts ``config_from_dict``
-and is every sidecar's config echo.  Loading does no numerical work, but
+and is every sidecar's config echo.  ``RunConfig`` and its section records
+are ``typing.NamedTuple``s.  Loading does no numerical work, but
 ``PacketSpec`` raises its |p0| <= 3 sigma_p warning.
 """
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from typing import NamedTuple
 
 from .arrival import PacketSpec
 from .eigenfunctions import _window_rule, event_eigenfunction, position_eigenfunction, time_eigenfunction
@@ -82,29 +84,25 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     p_min: float
     p_max: float
     n_points: int
     deriv_order: int
 
 
-@dataclass(frozen=True)
-class TimeConfig:
+class TimeConfig(NamedTuple):
     t_min: float
     t_max: float
     n_t: int
 
 
-@dataclass(frozen=True)
-class LimitsConfig:
+class LimitsConfig(NamedTuple):
     ratios: tuple
     e_max_factor: float
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     mass: float
     grid: GridConfig
     packet: PacketSpec
@@ -172,7 +170,7 @@ def _family(value, path: str) -> str:
     return value
 
 
-# the field tables of the sections, in the order of the dataclass fields
+# the field tables of the sections, in the order of the record fields
 _GRID = {"p_min": _number, "p_max": _number, "n_points": _integer, "deriv_order": _integer}
 _PACKET = {"x0": _number, "p0": _number, "sigma_p": _number, "c_plus": _complex_pair,
            "c_minus": _complex_pair, "s": _number}
@@ -205,7 +203,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"config.mass: must be >= 0, got {mass}")
     grid = GridConfig(*_fields(data["grid"], "config.grid", _GRID, {}))
     with at_path("config.grid"):
-        _grid_rule(**asdict(grid))
+        _grid_rule(**grid._asdict())
     optional = {k: DEFAULT_CONFIG["packet"][k] for k in ("c_plus", "c_minus", "s")}
     with at_path("config.packet"):
         packet = PacketSpec(mass, *_fields(data["packet"], "config.packet", _PACKET, optional))
@@ -229,9 +227,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
         packet[key] = [packet[key].real, packet[key].imag]
     return {
         "mass": cfg.mass,
-        "grid": asdict(cfg.grid),
+        "grid": cfg.grid._asdict(),
         "packet": packet,
-        "time": asdict(cfg.time),
+        "time": cfg.time._asdict(),
         "seed": cfg.seed,
         "eigen": [{"family": f.family, **f.labels} for f in cfg.eigen],
         "limits": {"ratios": list(cfg.limits.ratios), "e_max_factor": cfg.limits.e_max_factor},

@@ -98,6 +98,15 @@ def _node_blocks(n: int):
     return (slice(j, j + _NODE_BLOCK) for j in range(0, n, _NODE_BLOCK))
 
 
+def _flushed(plus: np.ndarray, minus: np.ndarray, rows) -> np.ndarray:
+    """[plus | conj(minus)] on the node ``rows``, one row per column, with its
+    subnormal real and imaginary parts set to 0 (NaN compares False: kept)."""
+    B = np.concatenate([plus[rows], np.conjugate(minus[rows])], axis=1).T.copy()
+    parts = B.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return B
+
+
 def _lattice_overlaps(
     E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
 ):
@@ -113,35 +122,30 @@ def _lattice_overlaps(
     back.  Beside the coefficients and the output the working memory is three
     block-sized tables and one product of a column's size, whatever N and the
     column count.  The cost is about 2 sqrt(n_t) N exps and c n_t N complex
-    multiply-adds for c live columns; the arrival sums, whose phases are even
-    in p, call it on the n positive nodes that ``_fold`` returns.
+    multiply-adds for N live nodes and c live columns; the arrival sums, whose
+    phases are even in p, call it on the n positive nodes that ``_fold`` returns.
 
-    Skip and flush: per block, the subnormal real and imaginary parts of the
-    coefficients are set to 0, and only the columns that then hold a value
-    != 0 are multiplied; a block with none builds no tables.  Skipping an
-    exact zero leaves a floating-point sum as it was, and NaN and inf
-    coefficients stay live, so each output sample moves by at most
-    2 N tiny (tiny = ``np.finfo(float).tiny``), from the flushed subnormals
-    alone, while the gemm takes no subnormal operand.
+    Skip and flush (``_flushed``): the subnormal real and imaginary parts of
+    the coefficients are set to 0, a node with no value != 0 left in any
+    column joins no block, so no tables are built for it, and per block only
+    the columns that hold a value != 0 are multiplied.  Skipping an exact
+    zero leaves a floating-point sum as it was, and NaN and inf coefficients
+    stay live, so each output sample moves by at most 2 N tiny
+    (tiny = ``np.finfo(float).tiny``), from the flushed subnormals alone,
+    while the gemm takes no subnormal operand.
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
     n_b, c = -(-n_t // K), plus.shape[1]
     R = np.zeros((c + minus.shape[1], K, n_b), dtype=complex)
     Z = np.empty((K, n_b), dtype=complex)
-    tiny = np.finfo(float).tiny
-    for blk in _node_blocks(len(E)):
-        B = np.empty((len(R), len(E[blk])), dtype=complex)  # one row per column
-        B[:c] = plus[blk].T
-        np.conjugate(minus[blk].T, out=B[c:])
-        parts = B.view(float)
-        flushed = np.abs(parts) < tiny  # zeros and subnormals; NaN compares False
-        parts[flushed] = 0.0
-        live = [col for col, dead in enumerate(flushed.all(axis=1).tolist()) if not dead]
-        if not live:
-            continue
-        Q, S = _lattice_phases(E[blk], t0, dt, n_t)
+    nodes = np.flatnonzero(np.concatenate([
+        np.any(_flushed(plus, minus, blk) != 0, axis=0) for blk in _node_blocks(len(E))
+    ]))
+    for blk in _node_blocks(len(nodes)):
+        B = _flushed(plus, minus, nodes[blk])
+        Q, S = _lattice_phases(E[nodes[blk]], t0, dt, n_t)
         Y = np.empty_like(S)
-        for col in live:
+        for col in np.flatnonzero(np.any(B != 0, axis=1)).tolist():
             R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z)
         del Q, S, Y  # the next block's tables are built after these are freed
     for acc in R:  # each column to t order in place, through Z
@@ -325,9 +329,10 @@ def event_eigenfunction(x: float, b: int, s: float, m: float) -> ToaEigenfunctio
     return _member("event", m, ("x", x), ("b", b), s)
 
 
-def overlap_matrix(funcs, grid: MomentumGrid) -> np.ndarray:
-    """Gram matrix of eigenfunctions under the grid quadrature."""
-    samples = np.stack([f.value(grid.nodes) for f in funcs])
+def overlap_matrix(f: ToaEigenfunction, grid: MomentumGrid) -> np.ndarray:
+    """Gram matrix, under the grid quadrature, of the L members of ``f``,
+    whose labels are of shape (L, 1)."""
+    samples = f.value(grid.nodes)
     return np.einsum("j,ajc,bjc->ab", grid.weights, np.conj(samples), samples)
 
 

@@ -20,7 +20,7 @@ checks cannot evaluate is a ``ConfigError`` there.  Every fixed packet is
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,13 +322,9 @@ def check_rational_crosscheck():
 
 def check_overlap_orthogonality():
     grid = grids.build_grid(1e-3, 10.0, 256, 4)
-    m, x = 1.0, 1.5
-    funcs = [
-        eigenfunctions.position_eigenfunction(x, lam, s, m)
-        for lam in (1, -1)
-        for s in (0.5, -0.5)
-    ]
-    gram = eigenfunctions.overlap_matrix(funcs, grid)
+    lam, s = np.array([[1, 1, -1, -1], [0.5, -0.5, 0.5, -0.5]])[..., None]
+    f = eigenfunctions.ToaEigenfunction("position", 1.0, {"x": 1.5, "lam": lam, "s": s})
+    gram = eigenfunctions.overlap_matrix(f, grid)
     return np.abs(gram - np.diag(np.diag(gram)))
 
 
@@ -510,7 +506,7 @@ class _Run:
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "_Run":
         with at_path("config.grid"):
-            grid = grids.build_grid(**asdict(cfg.grid))
+            grid = grids.build_grid(**cfg.grid._asdict())
             # _GROUP_SPEC reaches furthest of the fixed packets put on this grid
             group = arrival.build_packet(_GROUP_SPEC, grid)
         with at_path("config.packet"):

@@ -756,3 +756,20 @@ def test_folded_sums_match_the_sums_over_every_node(monkeypatch, grid_args, pack
     assert np.max(np.abs(rec - ref_rec)) <= 8.0 * eps * np.max(np.abs(ref_rec))
     peak = np.max(ref_nonrel.Pi_total)
     assert np.max(np.abs(nonrel.Pi_total - ref_nonrel.Pi_total)) <= 16.0 * eps * peak
+
+
+def test_arrival_kernel_builds_tables_for_the_live_nodes_alone(monkeypatch):
+    """On the default grid and packet (the ``arrival_dense`` workload's), 72 of
+    the 256 folded nodes, p > 7.29, hold only zero or subnormal coefficients:
+    the kernel builds exp tables for the 184 live ones, in blocks of 128 and 56."""
+    grid = grids.build_grid(1e-3, 10.0, 256, 4)
+    psi = arrival.build_packet(arrival.PacketSpec(m=1.0, x0=-10.0, p0=2.0, sigma_p=0.1), grid)
+    phases, built = eigenfunctions._lattice_phases, []
+
+    def counted(E, *lattice):
+        built.append(len(E))
+        return phases(E, *lattice)
+
+    monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted)
+    arrival.arrival_distribution(psi, 1.0, WINDOW, 101)
+    assert built == [128, 56]

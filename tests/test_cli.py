@@ -1,5 +1,6 @@
 """CLI contract tests: exit statuses, file schemas, byte-identical reruns."""
 import contextlib
+import errno
 import io
 import json
 import os
@@ -735,3 +736,79 @@ def test_a_command_runs_only_the_modules_it_calls(tmp_path, command, executed):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out[-1] == f"0 {executed}"
+
+
+def _launch(*args, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m dirac_toa.cli ARGS`` in a child process, its stdout block
+    buffered unless ``unbuffered``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "dirac_toa.cli", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["arrival", "eigen", "limits", "verify"])
+def test_main_returns_its_status_and_never_ends_the_process(monkeypatch, tmp_path, capsys, command):
+    def refused(status):
+        raise AssertionError(f"os._exit({status}) called in process")
+
+    monkeypatch.setattr(os, "_exit", refused)
+    config = small_arrival_config(tmp_path)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_launch_passes_warnings_to_stderr_and_writes_complete_files(tmp_path):
+    """A packet with |p0| <= 3 sigma_p: through ``python -m`` the warning
+    reaches stderr, and both files are those ``main`` writes in process."""
+    config = small_arrival_config(tmp_path, **{"packet.p0": 0.25, "packet.x0": -1.0})
+    proc = _launch("arrival", "--config", config, "--out", str(tmp_path / "child"))
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert "|p0| <= 3 sigma_p" in proc.stderr
+    with pytest.warns(UserWarning, match="3 sigma_p"):
+        assert cli.main(["arrival", "--config", config, "--out", str(tmp_path / "main")]) == 0
+    for name in ("arrival.csv", "arrival.json"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    assert len((tmp_path / "child" / "arrival.csv").read_text().splitlines()) == 601 + 1
+
+
+def test_both_launchers_end_through_launch():
+    import tomllib
+
+    src = Path(cli.__file__)
+    project = tomllib.loads((src.resolve().parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"dirac-toa": "dirac_toa.cli:launch"}
+    assert src.read_text(encoding="utf-8").endswith('\nif __name__ == "__main__":\n    launch()\n')
+
+
+def test_launch_keeps_argparse_exits():
+    shown = _launch("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: dirac-toa")
+    refused = _launch("bogus")
+    assert refused.returncode == 2 and "invalid choice: 'bogus'" in refused.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_a_stdout_that_cannot_take_the_report_exits_2(sink, unbuffered):
+    """``verify`` into a pipe whose reader has gone (``verify | head -1`` once
+    head exits) and into ``/dev/full``: one stderr line and status 2, with no
+    traceback and no 'Exception ignored' from the stdout flush at exit."""
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = _launch("verify", stdout=full, unbuffered=unbuffered)
+        why = f"[Errno {errno.ENOSPC}] No space left on device"
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _launch("verify", stdout=write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        why = f"[Errno {errno.EPIPE}] Broken pipe"
+    assert proc.stderr == f"config error: stdout: {why}\n"
+    assert proc.returncode == 2

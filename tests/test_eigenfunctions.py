@@ -313,13 +313,11 @@ def test_check_resolved_bounds_the_label(grid256):
 
 
 def test_overlap_orthogonality_distinct_labels(grid256):
-    m, x = 1.0, 1.5
-    funcs = [
-        position_eigenfunction(x, lam, s, m)
-        for lam in (1, -1)
-        for s in (0.5, -0.5)
-    ]
-    gram = overlap_matrix(funcs, grid256)
+    lam, s = np.array([[1, 1, -1, -1], [0.5, -0.5, 0.5, -0.5]])[..., None]
+    f = eigenfunctions.ToaEigenfunction("position", 1.0, {"x": 1.5, "lam": lam, "s": s})
+    gram = overlap_matrix(f, grid256)
+    for member, a, b in zip(f.value(grid256.nodes), lam.flat, s.flat):
+        assert np.array_equal(member, position_eigenfunction(1.5, int(a), b, 1.0).value(grid256.nodes))
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-10
 
@@ -503,6 +501,45 @@ def test_lattice_overlaps_build_no_tables_for_a_zero_block(monkeypatch):
     alone = _lattice_overlaps(E[mid], -20.0, 0.05, 801, plus[mid], minus[mid])
     for a, b in zip(got, alone):
         assert np.array_equal(a, b)
+
+
+def test_lattice_overlaps_drop_the_nodes_with_no_live_coefficient(monkeypatch):
+    """Zero and subnormal node rows at both ends and in the middle join no
+    block: the tables are built for the live rows alone, the sums equal the
+    call on those rows bit for bit, and they keep the long-double bound of
+    ``test_lattice_sums_match_extended_precision`` over all the rows."""
+    n, tiny = 300, np.finfo(float).tiny
+    rng = np.random.default_rng(11)
+    E = np.hypot(rng.uniform(1e-3, 10.0, n), 1.0)
+    plus, minus = rng.standard_normal((2, n, 3)) + 1j * rng.standard_normal((2, n, 3))
+    dead = np.zeros(n, dtype=bool)
+    for rows, scale in ((slice(0, 9), 0.0), (slice(9, 20), tiny / 8.0), (slice(140, 160), 0.0),
+                        (slice(160, 175), tiny / 3.0), (slice(285, 300), 0.0), (slice(280, 285), tiny / 5.0)):
+        plus[rows] *= scale
+        minus[rows] *= scale
+        dead[rows] = True
+    live = ~dead
+    phases, built = eigenfunctions._lattice_phases, []
+
+    def counted(E_blk, *lattice):
+        built.append(len(E_blk))
+        return phases(E_blk, *lattice)
+
+    monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted)
+    t0, dt, n_t = -20.0, 0.05, 801
+    got = _lattice_overlaps(E, t0, dt, n_t, plus, minus)
+    assert built == [_NODE_BLOCK, np.count_nonzero(live) - _NODE_BLOCK]
+    for a, b in zip(got, _lattice_overlaps(E[live], t0, dt, n_t, plus[live], minus[live])):
+        assert np.array_equal(a, b)
+    ld = np.longdouble
+    t = ld(t0) + np.arange(n_t).astype(ld) * ld(dt)
+    P = np.exp(np.outer(t, E.astype(ld)) * np.clongdouble(-1j))
+    scale = max(abs(t0), abs(t0 + (n_t - 1) * dt)) * np.max(E)
+    for sums, exact, coeff in zip(got, (P @ plus.astype(np.clongdouble),
+                                        np.conj(P) @ minus.astype(np.clongdouble)), (plus, minus)):
+        err = np.max(np.abs(sums - exact), axis=0).astype(float)
+        bound = 16.0 * np.finfo(float).eps * (scale + n) * np.sum(np.abs(coeff), axis=0) + 2.0 * n * tiny
+        assert np.all(err <= bound), err / bound
 
 
 def test_lattice_overlaps_zero_column_is_exact_zero():
