@@ -31,10 +31,10 @@ and a failed write removes the files it wrote, so a run that exits 2 leaves
 no file; CSV text is rendered and written in blocks of rows.
 ``python -m dirac_toa.cli`` and the ``dirac-toa`` script run ``launch``,
 which ends the process by ``os._exit`` once ``main`` has returned and stdout
-and stderr are flushed: interpreter teardown, mostly numpy's, took 13-17 ms
-after the last byte of every run.  Every file is closed by then, no module
-registers an ``atexit`` handler, and argparse's ``SystemExit`` (``--help``,
-a bad argument) exits the normal way.
+and stderr are flushed: interpreter teardown, mostly numpy's, kept an
+``arrival`` process alive 21-33 ms after its last byte on a 2-core VM, 2-3
+ms with ``os._exit``.  Every file is closed by then, no module registers an
+``atexit`` handler, and argparse's ``SystemExit`` exits the normal way.
 
 Each CSV cell is the bytes of ``'%.16e' % v``, rendered for a whole block by
 array operations: with e = floor(log10|v|), |v| 10^(16 - e) is formed to

@@ -98,15 +98,6 @@ def _node_blocks(n: int):
     return (slice(j, j + _NODE_BLOCK) for j in range(0, n, _NODE_BLOCK))
 
 
-def _flushed(plus: np.ndarray, minus: np.ndarray, rows) -> np.ndarray:
-    """[plus | conj(minus)] on the node ``rows``, one row per column, with its
-    subnormal real and imaginary parts set to 0 (NaN compares False: kept)."""
-    B = np.concatenate([plus[rows], np.conjugate(minus[rows])], axis=1).T.copy()
-    parts = B.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
-    return B
-
-
 def _lattice_overlaps(
     E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
 ):
@@ -119,16 +110,17 @@ def _lattice_overlaps(
     product Q @ (S b) of K x block by block x blocks, added whole into that
     column's contiguous K x blocks accumulator; each accumulator is transposed
     to t order in place at the end, and the lam = -1 columns are conjugated
-    back.  Beside the coefficients and the output the working memory is three
-    block-sized tables and one product of a column's size, whatever N and the
-    column count.  The cost is about 2 sqrt(n_t) N exps and c n_t N complex
-    multiply-adds for N live nodes and c live columns; the arrival sums, whose
-    phases are even in p, call it on the n positive nodes that ``_fold`` returns.
+    back.  Beside the coefficients, a copy of their live rows if a node is
+    dead, and the output, the working memory is three block-sized tables and
+    one product of a column's size, whatever N and the column count.  The
+    cost is about 2 sqrt(n_t) N exps and c n_t N complex multiply-adds for N
+    live nodes and c live columns; the arrival sums, whose phases are even in
+    p, call it on the n positive nodes that ``_fold`` returns.
 
-    Skip and flush (``_flushed``): the subnormal real and imaginary parts of
-    the coefficients are set to 0, a node with no value != 0 left in any
-    column joins no block, so no tables are built for it, and per block only
-    the columns that hold a value != 0 are multiplied.  Skipping an exact
+    Skip and flush: the subnormal real and imaginary parts of the
+    coefficients are set to 0, a node with no value != 0 left in any column
+    joins no block, so no tables are built for it, and per block only the
+    columns that hold a value != 0 are multiplied.  Skipping an exact
     zero leaves a floating-point sum as it was, and NaN and inf coefficients
     stay live, so each output sample moves by at most 2 N tiny
     (tiny = ``np.finfo(float).tiny``), from the flushed subnormals alone,
@@ -138,14 +130,22 @@ def _lattice_overlaps(
     n_b, c = -(-n_t // K), plus.shape[1]
     R = np.zeros((c + minus.shape[1], K, n_b), dtype=complex)
     Z = np.empty((K, n_b), dtype=complex)
-    nodes = np.flatnonzero(np.concatenate([
-        np.any(_flushed(plus, minus, blk) != 0, axis=0) for blk in _node_blocks(len(E))
-    ]))
-    for blk in _node_blocks(len(nodes)):
-        B = _flushed(plus, minus, nodes[blk])
-        Q, S = _lattice_phases(E[nodes[blk]], t0, dt, n_t)
+    tiny = np.finfo(float).tiny
+    live = np.zeros(len(E), dtype=bool)
+    for b in (plus, minus):  # NaN compares False, so its node stays live
+        live |= np.any(~(np.maximum(np.abs(b.real), np.abs(b.imag)) < tiny), axis=1)
+    if not live.all():
+        E, plus, minus = E[live], plus[live], minus[live]
+    for blk in _node_blocks(len(E)):
+        B = np.empty((len(R), len(E[blk])), dtype=complex)  # one row per column
+        B[:c] = plus[blk].T
+        np.conjugate(minus[blk].T, out=B[c:])
+        parts = B.view(float)
+        flushed = np.abs(parts) < tiny  # zeros and subnormals; NaN compares False
+        parts[flushed] = 0.0
+        Q, S = _lattice_phases(E[blk], t0, dt, n_t)
         Y = np.empty_like(S)
-        for col in np.flatnonzero(np.any(B != 0, axis=1)).tolist():
+        for col in np.flatnonzero(~flushed.all(axis=1)).tolist():
             R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z)
         del Q, S, Y  # the next block's tables are built after these are freed
     for acc in R:  # each column to t order in place, through Z
