@@ -32,8 +32,8 @@ no file; CSV text is rendered and written in blocks of rows.
 ``python -m dirac_toa.cli`` and the ``dirac-toa`` script run ``launch``,
 which ends the process by ``os._exit`` once ``main`` has returned and stdout
 and stderr are flushed: interpreter teardown, mostly numpy's, kept an
-``arrival`` process alive 21-33 ms after its last byte on a 2-core VM, 2-3
-ms with ``os._exit``.  Every file is closed by then, no module registers an
+``arrival`` process alive 21-33 ms after its last byte on a 2-core VM, and
+``os._exit`` 1-3 ms.  Every file is closed by then, no module registers an
 ``atexit`` handler, and argparse's ``SystemExit`` exits the normal way.
 
 Each CSV cell is the bytes of ``'%.16e' % v``, rendered for a whole block by
