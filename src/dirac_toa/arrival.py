@@ -29,25 +29,28 @@ exact zero projections c_{lam, -s}, so half of J's columns are zero.
 Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``, and ``arrival_distribution`` takes both
 in one pass: one ``_spectral_data`` call, the six coefficient columns
-[A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch and
-one kernel call, whose exp tables serve Pi and J; ``flux_at_origin`` reads
-its J.  psi(t, x) is the lam = -1 sum with p_j in place of E_j.  The samples
-form the uniform lattice np.linspace(t0, t1, n_t), whose one window rule is
+[A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch,
+lam = +1 first, as one block of twelve, and one kernel call, whose exp tables
+serve Pi and J; ``flux_at_origin`` reads its J.  psi(t, x) is the lam = -1
+sum with p_j in place of E_j.  The samples form the uniform lattice
+np.linspace(t0, t1, n_t), whose one window rule is
 ``eigenfunctions._window_rule``, shared with ``resynthesize_time_family``.
 The phases factor into two sqrt(n_t) x N exp tables, e^{-i E t_i} =
-Q[r] S[k] for i = k K + r, and the conjugate tables carry lam = -1.  E_p and
-p^2 / 2m are even in p and the grid's nodes are exact mirrors, so the
-arrival and nonrelativistic sums add the coefficients of -p to those of p
-(``eigenfunctions._fold``) and run on the n = N / 2 positive nodes: two
+Q[r] S[k] for i = k K + r, and the conjugate tables carry lam = -1, so the
+kernel, ``eigenfunctions._lattice_overlaps``, takes one coefficient block
+whose first c columns are lam = +1 sums and whose others are lam = -1 sums.
+E_p and p^2 / 2m are even in p and the grid's nodes are exact mirrors, so
+the arrival and nonrelativistic sums add the coefficients of -p to those of
+p (``eigenfunctions._fold``) and run on the n = N / 2 positive nodes: two
 sqrt(n_t) x n tables and n_t n multiply-adds per column; psi(t, x), odd in
-p, sums all N.  The kernel, ``eigenfunctions._lattice_overlaps``, builds
-those tables for 128 nodes at a time, so no n_t x N array and no
-N x sqrt(n_t) table is formed, for t or for x; it skips the exact-zero columns
-of a one-helicity packet, and a node with no live coefficient, where the
-Gaussian has underflowed, joins no block.  ``evolve`` needs only the core's
-per-node spinors and projections.  The nonrelativistic overlaps are the
-lam = +1 sums on the energies p^2 / 2m beside a zero lam = -1 block, which the
-kernel skips; ``_normalized`` forms every distribution's curves from its two
+p, sums all N.  The kernel builds those tables for 128 nodes at a time, so
+no n_t x N array and no N x sqrt(n_t) table is formed, for t or for x; it
+skips the exact-zero columns of a one-helicity packet, and a node with no
+live coefficient, where the Gaussian has underflowed, joins no block.
+``evolve`` needs only the core's per-node spinors and projections.  The
+nonrelativistic overlaps are the lam = +1 sums alone (c = 2 of 2 columns)
+on the energies p^2 / 2m, and the position profile the lam = -1 sums alone
+(c = 0); ``_normalized`` forms every distribution's curves from its two
 branch amplitudes.
 """
 from __future__ import annotations
@@ -187,7 +190,7 @@ def position_profile(f: GridSpinorField, m: float, t: float, x_window: tuple, n_
     sum_j w_j psi_j(t) e^{i p_j x} / sqrt(2 pi), the lam = -1 lattice sum."""
     xs, lattice = _time_lattice(x_window, n_x, "x")
     b = f.grid.weights[:, None] * evolve(f, m, t).values / _SQRT2PI
-    return xs, _lattice_overlaps(f.grid.nodes, *lattice, b[:, :0], b)[1]
+    return xs, _lattice_overlaps(f.grid.nodes, *lattice, b, 0)
 
 
 def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -> float:
@@ -244,14 +247,13 @@ def arrival_distribution(
     b = (f.grid.weights * W * c / _SQRT2PI).reshape(2, 2, -1)  # (lam, s, node)
     a = (f.grid.weights * c / _SQRT2PI).reshape(2, 2, -1)
     cols = np.concatenate([b, a * N[:, None], a * Nc[:, None]], axis=1)
-    del W, c, N, Nc, b, a  # only the columns are held into the fold,
-    E, plus, minus = _fold(f.grid, E, cols[0].T, cols[1].T)
-    del cols  # and only the folded ones through the kernel
+    del W, c, N, Nc, b, a  # only the columns are held into the fold, and only
+    E, cols = _fold(f.grid, E, cols.reshape(12, -1).T)  # the folded ones through the kernel
     full = _full_line_mass(f.grid.weights, f.values, _BETA_DIAG)
-    pos, neg = _lattice_overlaps(E, *lattice, plus, minus)
-    UL = np.add(pos[:, 2:], neg[:, 2:], out=pos[:, 2:])  # the kernel's output is ours to reuse
+    sums = _lattice_overlaps(E, *lattice, cols, 6)
+    UL = np.add(sums[:, 2:6], sums[:, 8:], out=sums[:, 2:6])  # the kernel's output is ours to reuse
     J = 2.0 * np.vecdot(UL[:, :2], UL[:, 2:]).real  # vecdot conjugates U_s
-    return _normalized(ts, pos[:, :2], neg[:, :2], full, J)
+    return _normalized(ts, sums[:, :2], sums[:, 6:8], full, J)
 
 
 def arrival_distribution_nonrel(
@@ -278,7 +280,8 @@ def arrival_distribution_nonrel(
     # the upper components, on which beta is +1
     full = _full_line_mass(f.grid.weights, f.values[:, :2], _BETA_DIAG[:2])
     E, b = _fold(f.grid, p * p / (2.0 * m), b)
-    return _normalized(ts, *_lattice_overlaps(E, *lattice, b, np.zeros_like(b)), full)
+    amp = _lattice_overlaps(E, *lattice, b, 2)
+    return _normalized(ts, amp, np.zeros_like(amp), full)
 
 
 def flux_at_origin(

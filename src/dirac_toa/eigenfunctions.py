@@ -98,24 +98,23 @@ def _node_blocks(n: int):
     return (slice(j, j + _NODE_BLOCK) for j in range(0, n, _NODE_BLOCK))
 
 
-def _lattice_overlaps(
-    E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
-):
-    """The lam = +1 and lam = -1 node sums sum_j b_j e^{-i lam E_j t_i} on
-    t_i = t0 + i dt, i < n_t, for coefficient columns of shape (N, c) per
-    branch; returns two (n_t, c) views of one result.
+def _lattice_overlaps(E: np.ndarray, t0: float, dt: float, n_t: int, B: np.ndarray, c: int):
+    """The node sums sum_j b_j e^{-i lam E_j t_i} on t_i = t0 + i dt, i < n_t,
+    of the coefficient columns b of B (N, cols): lam = +1 for the first c
+    columns, lam = -1 for the rest; returns one (n_t, cols) view.
 
     The nodes are taken in blocks of ``_NODE_BLOCK``: per block, the two exp
-    tables of its energies and, per column b of [plus | conj(minus)], one
-    product Q @ (S b) of K x block by block x blocks, added whole into that
-    column's contiguous K x blocks accumulator; each accumulator is transposed
-    to t order in place at the end, and the lam = -1 columns are conjugated
-    back.  Beside the coefficients, a copy of their live rows if a node is
-    dead, and the output, the working memory is three block-sized tables and
-    one product of a column's size, whatever N and the column count.  The
-    cost is about 2 sqrt(n_t) N exps and c n_t N complex multiply-adds for N
-    live nodes and c live columns; the arrival sums, whose phases are even in
-    p, call it on the n positive nodes that ``_fold`` returns.
+    tables of its energies and, per column b of [B[:, :c] | conj(B[:, c:])],
+    one product Q @ (S b) of K x block by block x blocks, added whole into
+    that column's contiguous K x blocks accumulator; each accumulator is
+    transposed to t order in place at the end, and the lam = -1 columns are
+    conjugated back.  Beside the coefficients, a copy of their live rows if a
+    node is dead, and the output, the working memory is three block-sized
+    tables and one product of a column's size, whatever N and the column
+    count.  The cost is about 2 sqrt(n_t) N exps and cols n_t N complex
+    multiply-adds for N live nodes and cols live columns; the arrival sums,
+    whose phases are even in p, call it on the n positive nodes that
+    ``_fold`` returns.
 
     Skip and flush: the subnormal real and imaginary parts of the
     coefficients are set to 0, a node with no value != 0 left in any column
@@ -127,69 +126,64 @@ def _lattice_overlaps(
     while the gemm takes no subnormal operand.
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
-    n_b, c = -(-n_t // K), plus.shape[1]
-    R = np.zeros((c + minus.shape[1], K, n_b), dtype=complex)
+    n_b = -(-n_t // K)
+    R = np.zeros((B.shape[1], K, n_b), dtype=complex)
     Z = np.empty((K, n_b), dtype=complex)
     tiny = np.finfo(float).tiny
-    live = np.zeros(len(E), dtype=bool)
-    for b in (plus, minus):  # NaN compares False, so its node stays live
-        live |= np.any(~(np.maximum(np.abs(b.real), np.abs(b.imag)) < tiny), axis=1)
+    # NaN compares False, so its node stays live
+    live = np.any(~(np.maximum(np.abs(B.real), np.abs(B.imag)) < tiny), axis=1)
     if not live.all():
-        E, plus, minus = E[live], plus[live], minus[live]
+        E, B = E[live], B[live]
     for blk in _node_blocks(len(E)):
-        B = np.empty((len(R), len(E[blk])), dtype=complex)  # one row per column
-        B[:c] = plus[blk].T
-        np.conjugate(minus[blk].T, out=B[c:])
-        parts = B.view(float)
+        rows = np.empty((len(R), len(E[blk])), dtype=complex)  # one row per column
+        rows[:c] = B[blk, :c].T
+        np.conjugate(B[blk, c:].T, out=rows[c:])
+        parts = rows.view(float)
         flushed = np.abs(parts) < tiny  # zeros and subnormals; NaN compares False
         parts[flushed] = 0.0
         Q, S = _lattice_phases(E[blk], t0, dt, n_t)
         Y = np.empty_like(S)
         for col in np.flatnonzero(~flushed.all(axis=1)).tolist():
-            R[col] += np.matmul(Q, np.multiply(S, B[col, :, None], out=Y), out=Z)
+            R[col] += np.matmul(Q, np.multiply(S, rows[col, :, None], out=Y), out=Z)
         del Q, S, Y  # the next block's tables are built after these are freed
     for acc in R:  # each column to t order in place, through Z
         np.copyto(Z, acc)
         acc.reshape(n_b, K)[...] = Z.T
     np.conjugate(R[c:], out=R[c:])
-    R = R.reshape(len(R), -1)[:, :n_t].T
-    return R[:, :c], R[:, c:]
+    return R.reshape(len(R), -1)[:, :n_t].T
 
 
-def _fold(grid: MomentumGrid, E: np.ndarray, *cols: np.ndarray):
-    """(E[positive], *cols folded): ``_lattice_overlaps``'s energies and
-    columns on the n positive nodes, for node energies even in p.
+def _fold(grid: MomentumGrid, E: np.ndarray, B: np.ndarray):
+    """(E[positive], B folded): ``_lattice_overlaps``'s energies and
+    coefficient block on the n positive nodes, for node energies even in p.
 
     ``build_grid`` mirrors the nodes and weights bit for bit, so E_p (and
     p^2 / 2m) is equal at p and -p and the two nodes share every phase: the
     coefficients of -p are added to those of p, which halves the kernel's exp
     tables and products.  The one added rounding per coefficient is within
     the kernel's bound for the full node count.  A caller that drops the
-    unfolded columns before the kernel call does not hold them through it.
+    unfolded block before the kernel call does not hold it through it.
     """
     pos, neg = grid.positive, grid.negative
-    return (E[pos], *(b[pos] + b[neg][::-1] for b in cols))
+    return E[pos], B[pos] + B[neg][::-1]
 
 
-def _lattice_adjoint(
-    E: np.ndarray, t0: float, dt: float, n_t: int, plus: np.ndarray, minus: np.ndarray
-):
-    """The adjoint of ``_lattice_overlaps``: (sum_i e^{+i E_j t_i} plus_i,
-    sum_i e^{-i E_j t_i} minus_i) for lattice columns of shape (n_t, c) per
-    branch; returns two (N, c) views of one result.
+def _lattice_adjoint(E: np.ndarray, t0: float, dt: float, n_t: int, A: np.ndarray, c: int):
+    """The adjoint of ``_lattice_overlaps``: sum_i e^{+i lam E_j t_i} a_i of
+    the lattice columns a of A (n_t, cols), lam = +1 for the first c columns
+    and lam = -1 for the rest; returns one (N, cols) array.
 
-    Each column x of [conj(plus) | minus] is zero-padded to whole K-row
-    blocks X_k.  Per block of ``_NODE_BLOCK`` nodes and per column,
+    Each column x of [conj(A[:, :c]) | A[:, c:]] is zero-padded to whole
+    K-row blocks X_k.  Per block of ``_NODE_BLOCK`` nodes and per column,
     Z = Q^T @ [X_0 ... X_{blocks-1}], then sum_k S[:, k] Z[:, k] row by row
     gives the block's output rows; the lam = +1 columns are conjugated back in
     place.  As in the forward sums, the working memory beside the padded
     columns and the output is three block-sized tables, whatever N.
     """
     K = math.isqrt(max(n_t - 1, 0)) + 1
-    c = plus.shape[1]
-    X = np.zeros((c + minus.shape[1], -(-n_t // K) * K), dtype=complex)
-    np.conjugate(plus.T, out=X[:c, :n_t])
-    X[c:, :n_t] = minus.T
+    X = np.zeros((A.shape[1], -(-n_t // K) * K), dtype=complex)
+    np.conjugate(A[:, :c].T, out=X[:c, :n_t])
+    X[c:, :n_t] = A[:, c:].T
     X = X.reshape(len(X), -1, K)
     R = np.empty((len(E), len(X)), dtype=complex)
     for blk in _node_blocks(len(E)):
@@ -200,7 +194,7 @@ def _lattice_adjoint(
             R[blk, col] = np.einsum("jk,jk->j", Z, S)
         del Q, S, Z  # the next block's tables are built after these are freed
     np.conjugate(R[:, :c], out=R[:, :c])
-    return R[:, :c], R[:, c:]
+    return R
 
 
 @dataclass(frozen=True)
@@ -355,10 +349,10 @@ def resynthesize_time_family(f: GridSpinorField, m: float, t_window: tuple, n_t:
     grid = f.grid
     E, W, phi, c = _spectral_data(f, m)
     b = grid.weights * W * c / _SQRT2PI
-    E, plus, minus = _fold(grid, E, b[:2].T, b[2:].T)
-    amp_pos, amp_neg = _lattice_overlaps(E, *lattice, plus, minus)  # <phi_t|psi>
+    E, b = _fold(grid, E, b.T)  # the channels, lam = +1 first
+    amp = _lattice_overlaps(E, *lattice, b, 2)  # <phi_t|psi>
     # the resum is the adjoint contraction on the same lattice
-    up = np.concatenate(_lattice_adjoint(E, *lattice, amp_pos, amp_neg), axis=1)
+    up = _lattice_adjoint(E, *lattice, amp, 2)
     coeff = lattice[1] * np.concatenate([up[::-1], up]).T
     rec = 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / _SQRT2PI
     return GridSpinorField(grid, rec)

@@ -342,8 +342,7 @@ def check_delta_concentration() -> float:
         grid = grids.build_grid(1e-3, p_max, 512, 4)
         ref = eigenfunctions.position_eigenfunction(x, 1, 0.5, m).value(grid.nodes)
         dens = (grid.weights * np.sum(np.abs(ref) ** 2, axis=1))[:, None]
-        _, overlap = eigenfunctions._lattice_overlaps(grid.nodes, *lattice, dens[:, :0], dens)
-        overlap = np.abs(overlap[:, 0])
+        overlap = np.abs(eigenfunctions._lattice_overlaps(grid.nodes, *lattice, dens, 0)[:, 0])
         if dxs[np.argmax(overlap)] != 0.0:
             return float("inf")
         half = overlap.max() / 2.0

@@ -394,9 +394,9 @@ def test_spectral_core_matches_per_channel_loop(two_branch_packet):
     E, W, _, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / SQRT2PI
     dt = (WINDOW[1] - WINDOW[0]) / (N_T - 1)
-    a_pos, a_neg = _lattice_overlaps(E, WINDOW[0], dt, N_T, b[:2].T, b[2:].T)
+    amps = _lattice_overlaps(E, WINDOW[0], dt, N_T, b.T, 2)
     for k, (lam, s) in enumerate(_CHANNELS):
-        core = (a_pos if lam == 1 else a_neg)[:, k % 2]
+        core = amps[:, k]
         ref = ref_amps[(lam, s)]
         assert np.max(np.abs(core - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -460,17 +460,17 @@ def test_one_helicity_flux_passes_zero_columns(monkeypatch, grid512, s):
     f = arrival.build_packet(spec, grid512)
     seen = []
 
-    def spy(E, t0, dt, n_t, plus, minus):
-        seen.append((plus, minus))
-        return _lattice_overlaps(E, t0, dt, n_t, plus, minus)
+    def spy(E, t0, dt, n_t, B, c):
+        seen.append((B, c))
+        return _lattice_overlaps(E, t0, dt, n_t, B, c)
 
     monkeypatch.setattr(arrival, "_lattice_overlaps", spy)
     arrival.flux_at_origin(f, 1.0, WINDOW, 101)
-    (plus, minus), = seen  # the pass's one kernel call, on the folded positive nodes
-    # columns [A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch
+    (B, c), = seen  # the pass's one kernel call, on the folded positive nodes
+    # columns [A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch, lam = +1 first
+    assert B.shape == (grid512.n_nodes // 2, 12) and c == 6
     live, dead = ([0, 2, 4], [1, 3, 5]) if s == 0.5 else ([1, 3, 5], [0, 2, 4])
-    for cols in (plus, minus):
-        assert cols.shape == (grid512.n_nodes // 2, 6)
+    for cols in (B[:, :6], B[:, 6:]):
         assert np.all(cols[:, dead] == 0.0)
         assert np.all(np.any(cols[:, live] != 0.0, axis=0))
 
@@ -481,9 +481,9 @@ def _spinor_flux(f, m, window, n_t):
     _, lattice = eigenfunctions._time_lattice(window, n_t)
     E, _, phi, c = _spectral_data(f, m)
     b = f.grid.weights[:, None] * c[:, :, None] * phi / SQRT2PI
-    E, plus, minus = _fold(f.grid, E, b[0] + b[1], b[2] + b[3])
-    psi_pos, psi_neg = _lattice_overlaps(E, *lattice, plus, minus)
-    return _current(psi_pos + psi_neg)
+    E, B = _fold(f.grid, E, np.hstack([b[0] + b[1], b[2] + b[3]]))
+    psi = _lattice_overlaps(E, *lattice, B, 4)
+    return _current(psi[:, :4] + psi[:, 4:])
 
 
 def _random_field(grid, seed):
@@ -628,7 +628,7 @@ def test_nonrelativistic_arrival_is_the_positive_branch_of_the_shared_assembly()
     b = (w * np.sqrt(np.abs(p) / m) / SQRT2PI)[:, None] * (f.values @ np.conj(zeta))
     ts, lattice = eigenfunctions._time_lattice(window, n_t)
     E, b = _fold(f.grid, p * p / (2.0 * m), b)
-    amp, _ = _lattice_overlaps(E, *lattice, b, b[:, :0])
+    amp = _lattice_overlaps(E, *lattice, b, 2)
     pi = np.sum(np.abs(amp) ** 2, axis=1)
     assert np.array_equal(non.Pi_total, pi / float(np.trapezoid(pi, ts)))
     assert np.array_equal(non.Pi_pos, non.Pi_total)
@@ -642,16 +642,16 @@ def test_l1_distance_mismatched_lattice(grid512, benchmark_packet):
         arrival.l1_distance(d1, d2)
 
 
-def _single_gemm_overlaps(E, t0, dt, n_t, plus, minus):
+def _single_gemm_overlaps(E, t0, dt, n_t, B, c):
     """The lattice sums as one product of Q with every block of every column
     side by side, as before the per-column contraction; kept as the reference."""
     Q, S = eigenfunctions._lattice_phases(E, t0, dt, n_t)
-    B = np.concatenate([plus, np.conj(minus)], axis=1)
+    B = np.concatenate([B[:, :c], np.conj(B[:, c:])], axis=1)
     n_b, cols = S.shape[1], B.shape[1]
     Y = (S[:, :, None] * B[:, None, :]).reshape(len(E), n_b * cols)
     R = (Q @ Y).reshape(len(Q), n_b, cols).transpose(1, 0, 2).reshape(-1, cols)[:n_t]
-    c = plus.shape[1]
-    return R[:, :c], np.conj(R[:, c:])
+    np.conjugate(R[:, c:], out=R[:, c:])
+    return R
 
 
 @pytest.mark.parametrize(
@@ -699,9 +699,8 @@ def _unfolded_resynthesis(f, m, window, n_t):
     _, lattice = eigenfunctions._time_lattice(window, n_t)
     E, W, phi, c = _spectral_data(f, m)
     b = f.grid.weights * W * c / SQRT2PI
-    amp_pos, amp_neg = _lattice_overlaps(E, *lattice, b[:2].T, b[2:].T)
-    up_pos, up_neg = eigenfunctions._lattice_adjoint(E, *lattice, amp_pos, amp_neg)
-    coeff = lattice[1] * np.concatenate([up_pos, up_neg], axis=1).T
+    amp = _lattice_overlaps(E, *lattice, b.T, 2)
+    coeff = lattice[1] * eigenfunctions._lattice_adjoint(E, *lattice, amp, 2).T
     return 0.5 * np.einsum("kj,kjc->jc", W * coeff, phi) / SQRT2PI
 
 
@@ -737,9 +736,9 @@ def test_folded_sums_match_the_sums_over_every_node(monkeypatch, grid_args, pack
     rec = eigenfunctions.resynthesize_time_family(f, 1.0, window, n_t).values
     calls = []
 
-    def unfolded(grid, E, *cols):
+    def unfolded(grid, E, B):
         calls.append("fold")
-        return (E, *cols)
+        return E, B
 
     # the names the one pass and the nonrelativistic sums look up; a patch
     # that misses them would compare the code with itself

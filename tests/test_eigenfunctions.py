@@ -409,7 +409,8 @@ def test_lattice_sums_match_extended_precision(
     0, which adds 2 N tiny to their bound.  The overlaps are also taken
     through ``_fold`` on the mirrored nodes (-p, p), with E_p = |p|
     as at m = 0 and the coefficients above on p: the same bound, with L and N
-    the full node count 2n.
+    the full node count 2n.  Each kernel takes the 2 lam = +1 and 3 lam = -1
+    columns as one block with c = 2.
     """
     assume(t0 != t1)
     rng = np.random.default_rng(seed)
@@ -454,10 +455,14 @@ def test_lattice_sums_match_extended_precision(
         "folded+": P2 @ plus2.astype(np.clongdouble),
         "folded-": np.conj(P2) @ minus2.astype(np.clongdouble),
     }
-    got = dict(zip(("overlap+", "overlap-"), _lattice_overlaps(E, t0, dt, n_t, plus, minus)))
-    got.update(zip(("adjoint+", "adjoint-"), _lattice_adjoint(E, t0, dt, n_t, x_plus, x_minus)))
-    E_fold, plus_fold, minus_fold = _fold(grid, E2, plus2, minus2)
-    got.update(zip(("folded+", "folded-"), _lattice_overlaps(E_fold, t0, dt, n_t, plus_fold, minus_fold)))
+    E_fold, B_fold = _fold(grid, E2, np.hstack([plus2, minus2]))
+    got = {}
+    for key, R in (
+        ("overlap", _lattice_overlaps(E, t0, dt, n_t, np.hstack([plus, minus]), 2)),
+        ("adjoint", _lattice_adjoint(E, t0, dt, n_t, np.hstack([x_plus, x_minus]), 2)),
+        ("folded", _lattice_overlaps(E_fold, t0, dt, n_t, B_fold, 2)),
+    ):
+        got[key + "+"], got[key + "-"] = R[:, :2], R[:, 2:]
     eps, scale = np.finfo(float).eps, max(abs(t0), abs(t1)) * np.max(E)
     for key, coeff, terms in (
         ("overlap+", plus, n_nodes), ("overlap-", minus, n_nodes),
@@ -473,21 +478,21 @@ def test_lattice_sums_match_extended_precision(
 
 
 def _three_blocks():
-    """Energies and (plus, minus) coefficients, 2 columns each, on three node
-    blocks: the first all zero, the last all subnormal."""
+    """Energies and a coefficient block of 2 lam = +1 and 2 lam = -1 columns
+    on three node blocks: the first all zero, the last all subnormal."""
     n = 3 * _NODE_BLOCK
     rng = np.random.default_rng(7)
     E = np.hypot(rng.uniform(1e-3, 10.0, n), 1.0)
     coeff = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
     coeff[:, :_NODE_BLOCK] = 0.0
     coeff[:, 2 * _NODE_BLOCK :] *= np.finfo(float).tiny / 8.0
-    return E, coeff[0], coeff[1]
+    return E, np.hstack([coeff[0], coeff[1]])
 
 
 def test_lattice_overlaps_build_no_tables_for_a_zero_block(monkeypatch):
     """Only the middle block holds a value once subnormals are flushed, so
     only its exp tables are built, and the sums equal those over it alone."""
-    E, plus, minus = _three_blocks()
+    E, B = _three_blocks()
     phases, built = eigenfunctions._lattice_phases, []
 
     def counted(E_blk, *lattice):
@@ -495,12 +500,10 @@ def test_lattice_overlaps_build_no_tables_for_a_zero_block(monkeypatch):
         return phases(E_blk, *lattice)
 
     monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted)
-    got = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
+    got = _lattice_overlaps(E, -20.0, 0.05, 801, B, 2)
     assert len(built) == 1 and np.array_equal(built[0], E[_NODE_BLOCK : 2 * _NODE_BLOCK])
     mid = slice(_NODE_BLOCK, 2 * _NODE_BLOCK)
-    alone = _lattice_overlaps(E[mid], -20.0, 0.05, 801, plus[mid], minus[mid])
-    for a, b in zip(got, alone):
-        assert np.array_equal(a, b)
+    assert np.array_equal(got, _lattice_overlaps(E[mid], -20.0, 0.05, 801, B[mid], 2))
 
 
 def test_lattice_overlaps_drop_the_nodes_with_no_live_coefficient(monkeypatch):
@@ -512,11 +515,11 @@ def test_lattice_overlaps_drop_the_nodes_with_no_live_coefficient(monkeypatch):
     rng = np.random.default_rng(11)
     E = np.hypot(rng.uniform(1e-3, 10.0, n), 1.0)
     plus, minus = rng.standard_normal((2, n, 3)) + 1j * rng.standard_normal((2, n, 3))
+    B = np.hstack([plus, minus])  # c = 3
     dead = np.zeros(n, dtype=bool)
     for rows, scale in ((slice(0, 9), 0.0), (slice(9, 20), tiny / 8.0), (slice(140, 160), 0.0),
                         (slice(160, 175), tiny / 3.0), (slice(285, 300), 0.0), (slice(280, 285), tiny / 5.0)):
-        plus[rows] *= scale
-        minus[rows] *= scale
+        B[rows] *= scale
         dead[rows] = True
     live = ~dead
     phases, built = eigenfunctions._lattice_phases, []
@@ -527,56 +530,72 @@ def test_lattice_overlaps_drop_the_nodes_with_no_live_coefficient(monkeypatch):
 
     monkeypatch.setattr(eigenfunctions, "_lattice_phases", counted)
     t0, dt, n_t = -20.0, 0.05, 801
-    got = _lattice_overlaps(E, t0, dt, n_t, plus, minus)
+    got = _lattice_overlaps(E, t0, dt, n_t, B, 3)
     assert built == [_NODE_BLOCK, np.count_nonzero(live) - _NODE_BLOCK]
-    for a, b in zip(got, _lattice_overlaps(E[live], t0, dt, n_t, plus[live], minus[live])):
-        assert np.array_equal(a, b)
+    assert np.array_equal(got, _lattice_overlaps(E[live], t0, dt, n_t, B[live], 3))
     ld = np.longdouble
     t = ld(t0) + np.arange(n_t).astype(ld) * ld(dt)
     P = np.exp(np.outer(t, E.astype(ld)) * np.clongdouble(-1j))
+    exact = np.hstack([P @ B[:, :3].astype(np.clongdouble), np.conj(P) @ B[:, 3:].astype(np.clongdouble)])
     scale = max(abs(t0), abs(t0 + (n_t - 1) * dt)) * np.max(E)
-    for sums, exact, coeff in zip(got, (P @ plus.astype(np.clongdouble),
-                                        np.conj(P) @ minus.astype(np.clongdouble)), (plus, minus)):
-        err = np.max(np.abs(sums - exact), axis=0).astype(float)
-        bound = 16.0 * np.finfo(float).eps * (scale + n) * np.sum(np.abs(coeff), axis=0) + 2.0 * n * tiny
-        assert np.all(err <= bound), err / bound
+    err = np.max(np.abs(got - exact), axis=0).astype(float)
+    bound = 16.0 * np.finfo(float).eps * (scale + n) * np.sum(np.abs(B), axis=0) + 2.0 * n * tiny
+    assert np.all(err <= bound), err / bound
 
 
 def test_lattice_overlaps_zero_column_is_exact_zero():
     """An all-zero coefficient column, beside live ones, sums to +0 exactly;
     its lam = -1 sum is the conjugate of +0."""
-    E, plus, minus = _three_blocks()
-    plus[:, 1] = 0.0
-    minus[:, 0] = 0.0
-    pos, neg = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
-    for col in (pos[:, 1], np.conj(neg[:, 0])):
+    E, B = _three_blocks()
+    B[:, 1] = 0.0  # lam = +1
+    B[:, 2] = 0.0  # lam = -1
+    R = _lattice_overlaps(E, -20.0, 0.05, 801, B, 2)
+    for col in (R[:, 1], np.conj(R[:, 2])):
         parts = np.ascontiguousarray(col).view(float)
         assert np.all(parts == 0.0) and not np.any(np.signbit(parts))
-    assert np.all(pos[:, 0] != 0.0) and np.all(neg[:, 1] != 0.0)
+    assert np.all(R[:, 0] != 0.0) and np.all(R[:, 3] != 0.0)
 
 
 def test_lattice_overlaps_keep_the_smallest_normal_live():
     """Only subnormals are flushed: a column whose one value is the smallest
     normal number, tiny, in an otherwise all-zero block still sums."""
-    E, plus, minus = _three_blocks()
-    plus[:, 0] = 0.0
-    plus[3, 0] = np.finfo(float).tiny
-    pos, _ = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
-    assert np.max(np.abs(pos[:, 0])) >= 0.5 * np.finfo(float).tiny
+    E, B = _three_blocks()
+    B[:, 0] = 0.0
+    B[3, 0] = np.finfo(float).tiny
+    R = _lattice_overlaps(E, -20.0, 0.05, 801, B, 2)
+    assert np.max(np.abs(R[:, 0])) >= 0.5 * np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lattice_overlaps_keep_non_finite_coefficients_live(bad):
     """A NaN or inf coefficient in an otherwise all-zero block is not
     skipped: its column comes back non-finite, for the writer guard to see."""
-    E, plus, minus = _three_blocks()
-    plus[:, 0] = 0.0
-    plus[5, 0] = bad
-    minus[7, 1] = bad * 1j
+    E, B = _three_blocks()
+    B[:, 0] = 0.0
+    B[5, 0] = bad
+    B[7, 3] = bad * 1j
     with np.errstate(invalid="ignore"):  # inf times a phase has NaN parts
-        pos, neg = _lattice_overlaps(E, -20.0, 0.05, 801, plus, minus)
-    assert not np.any(np.isfinite(pos[:, 0])) and not np.any(np.isfinite(neg[:, 1]))
-    assert np.all(np.isfinite(pos[:, 1])) and np.all(np.isfinite(neg[:, 0]))
+        R = _lattice_overlaps(E, -20.0, 0.05, 801, B, 2)
+    assert not np.any(np.isfinite(R[:, 0])) and not np.any(np.isfinite(R[:, 3]))
+    assert np.all(np.isfinite(R[:, 1:3]))
+
+
+@pytest.mark.parametrize("c", [0, 2, 5], ids=["none", "two", "all"])
+def test_lattice_kernels_block_is_its_plus_sums_and_conjugated_plus_sums(c):
+    """For random blocks, the first c columns of each kernel's block are its
+    lam = +1 sums of those columns, and the rest the conjugates of the
+    lam = +1 sums of the conjugated columns, bit for bit: the lam = -1 sums
+    are the lam = +1 sums on the conjugate tables, and conjugation is exact."""
+    rng = np.random.default_rng(13)
+    n_nodes, n_t = 2 * _NODE_BLOCK + 37, 1001
+    E = np.hypot(rng.uniform(1e-3, 10.0, n_nodes), 1.0)
+    for kernel, rows in ((_lattice_overlaps, n_nodes), (_lattice_adjoint, n_t)):
+        B = rng.standard_normal((rows, 5)) + 1j * rng.standard_normal((rows, 5))
+        got = kernel(E, -45.0, 0.09, n_t, B, c)
+        if c:  # a kernel takes no empty block
+            assert np.array_equal(got[:, :c], kernel(E, -45.0, 0.09, n_t, B[:, :c], c))
+        if c < 5:
+            assert np.array_equal(got[:, c:], np.conj(kernel(E, -45.0, 0.09, n_t, np.conj(B[:, c:]), 5 - c)))
 
 
 @pytest.mark.parametrize("n_nodes, n_t", [(2048, 2501), (512, 12001)])
@@ -594,13 +613,13 @@ def test_lattice_kernels_working_memory_is_bounded(n_nodes, n_t):
 
     K = math.isqrt(n_t - 1) + 1
     tables = 16 * n_nodes * (K + -(-n_t // K))
-    for kernel, args, out_rows in (
-        (_lattice_overlaps, (cplx(n_nodes, 4), cplx(n_nodes, 4)), n_t),
-        (_lattice_adjoint, (cplx(n_t, 4), cplx(n_t, 4)), n_nodes),
+    for kernel, B, out_rows in (
+        (_lattice_overlaps, np.hstack([cplx(n_nodes, 4), cplx(n_nodes, 4)]), n_t),
+        (_lattice_adjoint, np.hstack([cplx(n_t, 4), cplx(n_t, 4)]), n_nodes),
     ):
         tracemalloc.start()
         try:
-            kernel(E, -45.0, dt, n_t, *args)
+            kernel(E, -45.0, dt, n_t, B, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -626,9 +645,10 @@ def test_lattice_overlaps_hold_one_block_of_tables_at_a_time(n_nodes, n_t):
         (_lattice_adjoint, n_t, 16 * 8 * (K * n_b + n_nodes)),
     ):
         plus, minus = rng.standard_normal((2, rows_in, 4)) + 1j * rng.standard_normal((2, rows_in, 4))
+        B = np.hstack([plus, minus])
         tracemalloc.start()
         try:
-            kernel(E, -45.0, 90.0 / (n_t - 1), n_t, plus, minus)
+            kernel(E, -45.0, 90.0 / (n_t - 1), n_t, B, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -639,8 +659,10 @@ def test_lattice_overlaps_hold_one_block_of_tables_at_a_time(n_nodes, n_t):
 def test_lattice_kernels_memory_does_not_grow_with_the_node_count():
     """At (N, n_t) = (8192, 2501), 4 columns per branch, peak traced memory of
     each kernel <= 2 x (three tables of a 128-node block + coefficients +
-    output): no N x sqrt(n_t) table is formed (measured 0.27 and 0.53 of the
-    limit; with whole-N tables, about 13 MB here, the kernels read 5.4 x)."""
+    output): no N x sqrt(n_t) table is formed (measured 0.49 and 0.45 of the
+    limit, the overlaps' peak being their one live-node pass over all 8
+    columns, 0.29 when it took 4 at a time; with whole-N tables, about 13 MB
+    here, the kernels read 5.4 x)."""
     n_nodes, n_t, cols = 8192, 2501, 8
     rng = np.random.default_rng(4)
     E = np.hypot(rng.uniform(1e-3, 20.0, n_nodes), 1.0)
@@ -654,10 +676,10 @@ def test_lattice_kernels_memory_does_not_grow_with_the_node_count():
     for kernel, rows_in, rows_out in (
         (_lattice_overlaps, n_nodes, n_t), (_lattice_adjoint, n_t, n_nodes),
     ):
-        args = (cplx(rows_in, cols // 2), cplx(rows_in, cols // 2))
+        B = np.hstack([cplx(rows_in, cols // 2), cplx(rows_in, cols // 2)])
         tracemalloc.start()
         try:
-            kernel(E, -45.0, dt, n_t, *args)
+            kernel(E, -45.0, dt, n_t, B, cols // 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,8 +2,10 @@
 
 The node sums over a uniform t or x lattice (arrival amplitudes, the flux,
 the position profile, the delta-concentration scan, the resynthesis) go
-through ``_lattice_overlaps`` or ``_lattice_adjoint``, whose two exp tables
-``_lattice_phases`` builds as outer products.  An ``outer`` call anywhere else
+through ``_lattice_overlaps`` or ``_lattice_adjoint``.  Each takes one
+coefficient block, whose lam = +1 and lam = -1 columns share the two exp
+tables that ``_lattice_phases`` builds as outer products, the lam = -1
+columns through their conjugates.  An ``outer`` call anywhere else
 in ``src/dirac_toa`` builds a second, dense n x N phase table, and this rule
 fails.  Calls match by name: ``np.outer``, ``np.<ufunc>.outer`` and a bare
 ``outer``.

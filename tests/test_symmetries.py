@@ -21,7 +21,7 @@ from dirac_toa.algebra import _BETA_DIAG
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
-packets = given(
+DRAWS = dict(
     m=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
     p0=st.floats(0.5, 5.0) | st.floats(-5.0, -0.5),
     width=st.floats(0.05, 0.25),  # sigma_p / |p0|: no packet mass near p = 0
@@ -30,6 +30,7 @@ packets = given(
     phi=st.floats(0.0, 2.0 * math.pi),
     s=st.sampled_from([0.5, -0.5]),
 )
+packets = given(**DRAWS)
 
 
 def _scenario(m, p0, width, x0, theta, phi, s):
@@ -92,3 +93,76 @@ def test_interference_identity_on_raw_curves(**draw):
     product = 4.0 * (d.Pi_pos * d.normalization) * (d.Pi_neg * d.normalization)
     peak = np.max(d.Pi_total * d.normalization)
     assert np.max(np.abs(interf**2 + interf_i**2 - product)) <= 8.0 * EPS * peak**2
+
+
+@PROPERTY
+@packets
+@example(m=0.0, p0=2.0, width=0.1, x0=-5.0, theta=0.0, phi=0.0, s=0.5)
+def test_particle_antiparticle_reverses_pi_in_time(**draw):
+    # the (0, 1) packet has the lam = +1 projections of the (1, 0) packet on
+    # the lam = -1 branch, whose phases e^{+i E t} are the conjugates, so its
+    # Pi on the mirrored window is Pi(-t), sample for sample reversed.  The
+    # two passes round E t on different lattices (sample i of the mirrored
+    # one, -t1 + i dt, against -(t0 + (n_t - 1 - i) dt)), so the bound is
+    # C eps max|t| max|E| of the peak; measured at most C = 0.47 over 6,000
+    # draws
+    spec, grid, window = _scenario(**draw)
+    d = _dist(replace(spec, c_plus=1.0, c_minus=0.0), grid, window)
+    da = _dist(replace(spec, c_plus=0.0, c_minus=1.0), grid, (-window[1], -window[0]))
+    Et = max(map(abs, window)) * math.hypot(grid.p_max, spec.m)
+    peak = np.max(d.Pi_total)
+    assert np.max(np.abs(da.Pi_total - d.Pi_total[::-1])) <= 2.0 * EPS * Et * peak
+    # J(t) -> -J(-t) only at m = 0 (measured at most C = 0.23 of max|J|).  At
+    # m > 0 the (0, 1) packet is not the charge conjugate C psi* of the
+    # (1, 0) one: the lam = -1 spinors swap the upper and lower half-angle
+    # factors sqrt((E + m) / 2E) and sqrt((E - m) / 2E) of the lam = +1 ones,
+    # which are equal only at m = 0, so J, the product of the upper and lower
+    # sums, is not mirrored (off by 1e-6 of max|J| in the median draw), while
+    # Pi, summed over the whole spinor, does not see the swap
+    if spec.m == 0.0:
+        assert np.max(np.abs(da.J + d.J[::-1])) <= 1.0 * EPS * Et * np.max(np.abs(d.J))
+
+
+@PROPERTY
+@packets
+def test_branch_phase_keeps_raw_pi_pos_and_pi_neg(**draw):
+    # c- -> i c- multiplies every lam = -1 amplitude by i, so the raw
+    # |a+|^2 and |a-|^2 (Pi_* times the normalization) are unchanged up to
+    # the rounding of the packet; measured at most 7.4 eps of max(raw Pi_total)
+    spec, grid, window = _scenario(**draw)
+    d = _dist(spec, grid, window)
+    di = _dist(replace(spec, c_minus=1j * spec.c_minus), grid, window)
+    peak = np.max(d.Pi_total * d.normalization)
+    for name in ("Pi_pos", "Pi_neg"):
+        raw, raw_i = getattr(d, name) * d.normalization, getattr(di, name) * di.normalization
+        assert np.max(np.abs(raw - raw_i)) <= 32.0 * EPS * peak, name
+
+
+@PROPERTY
+@given(k=st.integers(-60, 60), **DRAWS)
+@example(k=-3, m=1.0, p0=2.0, width=0.1, x0=-5.0, theta=0.3, phi=1.0, s=0.5)
+def test_scale_covariance(k, **draw):
+    # with a = 2^k, m, p0, sigma_p, p_min and p_max times a and x0 and the
+    # window over a leave every E t, p x, m / E and p / E as they were, so
+    # t a and captured_mass are as before and Pi and J scale as a rate, by a.
+    # The packet amplitude carries sigma_p^{-1/2}, a power of 2 only for even
+    # k: there every output is bit-equal; at odd k its rounding moves the
+    # curves by at most 13.4 eps of the peak of Pi_total, J by 381 eps of
+    # max|J| and captured_mass by 3.5 eps of itself (measured over 6,000
+    # draws; the t lattice is bit-equal at every k)
+    spec, grid, window = _scenario(**draw)
+    a = 2.0**k
+    scaled = replace(spec, m=spec.m * a, p0=spec.p0 * a, sigma_p=spec.sigma_p * a, x0=spec.x0 / a)
+    grid_a = grids.build_grid(1e-3 * a, grid.p_max * a, 64, 4)
+    d, da = _dist(spec, grid, window), _dist(scaled, grid_a, (window[0] / a, window[1] / a))
+    assert np.array_equal(da.t * a, d.t)
+    exact = k % 2 == 0
+    assert da.captured_mass == d.captured_mass if exact else (
+        abs(da.captured_mass - d.captured_mass) <= 16.0 * EPS * d.captured_mass
+    )
+    peak = np.max(d.Pi_total)
+    for name in ("Pi_total", "Pi_pos", "Pi_neg", "Pi_interf"):
+        got, want = getattr(da, name) / a, getattr(d, name)
+        assert np.array_equal(got, want) if exact else np.max(np.abs(got - want)) <= 64.0 * EPS * peak, name
+    got = da.J / a
+    assert np.array_equal(got, d.J) if exact else np.max(np.abs(got - d.J)) <= 2048.0 * EPS * np.max(np.abs(d.J))
