@@ -15,16 +15,16 @@ that starts with the JSON path, which the CLI reports with exit status 2; so
 too a ``MemoryError`` or ``OverflowError``, since a size the rules accept can
 still be too large to build.  ``config_to_dict`` inverts ``config_from_dict``
 and is every sidecar's config echo.  ``RunConfig`` and its section records
-are ``typing.NamedTuple``s.  Loading does no numerical work, but
-``PacketSpec`` raises its |p0| <= 3 sigma_p warning.
+are namedtuples named by ``DEFAULT_CONFIG`` and the field tables.  Loading
+does no numerical work, but ``PacketSpec`` raises its |p0| <= 3 sigma_p warning.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict
-from typing import NamedTuple
 
 from .arrival import PacketSpec
 from .eigenfunctions import _window_rule, event_eigenfunction, position_eigenfunction, time_eigenfunction
@@ -82,34 +82,6 @@ _FAMILIES = {
     "position": (position_eigenfunction, "x", "lam"),
     "event": (event_eigenfunction, "x", "b"),
 }
-
-
-class GridConfig(NamedTuple):
-    p_min: float
-    p_max: float
-    n_points: int
-    deriv_order: int
-
-
-class TimeConfig(NamedTuple):
-    t_min: float
-    t_max: float
-    n_t: int
-
-
-class LimitsConfig(NamedTuple):
-    ratios: tuple
-    e_max_factor: float
-
-
-class RunConfig(NamedTuple):
-    mass: float
-    grid: GridConfig
-    packet: PacketSpec
-    time: TimeConfig
-    seed: int
-    eigen: tuple  # of ToaEigenfunction
-    limits: LimitsConfig
 
 
 def _object(d, path: str, fields, defaults: dict) -> dict:
@@ -170,12 +142,17 @@ def _family(value, path: str) -> str:
     return value
 
 
-# the field tables of the sections, in the order of the record fields
+# the field tables of the sections, which name their records' fields in order
+# (the grid's order is build_grid's parameter order)
 _GRID = {"p_min": _number, "p_max": _number, "n_points": _integer, "deriv_order": _integer}
 _PACKET = {"x0": _number, "p0": _number, "sigma_p": _number, "c_plus": _complex_pair,
            "c_minus": _complex_pair, "s": _number}
 _TIME = {"t_min": _number, "t_max": _number, "n_t": _integer}
 _LIMITS = {"ratios": _ratios, "e_max_factor": _number}
+GridConfig = namedtuple("GridConfig", _GRID)
+TimeConfig = namedtuple("TimeConfig", _TIME)
+LimitsConfig = namedtuple("LimitsConfig", _LIMITS)
+RunConfig = namedtuple("RunConfig", DEFAULT_CONFIG)  # eigen: a tuple of ToaEigenfunction
 
 
 def _eigen_from(items, path: str, mass: float) -> tuple:
@@ -232,7 +209,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "time": cfg.time._asdict(),
         "seed": cfg.seed,
         "eigen": [{"family": f.family, **f.labels} for f in cfg.eigen],
-        "limits": {"ratios": list(cfg.limits.ratios), "e_max_factor": cfg.limits.e_max_factor},
+        "limits": {**cfg.limits._asdict(), "ratios": list(cfg.limits.ratios)},
     }
 
 

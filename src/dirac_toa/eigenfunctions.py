@@ -131,7 +131,10 @@ def _lattice_overlaps(E: np.ndarray, t0: float, dt: float, n_t: int, B: np.ndarr
     Z = np.empty((K, n_b), dtype=complex)
     tiny = np.finfo(float).tiny
     # NaN compares False, so its node stays live
-    live = np.any(~(np.maximum(np.abs(B.real), np.abs(B.imag)) < tiny), axis=1)
+    big = np.abs(B.real)
+    np.maximum(big, np.abs(B.imag), out=big)
+    live = np.any(~(big < tiny), axis=1)
+    del big  # the blocks' tables are built after this is freed
     if not live.all():
         E, B = E[live], B[live]
     for blk in _node_blocks(len(E)):

@@ -316,6 +316,49 @@ def test_massless_arrival_matches_the_closed_form():
     assert np.max(np.abs(dist.J[idx] - J)) <= 5e-8 * np.max(np.abs(J))
 
 
+DEFAULT_MASSLESS = arrival.PacketSpec(m=0.0, x0=-10.0, p0=2.0, sigma_p=0.1)
+
+
+@pytest.mark.parametrize("n_points, bound", [(128, 1e-3), (192, 1e-10), (256, 1e-14)])
+def test_default_packet_at_zero_mass_matches_the_closed_form(n_points, bound):
+    # the default packet and window at m = 0, at 33 strided samples and the
+    # peak: the raw Pi_pos and J within ``bound`` of their peaks (measured
+    # 5.9e-4, 3.7e-11 and 2.3e-15 for both; the 128-node error is the grid's
+    # own, 8.4e-4 over all 1261 samples, and falls as the nodes resolve the
+    # phase e^{-i p x0}); Pi_neg and Pi_interf are exact zeros
+    f = arrival.build_packet(DEFAULT_MASSLESS, grids.build_grid(1e-3, 10.0, n_points))
+    dist = arrival.arrival_distribution(f, 0.0, WINDOW, N_T)
+    idx = sorted(set(range(0, N_T, 39)) | {int(np.argmax(dist.Pi_total))})
+    a_pos, _, J = _massless_oracle(DEFAULT_MASSLESS, dist.t[idx])
+    ref = np.abs(a_pos) ** 2
+    assert np.max(np.abs(dist.Pi_pos[idx] * dist.normalization - ref)) <= bound * np.max(ref)
+    assert not np.any(dist.Pi_neg) and not np.any(dist.Pi_interf)
+    assert np.max(np.abs(dist.J[idx] - J)) <= bound * np.max(np.abs(J))
+
+
+def _oracle_peak(spec, column: str, t: float, h: float = 1e-2) -> float:
+    """The peak of the closed-form Pi (``column`` "Pi") or J near t: three
+    steps to the vertex of the parabola through the samples t - h, t, t + h."""
+    for _ in range(3):
+        a_pos, _, J = _massless_oracle(spec, [t - h, t, t + h])
+        y0, y1, y2 = np.abs(a_pos) ** 2 if column == "Pi" else J
+        t += 0.5 * h * (y0 - y2) / (y0 - 2.0 * y1 + y2)
+    return t
+
+
+def test_massless_peak_times_match_the_closed_form_between_samples():
+    # on a lattice of dt = 0.05 that samples 9.98 and 10.03 but not the
+    # oracle's peak, t = 10 to 3e-14: peak_time and flux_peak_time within
+    # 1e-6 (measured 1.8e-7 for both, the parabola's error on this curve);
+    # a wrong sign on the parabolic shift reads 9.96, 0.04 off
+    f = arrival.build_packet(DEFAULT_MASSLESS, grids.build_grid(1e-3, 10.0, 256))
+    dist = arrival.arrival_distribution(f, 0.0, (-19.97, 43.03), N_T)
+    assert not np.any(np.isclose(dist.t, 10.0, rtol=0.0, atol=0.01))
+    t_sampled = float(dist.t[np.argmax(dist.Pi_total)])
+    assert abs(dist.peak_time - _oracle_peak(DEFAULT_MASSLESS, "Pi", t_sampled)) <= 1e-6
+    assert abs(arrival.flux_peak_time(dist.t, dist.J) - _oracle_peak(DEFAULT_MASSLESS, "J", t_sampled)) <= 1e-6
+
+
 @pytest.mark.parametrize("center", [3.37, 7.71])
 def test_peak_location_refines_between_samples(center):
     # the parabola through the three samples around the maximum: 4.8e-5 off

@@ -633,7 +633,8 @@ def test_lattice_overlaps_hold_one_block_of_tables_at_a_time(n_nodes, n_t):
     the overlaps stays below 5 tables of 128 x max(K, blocks): the current
     block's Q, S and scaled S, and its small coefficient rows (measured 3.7
     and 4.2; with the previous block's tables still held while the next
-    block's are built, 6.2 and 7.0).  The same holds for the adjoint beside
+    block's are built, 6.2 and 7.0; with the live-node pass's array held
+    through the blocks, 3.8 and 5.4).  The same holds for the adjoint beside
     its zero-padded columns and its output: the block's Q, S and Z (measured
     3.2 and 4.0; 6.2 and 7.0 with the previous block's held)."""
     rng = np.random.default_rng(3)
@@ -659,10 +660,10 @@ def test_lattice_overlaps_hold_one_block_of_tables_at_a_time(n_nodes, n_t):
 def test_lattice_kernels_memory_does_not_grow_with_the_node_count():
     """At (N, n_t) = (8192, 2501), 4 columns per branch, peak traced memory of
     each kernel <= 2 x (three tables of a 128-node block + coefficients +
-    output): no N x sqrt(n_t) table is formed (measured 0.49 and 0.45 of the
+    output): no N x sqrt(n_t) table is formed (measured 0.36 and 0.45 of the
     limit, the overlaps' peak being their one live-node pass over all 8
-    columns, 0.29 when it took 4 at a time; with whole-N tables, about 13 MB
-    here, the kernels read 5.4 x)."""
+    columns, which holds two real arrays of the block's shape, 0.49 when it
+    held three; with whole-N tables, about 13 MB here, the kernels read 5.4 x)."""
     n_nodes, n_t, cols = 8192, 2501, 8
     rng = np.random.default_rng(4)
     E = np.hypot(rng.uniform(1e-3, 20.0, n_nodes), 1.0)

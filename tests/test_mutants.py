@@ -1,9 +1,10 @@
 """Mutants that `verify` must catch: each is applied by ``monkeypatch``,
 with no source edit, and the named check must FAIL and `verify` exit 1.
 
-The mutants here put NaN into a term of their check.  Python's ``max`` drops
+The first batch puts NaN into a term of its check.  Python's ``max`` drops
 a NaN that is not its first argument; ``run_all_checks`` folds every residual
-with ``np.max``, which keeps it.
+with ``np.max``, which keeps it.  The second batch makes one number of the
+physics wrong, and its check must read a finite residual above tolerance.
 """
 import math
 import re
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dirac_toa import arrival, cli, limits
+from dirac_toa import algebra, arrival, cli, eigenfunctions, grids, limits
 
 
 def _nan_at_label(real, k, part=None):
@@ -62,3 +63,63 @@ def test_a_nan_term_fails_its_check_and_verify(monkeypatch, capsys, check, modul
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert re.search(rf"^{check}\s+max_residual=nan\s+tolerance=\S+\s+FAIL$", out, re.MULTILINE), out
+
+
+def _t_non_with_abs_p(real):
+    def mutant(x, p, m):
+        t_rel, _, _ = real(x, p, m)
+        t_non = -x * m / np.abs(p)
+        return t_rel, t_non, abs(t_rel - t_non)
+
+    return mutant
+
+
+def _scaled_values(real):
+    def mutant(*args):
+        out = real(*args)
+        return replace(out, values=out.values * 1.001)
+
+    return mutant
+
+
+def _toa_mass_term_negated(real):
+    def mutant(f, m):
+        out = real(f, m)
+        p = f.grid.nodes
+        term = (1j * m / (2.0 * p * p))[:, None] * (f.values * algebra._BETA_DIAG)
+        return replace(out, values=out.values - 2.0 * term)
+
+    return mutant
+
+
+# (mutant, check, residual measured on the default config, bindings, mutant of the real attribute)
+WRONG_NUMBERS = [
+    ("W_to_the_1.001", "time_family_resynthesis", 1.2e-4,
+     [(eigenfunctions, "weight_factor"), (grids, "weight_factor"), (limits, "weight_factor")],
+     lambda real: lambda m, p: real(m, p) ** 1.001),
+    ("t_non_with_abs_p", "nr_eigenvalue_gap", 2.0,
+     [(limits, "nr_eigen_limit_check")], _t_non_with_abs_p),
+    ("resynthesis_times_1.001", "time_family_resynthesis", 1.0e-3,
+     [(eigenfunctions, "resynthesize_time_family")], _scaled_values),
+    ("toa_mass_term_negated", "commutator_analytic", 1.8,
+     [(grids, "apply_toa")], _toa_mass_term_negated),
+    ("position_eigenvalue_with_abs_p", "position_family_pointwise", 42.7,
+     [(eigenfunctions.ToaEigenfunction, "eigenvalue")],
+     lambda real: lambda self, p: real(self, np.abs(p) if self.family == "position" else p)),
+    ("dvalue_dE_with_t_x", "dual_residual", 1.69,
+     [(limits.DualSolution, "dvalue_dE")],
+     lambda real: lambda self, E, p: 1j * np.asarray(self.t_x)[..., None] * self.value(E, p)),
+]
+
+
+@pytest.mark.parametrize("check, measured, bindings, mutate", [m[1:] for m in WRONG_NUMBERS],
+                         ids=[m[0] for m in WRONG_NUMBERS])
+def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, check, measured, bindings, mutate):
+    for owner, attr in bindings:
+        monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    found = re.search(rf"^{check}\s+max_residual=(\S+)\s+tolerance=(\S+)\s+FAIL$", out, re.MULTILINE)
+    assert found, out
+    residual, tolerance = (float(v) for v in found.groups())
+    assert tolerance < residual < math.inf, (residual, measured)
