@@ -30,28 +30,30 @@ Both A_{lam s}(t) and psi(t, 0) are node sums sum_j b_j e^{-i lam E_j t}
 over the spectral core of ``grids``, and ``arrival_distribution`` takes both
 in one pass: one ``_spectral_data`` call, the six coefficient columns
 [A_{+1/2}, A_{-1/2}, U_{+1/2}, U_{-1/2}, L_{+1/2}, L_{-1/2}] per branch,
-lam = +1 first, as one block of twelve, and one kernel call, whose exp tables
-serve Pi and J; ``flux_at_origin`` reads its J.  psi(t, x) is the lam = -1
-sum with p_j in place of E_j.  The samples form the uniform lattice
-np.linspace(t0, t1, n_t), whose one window rule is
+lam = +1 first, as one block of twelve, and one kernel call, whose exp
+tables serve Pi and J; ``flux_at_origin`` reads its J.  The samples form the
+uniform lattice np.linspace(t0, t1, n_t), whose one window rule is
 ``eigenfunctions._window_rule``, shared with ``resynthesize_time_family``.
-The phases factor into two sqrt(n_t) x N exp tables, e^{-i E t_i} =
-Q[r] S[k] for i = k K + r, and the conjugate tables carry lam = -1, so the
-kernel, ``eigenfunctions._lattice_overlaps``, takes one coefficient block
-whose first c columns are lam = +1 sums and whose others are lam = -1 sums.
-E_p and p^2 / 2m are even in p and the grid's nodes are exact mirrors, so
-the arrival and nonrelativistic sums add the coefficients of -p to those of
-p (``eigenfunctions._fold``) and run on the n = N / 2 positive nodes: two
-sqrt(n_t) x n tables and n_t n multiply-adds per column; psi(t, x), odd in
-p, sums all N.  The kernel builds those tables for 128 nodes at a time, so
-no n_t x N array and no N x sqrt(n_t) table is formed, for t or for x; it
-skips the exact-zero columns of a one-helicity packet, and a node with no
-live coefficient, where the Gaussian has underflowed, joins no block.
-``evolve`` needs only the core's per-node spinors and projections.  The
-nonrelativistic overlaps are the lam = +1 sums alone (c = 2 of 2 columns)
-on the energies p^2 / 2m, and the position profile the lam = -1 sums alone
-(c = 0); ``_normalized`` forms every distribution's curves from its two
-branch amplitudes.
+The kernel, ``eigenfunctions._lattice_overlaps``, takes one coefficient
+block whose first c columns are lam = +1 sums and whose others are lam = -1
+sums, on the conjugate exp tables; its docstring states the tables, node
+blocks and skips that bound its memory and cost.  E_p and p^2 / 2m are even
+in p and the grid's nodes are exact mirrors, so the arrival and
+nonrelativistic sums add the coefficients of -p to those of p
+(``eigenfunctions._fold``) and run on the N / 2 positive nodes.  ``evolve``
+needs only the core's per-node spinors and projections.  The nonrelativistic
+overlaps are the lam = +1 sums alone (c = 2 of 2 columns) on the energies
+p^2 / 2m, and psi(t, x), odd in p, the lam = -1 sums alone (c = 0) over all
+N nodes with p_j in place of E_j; ``_normalized`` forms every distribution's
+curves from its two branch amplitudes.
+
+Charge conjugation psi_c(p) = C conj(psi(-p)), C = i gamma^2, takes
+phi_{lam s}(q) to lam sign(q) phi_{-lam,-s}(-q).  It keeps J, a local
+density.  On a packet with no support at p < 0 it swaps the raw Pi_pos and
+Pi_neg and negates the raw Pi_interf, which moves the normalization, the
+window integral of the raw Pi_total.  With support on both sides of p = 0
+no such map holds: Pi sees the relative sign(q) of the q and -q that a time
+eigenfunction superposes at one energy.
 """
 from __future__ import annotations
 

@@ -3,19 +3,20 @@
 Each check returns its non-negative residual terms (a scalar, an array or a
 list of equal-shaped arrays); ``run_all_checks`` alone folds them, by
 ``np.max``, so a NaN term fails the check.  Convergence-order checks report
-|fitted slope - nominal order| against a band: 0.5 for the finite-difference
-commutator, 0.05 for the nonrelativistic spinor slope; boolean gates report
-0.0 / 1.0 against a 0.0 tolerance.  The random-lattice and label checks make
-one broadcast call each, the family checks one stack per family and mass.
+|fitted slope - nominal order| against a band, boolean gates 0.0 / 1.0
+against a 0.0 tolerance.  The random-lattice and label checks make one
+broadcast call each, the family checks one stack per family and mass.
 
 ``CHECKS`` is the one ordered registry of (name, residual, tolerance); both
 ``run_all_checks`` and the acceptance tests read it.  Each residual takes
-the per-run ``_Run``, the run's one scenario: the config, its mass and
-grid, one rng that the random-lattice checks draw from in registry order,
+the per-run ``_Run``, the run's one scenario: the config and its grid,
+one rng that the random-lattice checks draw from in registry order,
 and each input that several checks share or a config field decides, built
 once by ``_Run.from_config`` under that field's JSON path, so a config the
 checks cannot evaluate is a ``ConfigError`` there.  Every fixed packet is
-``_BENCH_SPEC`` with fields replaced.
+``_BENCH_SPEC`` with fields replaced.  A check that reads a mass reads the
+config's: the six energy-side ones run from ``ENERGY_SIDE_MIN_MASS`` on,
+and below it, m = 0 included, read 0.0 ``vacuous``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ _BENCH_WINDOW, _BENCH_NT = (-20.0, 43.0), 1261
 _BENCH_ARRIVAL = -_BENCH_SPEC.x0 * np.hypot(_BENCH_SPEC.p0, _BENCH_SPEC.m) / _BENCH_SPEC.p0
 # the group-velocity packet, the widest that a check builds on the run grid
 _GROUP_SPEC = replace(_BENCH_SPEC, sigma_p=0.5)
+# the domain rule of the six energy-side checks, m >= 2.2e-304: the energy
+# map needs m > 0, and their m-scaled axes, from 1e-4 m, normal doubles
+ENERGY_SIDE_MIN_MASS = np.finfo(float).tiny / 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,18 +46,20 @@ class CheckResult:
     name: str
     max_residual: float
     tolerance: float
+    vacuous: bool = False  # 0.0 off the domain rule ENERGY_SIDE_MIN_MASS, not evaluated
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "max_residual": float(self.max_residual) if math.isfinite(self.max_residual) else None,
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
         }
+        return {**out, "vacuous": True} if self.vacuous else out
 
 
 def _random_lattice(rng, n: int, massless: bool = True):
@@ -182,10 +188,13 @@ def check_commutator_order(order: int):
     return abs(slope - order), res
 
 
-def check_measure_identity(grid, m) -> float:
-    h = lambda E: np.exp(-((E - 2.0) ** 2))
+def check_measure_identity(m) -> float:
+    """|left - right| / m for h(E) = e^{-(E/m - 2)^2} on the axis 1e-3 m .. 10 m,
+    so a relative residual at every m; at m = 1 the default config's grid."""
+    grid = grids.build_grid(1e-3 * m, 10.0 * m, 256, 4)
+    h = lambda E: np.exp(-((E / m - 2.0) ** 2))
     left, right = grids.energy_measure_identity(grid, m, h)
-    return abs(left - right)
+    return abs(left - right) / m
 
 
 def check_parseval(f, energy) -> float:
@@ -201,13 +210,8 @@ def check_branch_isolation(energy, c_minus) -> float:
 
 
 def check_symmetry_defect(m) -> float:
-    """|<g|Tg> - <Tg|g>| for g = u e^{-u}, u = (E - m)/m.
-
-    g vanishes at the gap and decays on the scale m, on an axis out to
-    E ~ 32 m; the fine inner resolution puts the gap-adjacent node close to m.
-    Both gates of ``grids.symmetry_defect`` pass only for m >= 0.042: |g| at
-    that node is 1.014e-7 at every m, while BC_TOL ||g|| = 5e-7 sqrt(m).
-    """
+    """|<g|Tg> - <Tg|g>| for g = u e^{-u}, u = (E - m)/m, on 1e-4 m .. 32 m: |g| at
+    the gap-adjacent node is 1.014e-7 at every m, under BC_TOL max|g| = 3.7e-7."""
     grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
     fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
     dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m
@@ -491,13 +495,10 @@ class _Run:
     """The run's scenario, each input built once; see the module docstring."""
 
     cfg: RunConfig
-    m: float
-    # the mass of the six checks that clamp it; ROADMAP item 7 runs them at m
-    m_clamped: float
     rng: np.random.Generator
     grid: grids.MomentumGrid
     psi: grids.GridSpinorField
-    energy: tuple | None  # to_energy_rep(psi, m); the energy map needs m > 0
+    energy: tuple | None  # to_energy_rep(psi, m) from ENERGY_SIDE_MIN_MASS on
     group: grids.GridSpinorField
     nr_spinor: tuple
     dist: arrival.ArrivalDistribution
@@ -513,16 +514,16 @@ class _Run:
         with at_path("config.limits.ratios"):
             nr_spinor = limits.nr_spinor_limit_scan(cfg.limits.ratios)
         with at_path("config.grid.p_min"):
-            energy = grids.to_energy_rep(psi, cfg.mass) if cfg.mass > 0.0 else None
+            energy = grids.to_energy_rep(psi, cfg.mass) if cfg.mass >= ENERGY_SIDE_MIN_MASS else None
         bench = arrival.build_packet(_BENCH_SPEC, grid)
         dist = arrival.arrival_distribution(bench, _BENCH_SPEC.m, _BENCH_WINDOW, _BENCH_NT)
         rng = np.random.default_rng(cfg.seed)
-        return cls(cfg, cfg.mass, max(cfg.mass, 0.5), rng, grid, psi, energy, group, nr_spinor, dist)
+        return cls(cfg, rng, grid, psi, energy, group, nr_spinor, dist)
 
 
-# (name, residual of a _Run, tolerance), in report order.  The lambdas look
-# the check functions up at call time, so rebinding a module attribute
-# (as a tracer does) reaches every run.
+# (name, residual of a _Run, tolerance), in report order; None marks a check
+# vacuous (no energy map).  The lambdas look the check functions up at call
+# time, so rebinding a module attribute (as a tracer does) reaches every run.
 CHECKS = (
     ("clifford_algebra", lambda r: check_clifford(), 1e-15),
     ("alpha_beta_hermitian", lambda r: check_hermiticity(), 1e-15),
@@ -535,14 +536,13 @@ CHECKS = (
     ("grid_weight_sum", lambda r: check_grid_weight_sum(r.grid), 1e-12),
     ("grid_gaussian_quadrature", lambda r: check_grid_gaussian(r.grid), 1e-10),
     ("grid_odd_integrand", lambda r: check_grid_odd(r.grid), 1e-12),
-    ("commutator_analytic", lambda r: check_commutator_analytic(r.m_clamped), 1e-9),
+    ("commutator_analytic", lambda r: check_commutator_analytic(r.cfg.mass), 1e-9),
     ("commutator_order_{deriv_order}", lambda r: check_commutator_order(r.cfg.grid.deriv_order)[0], 0.5),
-    ("measure_identity", lambda r: check_measure_identity(r.grid, r.m_clamped), 1e-8),
-    # massless runs have no energy map and pass these two vacuously
-    ("energy_parseval", lambda r: check_parseval(r.psi, r.energy) if r.energy else 0.0, 1e-8),
-    ("branch_isolation", lambda r: check_branch_isolation(r.energy, r.cfg.packet.c_minus) if r.energy else 0.0, 1e-12),
-    ("symmetry_defect", lambda r: check_symmetry_defect(r.m_clamped), 1e-8),
-    ("boundary_rejection", lambda r: check_boundary_rejection(r.m_clamped), 0.0),
+    ("measure_identity", lambda r: check_measure_identity(r.cfg.mass) if r.energy else None, 1e-8),
+    ("energy_parseval", lambda r: check_parseval(r.psi, r.energy) if r.energy else None, 1e-8),
+    ("branch_isolation", lambda r: check_branch_isolation(r.energy, r.cfg.packet.c_minus) if r.energy else None, 1e-12),
+    ("symmetry_defect", lambda r: check_symmetry_defect(r.cfg.mass) if r.energy else None, 1e-8),
+    ("boundary_rejection", lambda r: check_boundary_rejection(r.cfg.mass) if r.energy else None, 0.0),
     ("massless_reduction", lambda r: check_massless_reduction(), 1e-14),
     ("time_family_eigen_residual", lambda r: check_time_family_residual(), 1e-9),
     ("position_family_pointwise", lambda r: check_position_family_pointwise(), 1e-9),
@@ -552,8 +552,8 @@ CHECKS = (
     ("overlap_orthogonality", lambda r: check_overlap_orthogonality(), 1e-10),
     ("delta_concentration_width", lambda r: check_delta_concentration(), 0.4),
     ("time_family_resynthesis", lambda r: check_resynthesis(), 1e-6),
-    ("evolution_norm_drift", lambda r: check_norm_drift(r.psi, r.m), 1e-12),
-    ("interference_single_branch", lambda r: check_interference_zero(r.grid, r.m_clamped, r.dist), 1e-12),
+    ("evolution_norm_drift", lambda r: check_norm_drift(r.psi, r.cfg.mass), 1e-12),
+    ("interference_single_branch", lambda r: check_interference_zero(r.grid, r.cfg.mass, r.dist), 1e-12),
     ("arrival_peak_benchmark", lambda r: check_arrival_benchmark(r.dist), 0.5),
     ("flux_unit_crossing", lambda r: check_flux_unit_crossing(r.dist), 1e-2),
     ("mirror_symmetry", lambda r: check_mirror_symmetry(r.grid, r.dist), 1e-12),
@@ -566,7 +566,7 @@ CHECKS = (
     ("nr_eigenfunction_ratio", lambda r: check_nr_eigenfunction_ratio(), 0.0),
     ("nr_eigenfunction_order", lambda r: check_nr_eigenfunction_order(), 0.0),
     ("dual_residual", lambda r: check_dual_residual(), 1e-13),
-    ("deficiency_indices", lambda r: check_deficiency(r.m_clamped), 0.0),
+    ("deficiency_indices", lambda r: check_deficiency(r.cfg.mass) if r.energy else None, 0.0),
 )
 
 
@@ -578,7 +578,8 @@ def check_names(deriv_order: int) -> list:
 def run_all_checks(cfg: RunConfig) -> list:
     run = _Run.from_config(cfg)
     names = check_names(cfg.grid.deriv_order)
+    values = [residual(run) for _, residual, _ in CHECKS]
     return [
-        CheckResult(name, float(np.max(residual(run))), tol)
-        for name, (_, residual, tol) in zip(names, CHECKS)
+        CheckResult(name, 0.0 if value is None else float(np.max(value)), tol, value is None)
+        for name, value, (_, _, tol) in zip(names, values, CHECKS)
     ]

@@ -7,12 +7,14 @@ only.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import ast
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dirac_toa import verify
+from dirac_toa import cli, verify
 from dirac_toa.config import DEFAULT_CONFIG, config_from_dict
 
 ORDER = DEFAULT_CONFIG["grid"]["deriv_order"]
@@ -116,11 +118,83 @@ def test_09_duality(results):
     check_group(results, "09_duality")
 
 
-@pytest.mark.parametrize("mass", [0.25, 100.0, 1e3, 1e5])
+# from m = 0 through the subnormal and normal doubles to 1e5, and round the
+# masses where symmetry_defect (m < 0.042) and measure_identity (1e-4..1e-2)
+# failed at the config mass before both were made scale-free
+MASSES = [0.0, 5e-324, 1e-318, 1e-310, 1e-300, 1e-6, 1e-4, 1e-3, 1e-2, 0.041, 0.1, 0.25, 100.0, 1e3, 1e5]
+# the checks that need the energy map, in registry order, and the edge of
+# their domain rule: 1e-4 m, their lowest axis node, is a normal double
+ENERGY_SIDE = [
+    "measure_identity", "energy_parseval", "branch_isolation",
+    "symmetry_defect", "boundary_rejection", "deficiency_indices",
+]
+FIRST_EVALUATED = 2.2250738585072014e-304
+LAST_VACUOUS = np.nextafter(FIRST_EVALUATED, 0.0)
+
+
+@pytest.mark.parametrize("mass", MASSES)
 def test_every_check_passes_across_masses(mass):
     cfg = config_from_dict({**DEFAULT_CONFIG, "mass": mass})
-    for r in verify.run_all_checks(cfg):
+    results = verify.run_all_checks(cfg)
+    assert len(results) == 42
+    for r in results:
         report(r)
+
+
+def test_the_energy_side_rule_starts_where_the_lowest_axis_node_is_normal():
+    assert verify.ENERGY_SIDE_MIN_MASS == FIRST_EVALUATED
+    assert 1e-4 * FIRST_EVALUATED >= np.finfo(float).tiny > 1e-4 * LAST_VACUOUS
+
+
+@pytest.mark.parametrize(
+    "mass, vacuous",
+    [(0.0, ENERGY_SIDE), (5e-324, ENERGY_SIDE), (LAST_VACUOUS, ENERGY_SIDE), (FIRST_EVALUATED, []), (1.0, [])],
+    ids=["massless", "smallest_subnormal", "last_vacuous", "first_evaluated", "default"],
+)
+def test_verify_json_marks_the_checks_off_the_energy_side_rule_vacuous(tmp_path, mass, vacuous):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({**DEFAULT_CONFIG, "mass": mass}), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    checks = json.loads((out / "verify.json").read_text(encoding="utf-8"))["checks"]
+    assert [c["name"] for c in checks if "vacuous" in c] == vacuous
+    assert all(c["vacuous"] is True and c["max_residual"] == 0.0 and c["pass"] for c in checks if "vacuous" in c)
+
+
+# the six checks that ran at max(m, 0.5), and the position of the mass
+# among each one's arguments
+ONCE_CLAMPED = {
+    "check_commutator_analytic": 0, "check_measure_identity": 0, "check_symmetry_defect": 0,
+    "check_boundary_rejection": 0, "check_interference_zero": 1, "check_deficiency": 0,
+}
+
+
+def test_the_once_clamped_checks_run_at_the_config_mass(monkeypatch):
+    seen = {}
+    for name, position in ONCE_CLAMPED.items():
+        def spy(*args, real=getattr(verify, name), name=name, position=position):
+            seen.setdefault(name, []).append(args[position])
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, spy)
+    assert all(r.passed for r in verify.run_all_checks(config_from_dict({**DEFAULT_CONFIG, "mass": 1e-3})))
+    assert seen == {name: [1e-3] for name in ONCE_CLAMPED}
+
+
+@pytest.mark.parametrize("mass", [m for m in MASSES if m > 0.0])
+def test_boundary_rejection_rejects_at_every_mass(mass):
+    # verify reads it only where energy_side holds; the library check runs at any m > 0
+    assert verify.check_boundary_rejection(mass) == 0.0
+
+
+@pytest.mark.parametrize("mass", [10.0, 100.0, 1e5])
+def test_measure_identity_compares_nonzero_sides_at_large_masses(monkeypatch, mass):
+    # on the config grid h(E) = e^{-(E - 2)^2} put both sides at 0.0 from m ~ 30
+    sides = []
+    real = verify.grids.energy_measure_identity
+    monkeypatch.setattr(verify.grids, "energy_measure_identity", lambda *args: sides.append(real(*args)) or sides[-1])
+    assert verify.check_measure_identity(mass) <= 1e-8
+    (left, right), = sides
+    assert left > 0.0 and right > 0.0
 
 
 @pytest.mark.parametrize("c_plus, c_minus", [([0.8, 0.0], [0.0, 0.6]), ([0.0, 0.0], [1.0, 0.0])])

@@ -314,8 +314,10 @@ def test_measure_identity_with_analytic_oracle(grid256):
 
 
 def test_symmetry_defect_boundary_respecting():
-    # g = u e^{-u}, u = (E - m)/m, vanishes at the gap and at the far end for every m
-    for m in (0.5, 1.0, 20.0, 100.0, 1e3, 1e5):
+    # g = u e^{-u}, u = (E - m)/m, vanishes at the gap and at the far end for
+    # every m: |g| = 1.014e-7 at the gap-adjacent node against BC_TOL max|g|
+    # = 3.7e-7, both in the units of g (BC_TOL ||g|| = 5e-7 sqrt(m) refused m < 0.042)
+    for m in (1e-6, 1e-3, 0.041, 0.5, 1.0, 20.0, 100.0, 1e3, 1e5):
         grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
         fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
         dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m

@@ -4,8 +4,10 @@ with no source edit, and the named check must FAIL and `verify` exit 1.
 The first batch puts NaN into a term of its check.  Python's ``max`` drops
 a NaN that is not its first argument; ``run_all_checks`` folds every residual
 with ``np.max``, which keeps it.  The second batch makes one number of the
-physics wrong, and its check must read a finite residual above tolerance.
+physics wrong, and its check must read a finite residual above tolerance,
+on the default config or at the mass the row names.
 """
+import json
 import math
 import re
 from dataclasses import replace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from dirac_toa import algebra, arrival, cli, eigenfunctions, grids, limits
+from dirac_toa.config import DEFAULT_CONFIG
 
 
 def _nan_at_label(real, k, part=None):
@@ -92,32 +95,64 @@ def _toa_mass_term_negated(real):
     return mutant
 
 
-# (mutant, check, residual measured on the default config, bindings, mutant of the real attribute)
+def _energy_weight_to_the_1_8(real):
+    # the map's factor [E^2/(E^2 - m^2)]^(1/4) taken to the power 1/8
+    def mutant(f, m):
+        return tuple(
+            replace(g, values=g.values * ((g.nodes**2 / (g.nodes**2 - m * m)) ** -0.125)[:, None])
+            for g in real(f, m)
+        )
+
+    return mutant
+
+
+def _jacobian_e_over_p(grid, m, branch):
+    # grids._induced_energy_axis with the weights w_p E_p / p, not w_p p / E_p
+    ppos = grid.nodes[grid.positive]
+    E_p = np.hypot(ppos, m)
+    weights = grid.weights[grid.positive] * (E_p / ppos)
+    return (E_p, weights) if branch == 1 else (-E_p[::-1], weights[::-1])
+
+
+# (mutant, check, residual measured, config mass, bindings, mutant of the real attribute)
 WRONG_NUMBERS = [
-    ("W_to_the_1.001", "time_family_resynthesis", 1.2e-4,
+    ("W_to_the_1.001", "time_family_resynthesis", 1.2e-4, 1.0,
      [(eigenfunctions, "weight_factor"), (grids, "weight_factor"), (limits, "weight_factor")],
      lambda real: lambda m, p: real(m, p) ** 1.001),
-    ("t_non_with_abs_p", "nr_eigenvalue_gap", 2.0,
+    ("t_non_with_abs_p", "nr_eigenvalue_gap", 2.0, 1.0,
      [(limits, "nr_eigen_limit_check")], _t_non_with_abs_p),
-    ("resynthesis_times_1.001", "time_family_resynthesis", 1.0e-3,
+    ("resynthesis_times_1.001", "time_family_resynthesis", 1.0e-3, 1.0,
      [(eigenfunctions, "resynthesize_time_family")], _scaled_values),
-    ("toa_mass_term_negated", "commutator_analytic", 1.8,
+    ("toa_mass_term_negated", "commutator_analytic", 1.8, 1.0,
      [(grids, "apply_toa")], _toa_mass_term_negated),
-    ("position_eigenvalue_with_abs_p", "position_family_pointwise", 42.7,
+    ("position_eigenvalue_with_abs_p", "position_family_pointwise", 42.7, 1.0,
      [(eigenfunctions.ToaEigenfunction, "eigenvalue")],
      lambda real: lambda self, p: real(self, np.abs(p) if self.family == "position" else p)),
-    ("dvalue_dE_with_t_x", "dual_residual", 1.69,
+    ("dvalue_dE_with_t_x", "dual_residual", 1.69, 1.0,
      [(limits.DualSolution, "dvalue_dE")],
      lambda real: lambda self, E, p: 1j * np.asarray(self.t_x)[..., None] * self.value(E, p)),
+    ("energy_weight_to_the_1_8", "energy_parseval", 0.0546, 1.0,
+     [(grids, "to_energy_rep")], _energy_weight_to_the_1_8),
+    # tau(p) = x m / |p| is |tau| sign(x) at m >= 0, in the spinor and its d/dtau
+    ("event_tau_with_abs_p", "event_family_pointwise", 42.7, 1.0,
+     [(eigenfunctions, "event_spinor_values"), (eigenfunctions, "event_spinor_tau_derivative")],
+     lambda real: lambda x, tau, b, s: real(x, np.abs(tau) * np.sign(x), b, s)),
+    # the measure identity of the config grid read 0.0 at m = 100 before it ran
+    # on an axis scaled with m
+    ("energy_jacobian_E_over_p", "measure_identity", 3.04, 100.0,
+     [(grids, "_induced_energy_axis")], lambda real: _jacobian_e_over_p),
 ]
 
 
-@pytest.mark.parametrize("check, measured, bindings, mutate", [m[1:] for m in WRONG_NUMBERS],
+@pytest.mark.parametrize("check, measured, mass, bindings, mutate", [m[1:] for m in WRONG_NUMBERS],
                          ids=[m[0] for m in WRONG_NUMBERS])
-def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, check, measured, bindings, mutate):
+def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, tmp_path, check, measured, mass,
+                                                   bindings, mutate):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**DEFAULT_CONFIG, "mass": mass}), encoding="utf-8")
     for owner, attr in bindings:
         monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
-    assert cli.main(["verify"]) == 1
+    assert cli.main(["verify", "--config", str(path)]) == 1
     out = capsys.readouterr().out
     found = re.search(rf"^{check}\s+max_residual=(\S+)\s+tolerance=(\S+)\s+FAIL$", out, re.MULTILINE)
     assert found, out
