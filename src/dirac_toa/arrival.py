@@ -203,13 +203,16 @@ def _full_line_mass(weights: np.ndarray, values: np.ndarray, beta: np.ndarray) -
     return float(np.real(direct + mirror))
 
 
-def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: float, J=None) -> ArrivalDistribution:
+def _normalized(ts: np.ndarray, E: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: float,
+                J=None) -> ArrivalDistribution:
     """(Pi_total, Pi_pos, Pi_neg, Pi_interf): sum_s |a_pos + a_neg|^2 of the
     (n_t, spin) branch amplitudes and its three parts, divided by the window
     integral of Pi_total, with a warning when it is off its full-line value
     ``full`` by over 1%, and the current ``J`` as it is.  Above 1 the node
     sums, almost periodic in t, repeat the arrival inside a window that the
-    momentum grid does not resolve."""
+    momentum grid does not resolve.  A second warning names phase rounding,
+    when the kernel's bound over the N node energies E, 16 eps (max|t| max|E|
+    + N) per unit sum|b| (``_lattice_phases``), exceeds 1e-6."""
     pi_pos = np.sum(np.abs(a_pos) ** 2, axis=1)
     pi_neg = np.sum(np.abs(a_neg) ** 2, axis=1)
     pi_int = 2.0 * np.sum(np.real(np.conj(a_pos) * a_neg), axis=1)
@@ -226,6 +229,11 @@ def _normalized(ts: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray, full: floa
             f"time window holds {captured:.4f} of the full-line arrival mass: "
             "the momentum grid does not resolve the window"
         )
+    Et = max(abs(float(ts[0])), abs(float(ts[-1]))) * float(np.max(E))
+    bound = 16.0 * np.finfo(float).eps * (Et + len(E))
+    if bound > 1e-6:
+        notes.append(f"phases E t reach {Et:.3g} rad: the lattice sums may be off by {bound:.1e} of sum|b| "
+                     "from their rounding alone")
     return ArrivalDistribution(ts, *(c / raw for c in curves), raw, captured, tuple(notes), J)
 
 
@@ -255,7 +263,7 @@ def arrival_distribution(
     sums = _lattice_overlaps(E, *lattice, cols, 6)
     UL = np.add(sums[:, 2:6], sums[:, 8:], out=sums[:, 2:6])  # the kernel's output is ours to reuse
     J = 2.0 * np.vecdot(UL[:, :2], UL[:, 2:]).real  # vecdot conjugates U_s
-    return _normalized(ts, sums[:, :2], sums[:, 6:8], full, J)
+    return _normalized(ts, E, sums[:, :2], sums[:, 6:8], full, J)
 
 
 def arrival_distribution_nonrel(
@@ -283,7 +291,7 @@ def arrival_distribution_nonrel(
     full = _full_line_mass(f.grid.weights, f.values[:, :2], _BETA_DIAG[:2])
     E, b = _fold(f.grid, p * p / (2.0 * m), b)
     amp = _lattice_overlaps(E, *lattice, b, 2)
-    return _normalized(ts, amp, np.zeros_like(amp), full)
+    return _normalized(ts, E, amp, np.zeros_like(amp), full)
 
 
 def flux_at_origin(

@@ -20,9 +20,11 @@ Operators:
 * ``commutator_residual`` -- the canonical relation [T, H] = i on a field.
 * ``to_energy_rep``      -- isometry onto functions of E on the two spectral
   branches (-inf, -m) u (m, +inf), with the exact Jacobian |dE/dp| = |p|/E_p.
+  Branch lam takes the nodes lam E_p in the order of the positive momenta,
+  so on either branch node 0 is next to the gap and node -1 is the truncated end.
 * ``apply_toa_energy``   -- closed-form -i d/dE per branch, gated on g(+-m) = 0,
-  the symmetric domain: |g| <= BC_TOL max|g| at the gap-adjacent node.
-* ``symmetry_defect``    -- <g1|T g2> - <T g1|g2> on one branch.
+  the symmetric domain: |g| <= BC_TOL max|g| at node 0.
+* ``symmetry_defect``    -- <g|T g> - <T g|g> on one branch, also gated at node -1.
 
 The spectral core ``_spectral_data`` lives here: one broadcast spinor call
 projects a field onto all four (lam, s) channels.  ``to_energy_rep`` and the
@@ -54,8 +56,8 @@ __all__ = [
     "fd_weights",
 ]
 
-#: boundary gate |g(end node)| <= BC_TOL max|g|, in units of g at every m, at the
-#: +-m-adjacent node and, for ``symmetry_defect``, the truncated axis' far end
+#: boundary gate |g(end node)| <= BC_TOL max|g|, in units of g at every m, at
+#: node 0, next to +-m, and, for ``symmetry_defect``, node -1, the truncated end
 BC_TOL = 1e-6
 
 # (lam, s) order of the channel axis of ``_spectral_data``: the first two
@@ -301,8 +303,8 @@ class EnergyGridFunction:
 
     ``values`` has shape (n_nodes, n_channels); channels label (side of the
     momentum axis, spin) for transformed fields, or a single test channel.
-    Weights already include the Jacobian |dE/dp|, so plain weighted sums are
-    integrals dE.
+    Nodes run outward from the gap, node 0 next to +-m.  Weights already
+    include the Jacobian |dE/dp|, so plain weighted sums are integrals dE.
     """
 
     branch: int
@@ -322,25 +324,17 @@ class EnergyGridFunction:
         dens = np.sum(np.abs(self.values) ** 2, axis=1)
         return float(np.sum(self.weights * dens))
 
-    @property
-    def gap_adjacent_index(self) -> int:
-        """Index of the node adjacent to the spectrum endpoint +-m."""
-        return 0 if self.branch == 1 else len(self.nodes) - 1
 
-
-def _induced_energy_axis(grid: MomentumGrid, m: float, branch: int):
-    """E-nodes/weights induced from the positive momenta by E = branch * E_p.
-
-    Weights are w_p * |dE/dp|; no re-interpolation is performed.  Returns
-    (nodes ascending, weights): branch -1 is the positive axis negated and
-    reversed.  The map needs m > 0: at m = 0 the two branches touch at E = 0.
+def _induced_energy_axis(grid: MomentumGrid, m: float):
+    """(E_p, weights) on the positive momenta, in their order: branch lam
+    takes the nodes lam E_p.  Weights are w_p * |dE/dp|; no re-interpolation
+    is performed.  The map needs m > 0: at m = 0 the two branches touch at E = 0.
     """
     if m <= 0.0:
         raise ValueError("the energy map requires m > 0")
     ppos = grid.nodes[grid.positive]
     E_p = np.hypot(ppos, m)
-    weights = grid.weights[grid.positive] * (ppos / E_p)
-    return (E_p, weights) if branch == 1 else (-E_p[::-1], weights[::-1])
+    return E_p, grid.weights[grid.positive] * (ppos / E_p)
 
 
 def to_energy_rep(f: GridSpinorField, m: float):
@@ -356,26 +350,23 @@ def to_energy_rep(f: GridSpinorField, m: float):
     n = grid.n_per_side
     E_p, _, _, c = _spectral_data(f, m)
     proj = np.sqrt(E_p / np.abs(grid.nodes)) * c  # [E^2/(E^2-m^2)]^(1/4)
-    out = []
-    for lam, b in ((1, proj[:2]), (-1, proj[2:])):
-        nodes, weights = _induced_energy_axis(grid, m, lam)
-        # side +1 reads the positive momenta, side -1 the negative ones by |p|;
-        # branch -1 takes them in reverse, as its axis
-        vals = np.concatenate([b[:, n:], b[:, n - 1 :: -1]])[:, ::lam].T
-        out.append(
-            EnergyGridFunction(
-                branch=lam, m=m, nodes=nodes, weights=weights,
-                values=vals,
-            )
+    E_axis, weights = _induced_energy_axis(grid, m)
+    # side +1 reads the positive momenta, side -1 the negative ones by |p|
+    return tuple(
+        EnergyGridFunction(
+            branch=lam, m=m, nodes=lam * E_axis, weights=weights,
+            values=np.concatenate([b[:, n:], b[:, n - 1 :: -1]]).T,
         )
-    return tuple(out)
+        for lam, b in ((1, proj[:2]), (-1, proj[2:]))
+    )
 
 
 def energy_function_on_branch(
     grid: MomentumGrid, m: float, branch: int, fn, dfn=None
 ) -> EnergyGridFunction:
-    """Single-channel test function g(E) on the induced energy axis."""
-    nodes, weights = _induced_energy_axis(grid, m, branch)
+    """Single-channel test function g(E) on the induced axis of ``branch``."""
+    E_p, weights = _induced_energy_axis(grid, m)
+    nodes = branch * E_p
     vals = np.asarray(fn(nodes), dtype=complex)[:, None]
     dvals = None if dfn is None else np.asarray(dfn(nodes), dtype=complex)[:, None]
     return EnergyGridFunction(
@@ -399,9 +390,9 @@ def apply_toa_energy(g: EnergyGridFunction) -> EnergyGridFunction:
     """-i d/dE on one spectral branch, from the field's closed-form ``deriv_values``.
 
     Rejects a field that breaks the symmetric-domain boundary condition
-    g(+-m) = 0 at the gap-adjacent node, then one without ``deriv_values``.
+    g(+-m) = 0 at node 0, next to the gap, then one without ``deriv_values``.
     """
-    _check_boundary(g, g.gap_adjacent_index, f"g({g.branch:+d}m) = 0")
+    _check_boundary(g, 0, f"g({g.branch:+d}m) = 0")
     if g.deriv_values is None:
         raise ValueError("no closed-form d/dE: pass dfn to energy_function_on_branch")
     return EnergyGridFunction(
@@ -415,19 +406,16 @@ def energy_inner_product(g1: EnergyGridFunction, g2: EnergyGridFunction) -> comp
     return complex(np.sum(g1.weights * np.sum(np.conj(g1.values) * g2.values, axis=1)))
 
 
-def symmetry_defect(g1: EnergyGridFunction, g2: EnergyGridFunction) -> complex:
-    """<g1|T g2> - <T g1|g2>; vanishes when both satisfy the boundary condition.
+def symmetry_defect(g: EnergyGridFunction) -> complex:
+    """<g|T g> - <T g|g>; vanishes when g satisfies the boundary condition.
 
-    Integrating by parts leaves -i g1* g2 at both ends of the truncated
-    axis, so each input must also vanish at the far node, under the same
-    BC_TOL gate as the gap-adjacent one.
+    Integrating by parts leaves -i |g|^2 at both ends of the truncated
+    axis, so g must also vanish at its far node -1, under the same BC_TOL
+    gate as node 0.
     """
-    for g in (g1, g2):
-        far = len(g.nodes) - 1 - g.gap_adjacent_index
-        _check_boundary(g, far, "g = 0 at the truncated end of the axis")
-    t2 = apply_toa_energy(g2)
-    t1 = apply_toa_energy(g1)
-    return energy_inner_product(g1, t2) - energy_inner_product(t1, g2)
+    _check_boundary(g, -1, "g = 0 at the truncated end of the axis")
+    tg = apply_toa_energy(g)
+    return energy_inner_product(g, tg) - energy_inner_product(tg, g)
 
 
 def energy_measure_identity(grid: MomentumGrid, m: float, h):
@@ -439,7 +427,7 @@ def energy_measure_identity(grid: MomentumGrid, m: float, h):
     E variable.  The image starts at E(p_min), which is the energy face of
     the excluded neighborhood of p = 0.  Returns (left, right).
     """
-    E_p, weights = _induced_energy_axis(grid, m, 1)
+    E_p, weights = _induced_energy_axis(grid, m)
     left = float(np.sum(weights * (h(E_p) + h(-E_p))))
     e_min = float(np.hypot(grid.p_min, m))
     e_max = float(np.hypot(grid.p_max, m))

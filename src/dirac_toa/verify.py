@@ -16,7 +16,8 @@ once by ``_Run.from_config`` under that field's JSON path, so a config the
 checks cannot evaluate is a ``ConfigError`` there.  Every fixed packet is
 ``_BENCH_SPEC`` with fields replaced.  A check that reads a mass reads the
 config's: the six energy-side ones run from ``ENERGY_SIDE_MIN_MASS`` on,
-and below it, m = 0 included, read 0.0 ``vacuous``.
+and below it, m = 0 included, read 0.0 ``vacuous``.  The symmetric-domain
+checks read both spectral branches, lam = +-1, through the same calls.
 """
 from __future__ import annotations
 
@@ -209,25 +210,28 @@ def check_branch_isolation(energy, c_minus) -> float:
     return abs(np.sqrt(energy[1].norm_sq()) - abs(c_minus))
 
 
-def check_symmetry_defect(m) -> float:
-    """|<g|Tg> - <Tg|g>| for g = u e^{-u}, u = (E - m)/m, on 1e-4 m .. 32 m: |g| at
-    the gap-adjacent node is 1.014e-7 at every m, under BC_TOL max|g| = 3.7e-7."""
+def check_symmetry_defect(m) -> list:
+    """|<g|Tg> - <Tg|g>| on both branches for g = u e^{-u}, u = (|E| - m)/m, on
+    1e-4 m .. 32 m: |g| at node 0 is 1.014e-7 at every m, under BC_TOL max|g| =
+    3.7e-7.  dg/dE carries sign(E), so the lam = -1 defect negates the lam = +1 one."""
     grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
-    fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
-    dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m
-    g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
-    return abs(grids.symmetry_defect(g, g))
+    u = lambda E: (np.abs(E) - m) / m
+    fn = lambda E: u(E) * np.exp(-u(E))
+    dfn = lambda E: np.sign(E) * (1.0 - u(E)) * np.exp(-u(E)) / m
+    return [abs(grids.symmetry_defect(grids.energy_function_on_branch(grid, m, lam, fn, dfn))) for lam in (1, -1)]
 
 
 def check_boundary_rejection(m) -> float:
+    """0.0 when ``apply_toa_energy`` refuses e^{-(|E| - m)}, which breaks g(+-m) = 0, on both branches."""
     # the axis scales with m past m = 1, so that E_p > m at every node
     grid = grids.build_grid(1e-3 * max(m, 1.0), 16.0 * max(m, 1.0), 256, 4)
-    g = grids.energy_function_on_branch(grid, m, 1, lambda E: np.exp(-(E - m)))
-    try:
-        grids.apply_toa_energy(g)
-    except ValueError:
-        return 0.0
-    return 1.0
+    for lam in (1, -1):
+        try:
+            grids.apply_toa_energy(grids.energy_function_on_branch(grid, m, lam, lambda E: np.exp(-(np.abs(E) - m))))
+        except ValueError:
+            continue
+        return 1.0
+    return 0.0
 
 
 def check_massless_reduction():
@@ -472,18 +476,15 @@ def check_dual_residual():
     return [limits.dual_residual(ds), np.abs(ds.t**2 - ds.x**2 - ds.tau**2)]
 
 
+# the deficiency solution e^{-+E} of each equation T^dag phi = +-i phi decays on
+# one branch only, so each equation has one normalizable solution: indices (1, 1)
+_DEFICIENCY_CLASSES = {"+i/branch+1": "convergent", "+i/branch-1": "divergent",
+                       "-i/branch+1": "divergent", "-i/branch-1": "convergent"}
+
+
 def check_deficiency(m) -> float:
     rep = limits.deficiency_diagnostic(m, 10.0 * m)
-    ok = (
-        rep.n_plus == 1
-        and rep.n_minus == 1
-        and rep.equal
-        and rep.classifications["+i/branch+1"] == "convergent"
-        and rep.classifications["-i/branch-1"] == "convergent"
-        and rep.classifications["+i/branch-1"] == "divergent"
-        and rep.classifications["-i/branch+1"] == "divergent"
-    )
-    return 0.0 if ok else 1.0
+    return 0.0 if (rep.classifications, rep.n_plus, rep.n_minus) == (_DEFICIENCY_CLASSES, 1, 1) else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Shared test helpers."""
+import inspect
 import json
 from pathlib import Path
 
@@ -24,3 +25,19 @@ def _assert_finite_outputs(out_dir) -> None:
 @pytest.fixture
 def assert_finite_outputs():
     return _assert_finite_outputs
+
+
+def _edited(module, name: str, old: str, new: str):
+    """``module.name`` compiled again from its source with the one occurrence
+    of ``old`` replaced by ``new``, in a copy of the module's globals: a
+    one-line mutant for ``monkeypatch`` to bind, with no source file edited."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<{module.__name__}.{name}: {old!r} -> {new!r}>", "exec"), scope)
+    return scope[name]
+
+
+@pytest.fixture
+def edited():
+    return _edited

@@ -251,6 +251,21 @@ def test_capture_warning_looks_both_ways(n_points, warned):
         assert "does not resolve the window" in dist.warnings[0]
 
 
+@pytest.mark.parametrize("m, warned", [(1e1, False), (1e2, False), (1e3, False), (1e4, True), (1e5, True),
+                                       (1e6, True)])
+def test_phase_rounding_warning_from_m_1e4(m, warned):
+    # nonrel_arrival_l1's packet and grid in the window t* +- 25 m, where the
+    # rest-mass phase E t leaves Pi off by 8.3e-8 (m = 1e4) to 6.9e-4 (1e6) of
+    # its peak: the kernel's bound 16 eps (max|t| max|E| + N) per unit sum|b|
+    # reads 9.2e-8 at m = 1e3 and 9.2e-6 at 1e4, against the warning's 1e-6
+    spec = arrival.PacketSpec(m=m, x0=-1.0, p0=1.0, sigma_p=0.1)
+    f = arrival.build_packet(spec, grids.build_grid(0.1, 10.0, 512, 4))
+    t_star = -spec.x0 * np.hypot(spec.p0, m) / spec.p0
+    dist = arrival.arrival_distribution(f, m, (t_star - 25.0 * m, t_star + 25.0 * m), 1601)
+    notes = [note for note in dist.warnings if note.startswith("phases E t reach")]
+    assert len(notes) == warned, dist.warnings
+
+
 def test_full_line_mass_mirror_term_at_zero_mass():
     # at m = 0 the mirror term <psi|beta P|psi> of a unit packet is
     # e^{-p0^2/2 sigma_p^2 - 2 sigma_p^2 x0^2}, here e^{-1}; the quadrature

@@ -1,5 +1,6 @@
 """Grid construction, finite differences, and discretized-operator tests."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,19 @@ def test_to_energy_rep_branch_isolation(grid256):
     assert np.sqrt(gm.norm_sq()) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1e-3, 1.0, 1e5])
+def test_node_0_is_next_to_the_gap_on_both_branches(m):
+    # both branches run outward from the gap, lam E_p in the order of the
+    # positive momenta, from to_energy_rep and energy_function_on_branch alike
+    grid = grids.build_grid(1e-3 * m, 10.0 * m, 64, 4)
+    f = grids.GridSpinorField(grid, np.ones((grid.n_nodes, 4)))
+    tests = [grids.energy_function_on_branch(grid, m, lam, np.ones_like) for lam in (1, -1)]
+    for g in (*grids.to_energy_rep(f, m), *tests):
+        assert np.argmin(np.abs(g.nodes - g.branch * m)) == 0
+        assert np.all(np.diff(np.abs(g.nodes)) > 0.0)
+        assert np.array_equal(g.nodes, g.branch * np.hypot(grid.nodes[grid.positive], m))
+
+
 def test_to_energy_rep_rejects_massless(grid256):
     f = packet_field(grid256)
     with pytest.raises(ValueError):
@@ -314,35 +328,43 @@ def test_measure_identity_with_analytic_oracle(grid256):
 
 
 def test_symmetry_defect_boundary_respecting():
-    # g = u e^{-u}, u = (E - m)/m, vanishes at the gap and at the far end for
-    # every m: |g| = 1.014e-7 at the gap-adjacent node against BC_TOL max|g|
-    # = 3.7e-7, both in the units of g (BC_TOL ||g|| = 5e-7 sqrt(m) refused m < 0.042)
+    # g = u e^{-u}, u = (|E| - m)/m, vanishes at the gap and at the far end for
+    # every m: |g| = 1.014e-7 at node 0 against BC_TOL max|g| = 3.7e-7, both in
+    # the units of g (BC_TOL ||g|| = 5e-7 sqrt(m) refused m < 0.042).  On
+    # branch -1, the mirror image, g takes the same values and dg/dE their
+    # negation, so the defect is the exact negation of branch +1's
     for m in (1e-6, 1e-3, 0.041, 0.5, 1.0, 20.0, 100.0, 1e3, 1e5):
         grid = grids.build_grid(1e-4 * m, 32.0 * m, 1024, 4)
-        fn = lambda E: (E - m) / m * np.exp(-(E - m) / m)
-        dfn = lambda E: (1.0 - (E - m) / m) * np.exp(-(E - m) / m) / m
-        g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
-        assert abs(grids.symmetry_defect(g, g)) <= 1e-8
+        u = lambda E: (np.abs(E) - m) / m
+        fn = lambda E: u(E) * np.exp(-u(E))
+        dfn = lambda E: np.sign(E) * (1.0 - u(E)) * np.exp(-u(E)) / m
+        plus, minus = (grids.symmetry_defect(grids.energy_function_on_branch(grid, m, lam, fn, dfn))
+                       for lam in (1, -1))
+        assert abs(plus) <= 1e-8
+        assert minus == -plus
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0])
 def test_symmetry_defect_rejects_far_end(m):
-    # (E - m) e^{-(E - m)} clears the gap gate but not the far end of a 16 m axis
+    # (|E| - m) e^{-(|E| - m)} clears the gap gate but not the far end of a 16 m axis
     grid = grids.build_grid(1e-4 * m, 16.0 * m, 1024, 4)
-    fn = lambda E: (E - m) * np.exp(-(E - m))
-    dfn = lambda E: np.exp(-(E - m)) - (E - m) * np.exp(-(E - m))
-    g = grids.energy_function_on_branch(grid, m, 1, fn, dfn)
-    grids.apply_toa_energy(g)
-    with pytest.raises(ValueError, match="truncated end"):
-        grids.symmetry_defect(g, g)
+    fn = lambda E: (np.abs(E) - m) * np.exp(-(np.abs(E) - m))
+    dfn = lambda E: np.sign(E) * (1.0 - (np.abs(E) - m)) * np.exp(-(np.abs(E) - m))
+    for lam in (1, -1):
+        g = grids.energy_function_on_branch(grid, m, lam, fn, dfn)
+        grids.apply_toa_energy(g)
+        with pytest.raises(ValueError, match="truncated end"):
+            grids.symmetry_defect(g)
 
 
 def test_boundary_condition_gate():
+    # e^{-(|E| - m)} breaks g(+-m) = 0 on either branch, and the message names the branch
     m = 1.0
     grid = grids.build_grid(1e-3, 16.0, 256, 4)
-    g = grids.energy_function_on_branch(grid, m, 1, lambda E: np.exp(-(E - m)))
-    with pytest.raises(ValueError, match="boundary condition"):
-        grids.apply_toa_energy(g)
+    for lam in (1, -1):
+        g = grids.energy_function_on_branch(grid, m, lam, lambda E: np.exp(-(np.abs(E) - m)))
+        with pytest.raises(ValueError, match=re.escape(f"boundary condition g({lam:+d}m) = 0 violated")):
+            grids.apply_toa_energy(g)
 
 
 def test_energy_derivative_is_closed_form_only():

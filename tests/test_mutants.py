@@ -1,11 +1,15 @@
-"""Mutants that `verify` must catch: each is applied by ``monkeypatch``,
-with no source edit, and the named check must FAIL and `verify` exit 1.
+"""Mutants of the program, each applied by ``monkeypatch`` with no source
+file edited.  Under each mutant of the first two batches the named check
+must FAIL and `verify` exit 1.
 
 The first batch puts NaN into a term of its check.  Python's ``max`` drops
 a NaN that is not its first argument; ``run_all_checks`` folds every residual
 with ``np.max``, which keeps it.  The second batch makes one number of the
 physics wrong, and its check must read a finite residual above tolerance,
-on the default config or at the mass the row names.
+on the default config or at the mass the row names.  The third batch
+makes one number wrong that `verify` passes at 42/42, each by a one-line
+edit of a function's source (the ``edited`` fixture); each breaks the
+relation of the tier-1 test that its row names.
 """
 import json
 import math
@@ -15,6 +19,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import test_arrival
+import test_symmetries
 from dirac_toa import algebra, arrival, cli, eigenfunctions, grids, limits
 from dirac_toa.config import DEFAULT_CONFIG
 
@@ -106,12 +112,11 @@ def _energy_weight_to_the_1_8(real):
     return mutant
 
 
-def _jacobian_e_over_p(grid, m, branch):
+def _jacobian_e_over_p(grid, m):
     # grids._induced_energy_axis with the weights w_p E_p / p, not w_p p / E_p
     ppos = grid.nodes[grid.positive]
     E_p = np.hypot(ppos, m)
-    weights = grid.weights[grid.positive] * (E_p / ppos)
-    return (E_p, weights) if branch == 1 else (-E_p[::-1], weights[::-1])
+    return E_p, grid.weights[grid.positive] * (E_p / ppos)
 
 
 # (mutant, check, residual measured, config mass, bindings, mutant of the real attribute)
@@ -158,3 +163,30 @@ def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, tmp_path
     assert found, out
     residual, tolerance = (float(v) for v in found.groups())
     assert tolerance < residual < math.inf, (residual, measured)
+
+
+# (mutant, tier-1 test whose relation it breaks, that test's arguments, module,
+# function, one-line source edit (old, new)); the ROADMAP's item 17 table
+# lists `verify` at 42/42 under each, on the default and arrival_broad configs
+SEEN_BY_TESTS = [
+    ("interference_factor_1", test_symmetries.test_interference_identity_on_raw_curves.hypothesis.inner_test,
+     dict(m=1.0, p0=2.0, width=0.1, x0=0.0, theta=math.pi / 4, phi=0.0, s=0.5),
+     arrival, "_normalized", ("pi_int = 2.0 *", "pi_int = 1.0 *")),
+    ("full_line_mirror_negated", test_arrival.test_full_line_mass_mirror_term_at_zero_mass, {},
+     arrival, "_full_line_mass", ("np.real(direct + mirror)", "np.real(direct - mirror)")),
+    ("peak_shift_sign_flipped", test_arrival.test_peak_location_refines_between_samples, dict(center=3.37),
+     arrival, "peak_location", ("shift = 0.5 *", "shift = -0.5 *")),
+    ("J_times_0.9995", test_arrival.test_flux_matches_position_profile_current,
+     dict(two_branch_packet=None, grid512=grids.build_grid(1e-3, 10.0, 512, 4), field="random", m=1.0),
+     arrival, "arrival_distribution", ("J = 2.0 *", "J = 0.9995 * 2.0 *")),
+]
+
+
+@pytest.mark.parametrize("relation, kwargs, module, name, edit", [m[1:] for m in SEEN_BY_TESTS],
+                         ids=[m[0] for m in SEEN_BY_TESTS])
+def test_a_wrong_number_that_verify_passes_breaks_a_tier1_relation(monkeypatch, edited, relation, kwargs,
+                                                                   module, name, edit):
+    relation(**kwargs)
+    monkeypatch.setattr(module, name, edited(module, name, *edit))
+    with pytest.raises(AssertionError):
+        relation(**kwargs)

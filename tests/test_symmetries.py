@@ -14,6 +14,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -243,3 +244,47 @@ def test_charge_conjugation_sees_the_lam_minus_columns_on_the_lam_plus_phases(mo
     monkeypatch.setattr(arrival, "_lattice_overlaps", mutant)
     spec, grid, window = _scenario(m=1.0, p0=5.0, width=0.08, x0=-10.0, theta=0.0, phi=0.0, s=0.5)
     assert _conjugation_defects(spec, grid, window)[0] > 0.5
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 7.0])
+def test_charge_conjugation_leaves_a_known_gap_where_the_packet_reaches_p_below_0(m):
+    # the arrival_broad grid, window and packet (sigma_p = 1.5, p < 0 share
+    # 4.3e-4): by C conj(phi_{lam s}(q)) = lam sign(q) phi_{-lam,-s}(-q), C psi
+    # takes the p < 0 tail of psi with the other relative sign, so raw
+    # Pi_neg[C psi] - Pi_pos[psi] is no rounding: measured 8.8e-4 to 2.0e-3 of
+    # the raw peak over m in {0, 1, 7} and these three packets
+    h = 0.5**0.5
+    c3 = np.array([0.6 + 0.2j, 0.3 - 0.714j]) / math.hypot(0.6, 0.2, 0.3, 0.714)
+    grid = grids.build_grid(1e-3, 20.0, 1024, 4)
+    for c_plus, c_minus, s in ((1.0, 0.0, 0.5), (h, 1j * h, 0.5), (*c3, -0.5)):
+        spec = arrival.PacketSpec(m=m, x0=-10.0, p0=5.0, sigma_p=1.5, c_plus=c_plus, c_minus=c_minus, s=s)
+        f = arrival.build_packet(spec, grid)
+        d, dc = (arrival.arrival_distribution(g, m, (-45.0, 45.0), 2501) for g in (f, _charge_conjugate(f)))
+        gap = np.max(np.abs(dc.Pi_neg * dc.normalization - d.Pi_pos * d.normalization))
+        assert 4e-4 <= gap / np.max(d.Pi_total * d.normalization) <= 4e-3
+
+
+def test_charge_conjugation_sees_pi_neg_taken_from_the_real_part(monkeypatch, edited):
+    # Pi_neg = sum_s Re(a-)^2 in place of |a-|^2: the swap Pi_neg[C psi] = Pi_pos[psi]
+    # of a one-sided packet is off by 0.996 of the peak
+    monkeypatch.setattr(arrival, "_normalized", edited(arrival, "_normalized", "pi_neg = np.sum(np.abs(a_neg)",
+                                                         "pi_neg = np.sum(np.real(a_neg)"))
+    spec, grid, window = _scenario(m=1.0, p0=5.0, width=0.08, x0=-10.0, theta=0.0, phi=0.0, s=0.5)
+    assert _conjugation_defects(spec, grid, window)[0] > 0.5
+
+
+def test_charge_conjugation_pins_the_sign_of_the_lam_minus_spinor(monkeypatch):
+    # -phi_{-1,s} in place of phi_{-1,s}: a packet's branch projections do
+    # not change, so no Pi curve sees it, and J moves as under c- -> -c-,
+    # which no relation fixes; the spinor map does
+    real = algebra._branch_factors
+
+    def flipped(m, p, lam):
+        E, N, Nc = real(m, p, lam)
+        sign = np.where(np.asarray(lam) < 0, -1.0, 1.0)
+        return E, sign * N, sign * Nc
+
+    monkeypatch.setattr(algebra, "_branch_factors", flipped)
+    with pytest.raises(AssertionError):
+        test_charge_conjugation_maps_each_spinor_to_the_other_branch.hypothesis.inner_test(
+            m=1.0, q=2.0, q_sign=1.0, lam=1, s=0.5)
