@@ -212,10 +212,11 @@ def weight_factor(m, p) -> np.ndarray:
 
 
 def weight_factor_derivative_ratio(m, p) -> np.ndarray:
-    """W'(p) / W(p) = m^2 / (2 p E_p^2)."""
-    p = np.asarray(p, dtype=float)
-    E = np.hypot(p, m)
-    return m * m / (2.0 * p * E * E)
+    """W'(p) / W(p) = m^2 / (2 p E_p^2) on m, p and E_p scaled by the 2^-k that puts E_p
+    in [1/2, 1): the scaling is exact, and no product under- or overflows at any m."""
+    E, k = np.frexp(np.hypot(p, m))
+    m, p = np.ldexp(m, -k), np.ldexp(p, -k)
+    return np.ldexp(m * m / (2.0 * p * E * E), -k)
 
 
 def apply_h_values(m, p, values) -> np.ndarray:

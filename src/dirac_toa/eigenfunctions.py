@@ -21,7 +21,7 @@ d ln phase) appended the d/dp; ``value`` evaluates no derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ def _lattice_adjoint(E: np.ndarray, t0: float, dt: float, n_t: int, A: np.ndarra
     return R
 
 
-@dataclass(frozen=True)
-class ToaEigenfunction:
+class ToaEigenfunction(NamedTuple):
     """One labeled member of an arrival-operator eigenfunction family.
 
     ``value`` is the vectorized closed form; ``eigenvalue`` returns the

@@ -263,7 +263,8 @@ def apply_toa(f: GridSpinorField, m: float) -> GridSpinorField:
     p = f.grid.nodes
     df = f.deriv_values if f.deriv_values is not None else f.grid.derivative(f.values)
     out = apply_h_values(m, p, -1j * df) / p[:, None]
-    out += (1j * m / (2.0 * p * p))[:, None] * (f.values * _BETA_DIAG)
+    q, k = np.frexp(p)  # m (1 / 2p^2) at the exact scale of p = q 2^k: finite at any m
+    out += (1j * np.ldexp(np.ldexp(m, -k) * (1.0 / (2.0 * q * q)), -k))[:, None] * (f.values * _BETA_DIAG)
     return GridSpinorField(f.grid, out)
 
 

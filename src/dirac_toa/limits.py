@@ -17,7 +17,7 @@ exist.  Whether the extension is unique is left undetermined.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ __all__ = [
     "deficiency_diagnostic",
 ]
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     """Error-vs-ratio table with the fitted convergence order."""
 
     ratios: np.ndarray
@@ -143,8 +142,7 @@ def nr_eigenfunction_limit_scan(t: float, s: float, m: float, ratios) -> LimitRe
     return LimitReport(ratios, dists, _fit_order(ratios, dists))
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     """Event state phi(E, p) = [x^2/(x^2+tau^2)]^{1/4} xi_{b s}(x) e^{i(t E - x p)} / sqrt(2 pi).
 
     E and p are independent variables here; the labels satisfy
@@ -195,8 +193,7 @@ def dual_residual(ds: DualSolution):
     return np.max(np.abs(lhs - rhs), axis=(0, -1))
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     """Normalizability of the deficiency solutions e^{-+E} per branch.
 
     ``classifications`` come from the closed-form integral's limit at an
@@ -218,7 +215,7 @@ class DeficiencyReport:
         return self.n_plus == self.n_minus
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "equal": self.equal, "has_self_adjoint_extension": self.equal}
+        return {**self._asdict(), "equal": self.equal, "has_self_adjoint_extension": self.equal}
 
 
 def _log_branch_integral(m: float, e_max: float, sign_exp: float, branch: int) -> float:
@@ -265,11 +262,4 @@ def deficiency_diagnostic(m: float, e_max: float) -> DeficiencyReport:
                 counts[label] += 1
             else:
                 classifications[key] = "divergent"
-    return DeficiencyReport(
-        m=m,
-        e_max_values=e_values,
-        log_integrals=log_integrals,
-        classifications=classifications,
-        n_plus=counts["+i"],
-        n_minus=counts["-i"],
-    )
+    return DeficiencyReport(m, e_values, log_integrals, classifications, counts["+i"], counts["-i"])

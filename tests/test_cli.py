@@ -10,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +158,7 @@ def _nan_eigenfunction_scan(monkeypatch):
 
     def nan_scan(*args):
         rep = scan(*args)
-        return replace(rep, errors=np.full_like(rep.errors, np.nan))
+        return rep._replace(errors=np.full_like(rep.errors, np.nan))
 
     monkeypatch.setattr(limits, "nr_eigenfunction_limit_scan", nan_scan)
 

@@ -201,6 +201,36 @@ def test_commutator_analytic_eigenfunction(grid256):
     assert grids.commutator_residual(f, 1.0) <= 1e-9
 
 
+def _commutator_terms(f, m):
+    """Node-wise (T H - H T) f + i f, the terms of ``commutator_residual``."""
+    th = grids.apply_toa(grids.apply_hamiltonian(f, m), m)
+    return th.values - grids.apply_hamiltonian(grids.apply_toa(f, m), m).values + 1j * f.values
+
+
+# W'/W = m^2 / 2pE^2 and T's i beta m / 2p^2 term under- or overflow on these
+# axes when formed unscaled, and the residual is nan at 1e-160 and 1e-150
+@pytest.mark.parametrize("m", [1e-160, 1e-150, 1e-100])
+def test_commutator_is_finite_at_tiny_masses(m):
+    f = time_eigenfunction(2.0, 1, 0.5, m).on_grid(grids.build_grid(1e-3 * m, 10.0 * m, 256))
+    assert grids.commutator_residual(f, m) < 1e-13  # 3.0e-15, 9.8e-15, 1.4e-14
+
+
+def test_commutator_at_m_1e_300():
+    # the quadrature residual reads exactly 0.0 here: w |r|^2, with w ~ 1e-302
+    # and |r| ~ 1e-13, is below the smallest subnormal, so the node-wise terms
+    # carry the evidence (6.3e-13 of max |f|)
+    m = 1e-300
+    f = time_eigenfunction(2.0, 1, 0.5, m).on_grid(grids.build_grid(1e-303, 1e-299, 256))
+    assert grids.commutator_residual(f, m) == 0.0
+    assert np.max(np.abs(_commutator_terms(f, m))) < 1e-12 * np.max(np.abs(f.values))
+    # on the unit-mass axis scaled by 2^-996 the terms are the m = 1 ones bit for bit
+    s = 2.0**-996
+    unit = time_eigenfunction(2.0, 1, 0.5, 1.0).on_grid(grids.build_grid(1e-3, 10.0, 256))
+    scaled = time_eigenfunction(2.0 / s, 1, 0.5, s).on_grid(grids.build_grid(1e-3 * s, 10.0 * s, 256))
+    assert np.array_equal(scaled.values, unit.values)
+    assert np.array_equal(_commutator_terms(scaled, s), _commutator_terms(unit, 1.0))
+
+
 def test_commutator_zero_field(grid256):
     f = grids.GridSpinorField(grid256, np.zeros((grid256.n_nodes, 4), dtype=complex))
     with pytest.raises(ValueError):

@@ -7,9 +7,9 @@ a NaN that is not its first argument; ``run_all_checks`` folds every residual
 with ``np.max``, which keeps it.  The second batch makes one number of the
 physics wrong, and its check must read a finite residual above tolerance,
 on the default config or at the mass the row names.  The third batch
-makes one number wrong that `verify` passes at 42/42, each by a one-line
-edit of a function's source (the ``edited`` fixture); each breaks the
-relation of the tier-1 test that its row names.
+makes one number wrong by a one-line edit of a function's source (the
+``edited`` fixture); each breaks the relation of the tier-1 test that its
+row names, and `verify` passes all but the J-scale one at 42/42.
 """
 import json
 import math
@@ -46,7 +46,7 @@ def _nan_at_label(real, k, part=None):
 def _w_order_nan(real):
     def mutant(ratios):
         rep_u, rep_w = real(ratios)
-        return rep_u, replace(rep_w, fitted_order=math.nan)
+        return rep_u, rep_w._replace(fitted_order=math.nan)
 
     return mutant
 
@@ -167,7 +167,9 @@ def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, tmp_path
 
 # (mutant, tier-1 test whose relation it breaks, that test's arguments, module,
 # function, one-line source edit (old, new)); the ROADMAP's item 17 table
-# lists `verify` at 42/42 under each, on the default and arrival_broad configs
+# lists `verify` at 42/42 under the first three, on the default and
+# arrival_broad configs, and the J mutant fails flux_unit_crossing there
+# (``test_J_scale_fails_flux_unit_crossing``)
 SEEN_BY_TESTS = [
     ("interference_factor_1", test_symmetries.test_interference_identity_on_raw_curves.hypothesis.inner_test,
      dict(m=1.0, p0=2.0, width=0.1, x0=0.0, theta=math.pi / 4, phi=0.0, s=0.5),
@@ -190,3 +192,16 @@ def test_a_wrong_number_that_verify_passes_breaks_a_tier1_relation(monkeypatch, 
     monkeypatch.setattr(module, name, edited(module, name, *edit))
     with pytest.raises(AssertionError):
         relation(**kwargs)
+
+
+# the benchmark flux integrates to 1 within 1.65e-8 on both grids, and to
+# 1 - 5.0e-4 under J x 0.9995
+@pytest.mark.parametrize("grid", [{}, {"p_max": 20.0, "n_points": 1024}], ids=["default", "arrival_broad"])
+def test_J_scale_fails_flux_unit_crossing(monkeypatch, capsys, tmp_path, edited, grid):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**DEFAULT_CONFIG, "grid": {**DEFAULT_CONFIG["grid"], **grid}}), encoding="utf-8")
+    edit = ("J = 2.0 *", "J = 0.9995 * 2.0 *")
+    monkeypatch.setattr(arrival, "arrival_distribution", edited(arrival, "arrival_distribution", *edit))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert re.findall(r"^(\S+)\s.*FAIL$", out, re.MULTILINE) == ["flux_unit_crossing"], out
