@@ -72,21 +72,15 @@ class DiracBasis(NamedTuple):
 
 
 def dirac_basis() -> DiracBasis:
-    """Build the standard-representation Dirac matrices."""
-    z2 = np.zeros((2, 2), dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    beta = np.block([[i2, z2], [z2, -i2]])
-    gammas = [beta]
-    for sig in (SIGMA1, _SIGMA2, _SIGMA3):
-        gammas.append(np.block([[z2, sig], [-sig, z2]]))
-    alphas = tuple(beta @ g for g in gammas[1:])
-    Sigma1 = np.block([[SIGMA1, z2], [z2, SIGMA1]])
-    return DiracBasis(
-        gamma=tuple(gammas),
-        alpha=alphas,
-        beta=beta,
-        Sigma1=Sigma1,
-    )
+    """The standard representation as Kronecker products of Pauli matrices:
+    beta = sigma_3 x 1, gamma^k = i sigma_2 x sigma_k, alpha_k = sigma_1 x sigma_k
+    and Sigma_1 = 1 x sigma_1, fresh arrays on every call.  alpha_1 = sigma_1 x
+    sigma_1 is the anti-diagonal, which is why ``apply_h_values`` reverses the
+    components, and ``_BETA_DIAG`` is the diagonal of beta."""
+    sigmas = (SIGMA1, _SIGMA2, _SIGMA3)
+    gammas = (np.kron(_SIGMA3, np.eye(2)), *(np.kron(1j * _SIGMA2, sig) for sig in sigmas))
+    alphas = tuple(np.kron(SIGMA1, sig) for sig in sigmas)
+    return DiracBasis(gammas, alphas, gammas[0], np.kron(np.eye(2), SIGMA1))
 
 
 def clifford_max_residual() -> float:

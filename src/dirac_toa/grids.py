@@ -172,8 +172,16 @@ class MomentumGrid:
         return out
 
     def norm(self, values: np.ndarray):
-        """Quadrature L2 norm of samples (..., n_nodes, 4), one per leading index."""
-        norm = np.sqrt(np.sum(self.weights * np.sum(np.abs(values) ** 2, axis=-1), axis=-1))
+        """Quadrature L2 norm of samples (..., n_nodes, 4), one per leading index.
+
+        Each member's |v| is scaled by the 2^-k that puts its largest in [1/2, 1)
+        before it is squared, and the root by 2^k after: the scaling is exact
+        wherever the unscaled sum neither under- nor overflows, and where only
+        the squares of |v| leave the float range the norm reads neither 0 nor inf."""
+        v = np.abs(values)
+        _, k = np.frexp(np.max(v, axis=(-2, -1)))
+        v = np.ldexp(v, -k[..., None, None])
+        norm = np.ldexp(np.sqrt(np.sum(self.weights * np.sum(v * v, axis=-1), axis=-1)), k)
         return norm if norm.ndim else float(norm)
 
 

@@ -381,12 +381,23 @@ def check_norm_drift(f, m):
 
 
 def check_interference_zero(grid, m, dist):
-    """Pi_interf of the benchmark packet at mass m; ``dist``, the benchmark
-    distribution, serves when m is its mass."""
+    """Pi_interf of the benchmark packet, which has one branch, at mass m
+    (``dist``, the benchmark distribution, serves when m is its mass), then
+    the interference identity I(0)^2 + I(pi/2)^2 = 4 Pi_pos Pi_neg of the raw
+    curves per unit of max(raw Pi_total)^2, I(phi) the raw Pi_interf of the
+    packet with c_+ = 1/sqrt(2) and c_- = e^{i phi}/sqrt(2).  That packet
+    starts at x0 = 0, so both branches cross the origin near t = 0; from
+    x0 = -10 they arrive near t = +-11.2 and Pi_pos Pi_neg is about 0."""
     if m != _BENCH_SPEC.m:
         f = arrival.build_packet(replace(_BENCH_SPEC, m=m), grid)
         dist = arrival.arrival_distribution(f, m, _BENCH_WINDOW, _BENCH_NT)
-    return np.abs(dist.Pi_interf)
+    h = math.sqrt(0.5)
+    d, di = (arrival.arrival_distribution(arrival.build_packet(
+        replace(_BENCH_SPEC, m=m, x0=0.0, c_plus=h, c_minus=c), grid), m, _BENCH_WINDOW, _BENCH_NT)
+        for c in (h, 1j * h))
+    r = di.normalization / d.normalization  # I(pi/2) on the scale of d's curves
+    identity = np.abs(d.Pi_interf**2 + (r * di.Pi_interf) ** 2 - 4.0 * d.Pi_pos * d.Pi_neg) / np.max(d.Pi_total) ** 2
+    return np.concatenate([np.abs(dist.Pi_interf), identity])
 
 
 def check_arrival_benchmark(dist):

@@ -38,6 +38,28 @@ def test_alpha_beta_identities():
     assert np.max(np.abs(b.beta - b.beta.conj().T)) == 0.0
 
 
+def test_kronecker_basis_is_the_block_basis():
+    # the standard representation written out block by block (Bjorken & Drell)
+    z2, i2 = np.zeros((2, 2)), np.eye(2)
+    sigmas = (algebra.SIGMA1, algebra._SIGMA2, algebra._SIGMA3)
+    beta = np.block([[i2, z2], [z2, -i2]])
+    b = algebra.dirac_basis()
+    assert np.array_equal(b.beta, beta)
+    assert len(b.gamma) == 4 and np.array_equal(b.gamma[0], beta)
+    for k, sig in enumerate(sigmas):
+        assert np.array_equal(b.gamma[k + 1], np.block([[z2, sig], [-sig, z2]]))
+        assert np.array_equal(b.alpha[k], np.block([[z2, sig], [sig, z2]]))
+    assert np.array_equal(b.Sigma1, np.block([[algebra.SIGMA1, z2], [z2, algebra.SIGMA1]]))
+    assert np.array_equal(algebra._BETA_DIAG, np.diag(b.beta))
+    # apply_h_values at (m, p) = (0, 1) is alpha_1, and at (1, 0) beta, on any spinors
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    assert np.array_equal(algebra.apply_h_values(0.0, np.ones(16), v), v @ b.alpha[0].T)
+    assert np.array_equal(algebra.apply_h_values(1.0, np.zeros(16), v), v @ b.beta.T)
+    # each call builds fresh arrays
+    assert not np.shares_memory(algebra.dirac_basis().beta, b.beta)
+
+
 def test_helicity_spinors():
     up = algebra.helicity_spinor(0.5)
     dn = algebra.helicity_spinor(-0.5)

@@ -216,19 +216,32 @@ def test_commutator_is_finite_at_tiny_masses(m):
 
 
 def test_commutator_at_m_1e_300():
-    # the quadrature residual reads exactly 0.0 here: w |r|^2, with w ~ 1e-302
-    # and |r| ~ 1e-13, is below the smallest subnormal, so the node-wise terms
-    # carry the evidence (6.3e-13 of max |f|)
+    # w |r|^2, with w ~ 1e-302 and |r| ~ 1e-13, is below the smallest
+    # subnormal, so the norm scales |r| by a power of 2 before it squares;
+    # the node-wise terms are 6.3e-13 of max |f|
     m = 1e-300
     f = time_eigenfunction(2.0, 1, 0.5, m).on_grid(grids.build_grid(1e-303, 1e-299, 256))
-    assert grids.commutator_residual(f, m) == 0.0
+    assert 1e-14 < grids.commutator_residual(f, m) < 2e-14  # 1.14e-14
     assert np.max(np.abs(_commutator_terms(f, m))) < 1e-12 * np.max(np.abs(f.values))
-    # on the unit-mass axis scaled by 2^-996 the terms are the m = 1 ones bit for bit
+    # on the unit-mass axis scaled by 2^-996 the terms and the residual are the
+    # m = 1 ones bit for bit
     s = 2.0**-996
     unit = time_eigenfunction(2.0, 1, 0.5, 1.0).on_grid(grids.build_grid(1e-3, 10.0, 256))
     scaled = time_eigenfunction(2.0 / s, 1, 0.5, s).on_grid(grids.build_grid(1e-3 * s, 10.0 * s, 256))
     assert np.array_equal(scaled.values, unit.values)
     assert np.array_equal(_commutator_terms(scaled, s), _commutator_terms(unit, 1.0))
+    assert grids.commutator_residual(scaled, s) == grids.commutator_residual(unit, 1.0)  # 3.95e-15
+
+
+@pytest.mark.parametrize("scale", [2.0**664, 2.0**-1000])  # about 1e200 and 1e-301
+def test_norm_is_scale_free(grid256, scale):
+    # |v|^2 overflows at 1e200 and underflows at 1e-301 when formed unscaled;
+    # a power-of-2 scale moves the norm by exactly that scale, stacks included
+    f = gaussian_bump_field(grid256)
+    values = np.stack([f.values, 3.0 * f.values])
+    norms = grid256.norm(scale * values)
+    assert np.array_equal(norms, scale * grid256.norm(values))
+    assert norms[0] == scale * f.norm() and np.isfinite(norms[0]) and norms[0] > 0.0
 
 
 def test_commutator_zero_field(grid256):

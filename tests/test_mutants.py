@@ -9,7 +9,10 @@ physics wrong, and its check must read a finite residual above tolerance,
 on the default config or at the mass the row names.  The third batch
 makes one number wrong by a one-line edit of a function's source (the
 ``edited`` fixture); each breaks the relation of the tier-1 test that its
-row names, and `verify` passes all but the J-scale one at 42/42.
+row names.  `verify` fails the J-scale and interference ones and passes
+the other two at 42/42: no check reads the window capture that the mirror
+mutant moves, and the peak-sign one moves a peak by at most two samples,
+0.1 on the benchmark lattice, inside ``arrival_peak_benchmark``'s 0.5.
 """
 import json
 import math
@@ -165,22 +168,25 @@ def test_a_wrong_number_fails_its_check_and_verify(monkeypatch, capsys, tmp_path
     assert tolerance < residual < math.inf, (residual, measured)
 
 
+# the one-line source edits of the J-scale and interference mutants (old, new)
+J_EDIT = ("J = 2.0 *", "J = 0.9995 * 2.0 *")
+INTERFERENCE_EDIT = ("pi_int = 2.0 *", "pi_int = 1.0 *")
+
 # (mutant, tier-1 test whose relation it breaks, that test's arguments, module,
-# function, one-line source edit (old, new)); the ROADMAP's item 17 table
-# lists `verify` at 42/42 under the first three, on the default and
-# arrival_broad configs, and the J mutant fails flux_unit_crossing there
-# (``test_J_scale_fails_flux_unit_crossing``)
+# function, one-line source edit (old, new)); `verify` passes the mirror and
+# peak mutants at 42/42 on the default and arrival_broad configs, and fails
+# the J and interference ones (the two tests below)
 SEEN_BY_TESTS = [
     ("interference_factor_1", test_symmetries.test_interference_identity_on_raw_curves.hypothesis.inner_test,
      dict(m=1.0, p0=2.0, width=0.1, x0=0.0, theta=math.pi / 4, phi=0.0, s=0.5),
-     arrival, "_normalized", ("pi_int = 2.0 *", "pi_int = 1.0 *")),
+     arrival, "_normalized", INTERFERENCE_EDIT),
     ("full_line_mirror_negated", test_arrival.test_full_line_mass_mirror_term_at_zero_mass, {},
      arrival, "_full_line_mass", ("np.real(direct + mirror)", "np.real(direct - mirror)")),
     ("peak_shift_sign_flipped", test_arrival.test_peak_location_refines_between_samples, dict(center=3.37),
      arrival, "peak_location", ("shift = 0.5 *", "shift = -0.5 *")),
     ("J_times_0.9995", test_arrival.test_flux_matches_position_profile_current,
      dict(two_branch_packet=None, grid512=grids.build_grid(1e-3, 10.0, 512, 4), field="random", m=1.0),
-     arrival, "arrival_distribution", ("J = 2.0 *", "J = 0.9995 * 2.0 *")),
+     arrival, "arrival_distribution", J_EDIT),
 ]
 
 
@@ -194,14 +200,27 @@ def test_a_wrong_number_that_verify_passes_breaks_a_tier1_relation(monkeypatch, 
         relation(**kwargs)
 
 
+def _verify_failures(capsys, tmp_path, config) -> list:
+    """The names of the checks that `verify` FAILs on ``config``, which it must exit 1 on."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    return re.findall(r"^(\S+)\s.*FAIL$", capsys.readouterr().out, re.MULTILINE)
+
+
 # the benchmark flux integrates to 1 within 1.65e-8 on both grids, and to
 # 1 - 5.0e-4 under J x 0.9995
 @pytest.mark.parametrize("grid", [{}, {"p_max": 20.0, "n_points": 1024}], ids=["default", "arrival_broad"])
 def test_J_scale_fails_flux_unit_crossing(monkeypatch, capsys, tmp_path, edited, grid):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**DEFAULT_CONFIG, "grid": {**DEFAULT_CONFIG["grid"], **grid}}), encoding="utf-8")
-    edit = ("J = 2.0 *", "J = 0.9995 * 2.0 *")
-    monkeypatch.setattr(arrival, "arrival_distribution", edited(arrival, "arrival_distribution", *edit))
-    assert cli.main(["verify", "--config", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert re.findall(r"^(\S+)\s.*FAIL$", out, re.MULTILINE) == ["flux_unit_crossing"], out
+    monkeypatch.setattr(arrival, "arrival_distribution", edited(arrival, "arrival_distribution", *J_EDIT))
+    config = {**DEFAULT_CONFIG, "grid": {**DEFAULT_CONFIG["grid"], **grid}}
+    assert _verify_failures(capsys, tmp_path, config) == ["flux_unit_crossing"]
+
+
+# the interference identity reads at most 4.1e-16 of max(raw Pi_total)^2 over
+# the acceptance masses, and 1/3 under the halved cross term at each
+@pytest.mark.parametrize("mass", [1e-3, 1.0, 100.0])
+def test_interference_factor_1_fails_interference_single_branch(monkeypatch, capsys, tmp_path, edited, mass):
+    monkeypatch.setattr(arrival, "_normalized", edited(arrival, "_normalized", *INTERFERENCE_EDIT))
+    config = {**DEFAULT_CONFIG, "mass": mass}
+    assert _verify_failures(capsys, tmp_path, config) == ["interference_single_branch"]
