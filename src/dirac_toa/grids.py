@@ -10,7 +10,8 @@ samples, which the operators use.  The one exception is the
 none, so d/dp is a polynomial finite difference of order 2 or 4 on the
 actual (non-uniform) nodes, evaluated per half-line; near each interval end
 the stencils become one-sided at the same order.  The weights are
-barycentric, one ``fd_weights`` call per half-line table.
+barycentric, one ``fd_weights`` call per half-line table, and each
+``derivative`` call builds its two tables afresh.
 
 Operators:
 
@@ -33,7 +34,7 @@ time-lattice kernels of ``eigenfunctions`` and ``arrival`` are built on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,7 @@ def _stencil_table(nodes: np.ndarray, order: int):
     return idx, fd_weights(nodes[idx], np.arange(n) - start)
 
 
-@dataclass(eq=False)
-class MomentumGrid:
+class MomentumGrid(NamedTuple):
     """Symmetric quadrature grid on [-p_max, -p_min] u [p_min, p_max].
 
     nodes are strictly increasing, none in (-p_min, p_min); weights are
@@ -131,7 +131,9 @@ class MomentumGrid:
     on it: ``eigenfunctions._fold``).  ``deriv_order``
     (2 or 4) is the order of the finite-difference d/dp, ``derivative``; a
     field that carries ``deriv_values`` bypasses it, so only
-    ``verify.check_commutator_order`` reaches it.
+    ``verify.check_commutator_order`` reaches it, and it builds its two
+    half-line stencil tables on each call.  ``build_grid`` makes nodes and
+    weights read-only, so a grid can be shared.
     """
 
     p_min: float
@@ -153,22 +155,12 @@ class MomentumGrid:
     def negative(self) -> slice:
         return slice(0, self.n_per_side)
 
-    @cached_property
-    def _stencils(self) -> tuple:
-        """(idx, weights) of the negative and positive half-lines, built on
-        the first derivative: commands that never differentiate skip them."""
-        return (
-            *_stencil_table(self.nodes[self.negative], self.deriv_order),
-            *_stencil_table(self.nodes[self.positive], self.deriv_order),
-        )
-
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """Finite-difference d/dp per half-line; values shape (..., n_nodes, 4)."""
-        idx_n, w_n, idx_p, w_p = self._stencils
-        n = self.n_per_side
         out = np.empty_like(np.asarray(values, dtype=complex))
-        out[..., :n, :] = np.einsum("ik,...ikc->...ic", w_n, values[..., :n, :][..., idx_n, :])
-        out[..., n:, :] = np.einsum("ik,...ikc->...ic", w_p, values[..., n:, :][..., idx_p, :])
+        for half in (self.negative, self.positive):
+            idx, w = _stencil_table(self.nodes[half], self.deriv_order)
+            out[..., half, :] = np.einsum("ik,...ikc->...ic", w, values[..., half, :][..., idx, :])
         return out
 
     def norm(self, values: np.ndarray):
@@ -206,14 +198,8 @@ def build_grid(p_min: float, p_max: float, n_points: int, deriv_order: int = 4) 
     pos, wpos = _gauss_legendre_panels(p_min, p_max, n_points, panels)
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
-    return MomentumGrid(
-        p_min=p_min,
-        p_max=p_max,
-        n_per_side=n_points,
-        deriv_order=deriv_order,
-        nodes=nodes,
-        weights=weights,
-    )
+    nodes.flags.writeable = weights.flags.writeable = False
+    return MomentumGrid(p_min, p_max, n_points, deriv_order, nodes, weights)
 
 
 @dataclass(eq=False)
@@ -306,28 +292,22 @@ def _spectral_data(f: GridSpinorField, m: float):
 # energy representation
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class EnergyGridFunction:
+class EnergyGridFunction(NamedTuple):
     """Complex function(s) on one spectral branch of (-inf, -m) u (m, +inf).
 
     ``values`` has shape (n_nodes, n_channels); channels label (side of the
     momentum axis, spin) for transformed fields, or a single test channel.
     Nodes run outward from the gap, node 0 next to +-m.  Weights already
     include the Jacobian |dE/dp|, so plain weighted sums are integrals dE.
+    The axis rules are checked where the axis is made: |E| > m in
+    ``_induced_energy_axis``, branch = +-1 in ``energy_function_on_branch``.
     """
 
     branch: int
-    m: float
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
     deriv_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
-        if np.any(np.abs(self.nodes) <= self.m):
-            raise ValueError("energy nodes must satisfy |E| > m")
 
     def norm_sq(self) -> float:
         dens = np.sum(np.abs(self.values) ** 2, axis=1)
@@ -337,12 +317,15 @@ class EnergyGridFunction:
 def _induced_energy_axis(grid: MomentumGrid, m: float):
     """(E_p, weights) on the positive momenta, in their order: branch lam
     takes the nodes lam E_p.  Weights are w_p * |dE/dp|; no re-interpolation
-    is performed.  The map needs m > 0: at m = 0 the two branches touch at E = 0.
+    is performed.  The map needs m > 0: at m = 0 the two branches touch at E = 0,
+    and every E_p must round above m.
     """
     if m <= 0.0:
         raise ValueError("the energy map requires m > 0")
     ppos = grid.nodes[grid.positive]
     E_p = np.hypot(ppos, m)
+    if np.any(E_p <= m):
+        raise ValueError("energy nodes must satisfy |E| > m")
     return E_p, grid.weights[grid.positive] * (ppos / E_p)
 
 
@@ -363,7 +346,7 @@ def to_energy_rep(f: GridSpinorField, m: float):
     # side +1 reads the positive momenta, side -1 the negative ones by |p|
     return tuple(
         EnergyGridFunction(
-            branch=lam, m=m, nodes=lam * E_axis, weights=weights,
+            branch=lam, nodes=lam * E_axis, weights=weights,
             values=np.concatenate([b[:, n:], b[:, n - 1 :: -1]]).T,
         )
         for lam, b in ((1, proj[:2]), (-1, proj[2:]))
@@ -374,14 +357,13 @@ def energy_function_on_branch(
     grid: MomentumGrid, m: float, branch: int, fn, dfn=None
 ) -> EnergyGridFunction:
     """Single-channel test function g(E) on the induced axis of ``branch``."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
     E_p, weights = _induced_energy_axis(grid, m)
     nodes = branch * E_p
     vals = np.asarray(fn(nodes), dtype=complex)[:, None]
     dvals = None if dfn is None else np.asarray(dfn(nodes), dtype=complex)[:, None]
-    return EnergyGridFunction(
-        branch=branch, m=m, nodes=nodes, weights=weights,
-        values=vals, deriv_values=dvals,
-    )
+    return EnergyGridFunction(branch, nodes, weights, vals, dvals)
 
 
 def _check_boundary(g: EnergyGridFunction, index: int, condition: str):
@@ -404,9 +386,7 @@ def apply_toa_energy(g: EnergyGridFunction) -> EnergyGridFunction:
     _check_boundary(g, 0, f"g({g.branch:+d}m) = 0")
     if g.deriv_values is None:
         raise ValueError("no closed-form d/dE: pass dfn to energy_function_on_branch")
-    return EnergyGridFunction(
-        branch=g.branch, m=g.m, nodes=g.nodes, weights=g.weights, values=-1j * g.deriv_values,
-    )
+    return g._replace(values=-1j * g.deriv_values, deriv_values=None)
 
 
 def energy_inner_product(g1: EnergyGridFunction, g2: EnergyGridFunction) -> complex:

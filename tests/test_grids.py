@@ -35,6 +35,15 @@ def test_build_grid_contract(grid256):
     assert abs(np.sum(g.weights[g.negative]) - span) <= 1e-12 * span
 
 
+def test_grid_arrays_are_read_only(grid256):
+    # a grid may be shared between callers, so none may write its arrays in place
+    for a in (grid256.nodes, grid256.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid256.nodes[grid256.positive] *= 2.0
+
+
 @pytest.mark.parametrize("p_range", [(1e-3, 10.0), (1e-12, 1.0), (1.0, 1e200)])
 @pytest.mark.parametrize("n_points", [8, 9, 37, 256, 1024])  # 9 and 37 split their panels unevenly
 def test_build_grid_halves_are_exact_mirrors(n_points, p_range):
@@ -349,6 +358,19 @@ def test_node_0_is_next_to_the_gap_on_both_branches(m):
         assert np.argmin(np.abs(g.nodes - g.branch * m)) == 0
         assert np.all(np.diff(np.abs(g.nodes)) > 0.0)
         assert np.array_equal(g.nodes, g.branch * np.hypot(grid.nodes[grid.positive], m))
+
+
+@pytest.mark.parametrize(
+    "m, branch, message",
+    [(1.0, 0, "branch must be +1 or -1"), (1e9, 1, "energy nodes must satisfy |E| > m")],
+)
+def test_energy_function_rules_are_checked_before_fn_is_called(m, branch, message):
+    # at m = 1e9, E_p rounds to m at the first node, p = 0.026
+    def fn(E):
+        raise AssertionError("fn was called")
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grids.energy_function_on_branch(grids.build_grid(1e-3, 10.0, 64), m, branch, fn)
 
 
 def test_to_energy_rep_rejects_massless(grid256):

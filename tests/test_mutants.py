@@ -108,7 +108,7 @@ def _energy_weight_to_the_1_8(real):
     # the map's factor [E^2/(E^2 - m^2)]^(1/4) taken to the power 1/8
     def mutant(f, m):
         return tuple(
-            replace(g, values=g.values * ((g.nodes**2 / (g.nodes**2 - m * m)) ** -0.125)[:, None])
+            g._replace(values=g.values * ((g.nodes**2 / (g.nodes**2 - m * m)) ** -0.125)[:, None])
             for g in real(f, m)
         )
 

@@ -29,6 +29,7 @@ The config file is a run's one input: every subcommand of the parser that
 """
 import argparse
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -291,3 +292,29 @@ def test_every_command_takes_only_config_and_out(monkeypatch):
     for name, sub in commands.choices.items():
         options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
         assert options == {"--config", "--out"}, name
+
+
+# the records that validate or coerce outside input when they are built; every
+# other record of the package is a tuple
+_DATACLASS_RECORDS = ["GridSpinorField", "PacketSpec"]
+_TUPLE_RECORDS = [
+    "ArrivalDistribution", "CheckResult", "DeficiencyReport", "DiracBasis", "DualSolution",
+    "EnergyGridFunction", "GridConfig", "LimitReport", "LimitsConfig", "MomentumGrid",
+    "RunConfig", "TimeConfig", "ToaEigenfunction", "_Run",
+]
+
+
+def test_a_record_is_a_tuple_unless_it_validates_its_input():
+    records = {}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"dirac_toa.{path.stem}")
+        records.update(
+            (name, obj) for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and not issubclass(obj, Exception)
+        )
+    assert sorted(n for n, c in records.items() if dataclasses.is_dataclass(c)) == _DATACLASS_RECORDS
+    assert sorted(n for n, c in records.items() if issubclass(c, tuple)) == _TUPLE_RECORDS
+    assert len(records) == len(_DATACLASS_RECORDS) + len(_TUPLE_RECORDS)

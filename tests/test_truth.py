@@ -8,6 +8,7 @@ from the config alone (see its docstring).  A table is regenerated only when
 its config changes, never to absorb a program change, and its bounds may be
 tightened, never loosened.
 """
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -49,6 +50,13 @@ def _table(name) -> dict:
 
 def _column(table, name) -> np.ndarray:
     return np.array([float(row[name]) for row in table["samples"]])
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_each_table_names_the_generator_that_wrote_it(name):
+    # an edit of the generator must be followed by regenerated tables
+    digest = hashlib.sha256((TRUTH / "generate.py").read_bytes()).hexdigest()
+    assert _table(name)["generator_sha256"] == digest
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
